@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, evaluation, gbtree, tuner
 from .dataset import (
-    SyntheticConfig, generate_synthetic, load_csv, temporal_split, write_csv,
+    SyntheticConfig, generate_synthetic, load_csv, write_csv,
 )
 from .encoding import STRATEGIES
 from .errors import ConfigError, CyclecastError, DataError, InvariantError
@@ -508,7 +508,10 @@ def cmd_tune(args) -> int:
     stream = open(trials_path, "w", encoding="utf-8")
 
     def on_trial(trial):
-        stream.write(json.dumps(trial.to_dict()) + "\n")
+        record = trial.to_dict()
+        if args.no_timing:
+            record = strip_timing(record)
+        stream.write(json.dumps(record) + "\n")
         stream.flush()
 
     try:

@@ -3,6 +3,9 @@ squared-error objective, built from scratch.
 
 Each tree is grown by exact greedy split search on the per-row gradients
 and hessians; leaf outputs are the closed-form optimum -G/(H+lambda).
+A node's rows are kept as one (n_cols, n_node_rows) array sorted per
+feature, so a node's search over all features is a handful of array
+operations rather than a loop over features.
 Supports depth-wise and leaf-wise growth, plain row subsampling or
 gradient-based one-side sampling (GOSS), per-tree column subsampling,
 shrinkage, and patience-based early stopping on a validation set.
@@ -90,16 +93,11 @@ class HyperParams:
         return cls(**d)
 
 
-# Reference optimal configurations for the two learner styles.
+# Reference optimal configuration for the xgb-style learner.
 XGB_STYLE_OPTIMAL = HyperParams(
     learning_rate=0.023764, max_depth=6, n_estimators=1000,
     min_child_weight=1.0, subsample=0.6, colsample_bytree=1.0,
     gamma=0.97328, growth=DEPTHWISE,
-)
-LGBM_STYLE_OPTIMAL = HyperParams(
-    learning_rate=0.02, max_depth=6, n_estimators=1000,
-    colsample_bytree=0.8, goss_a=0.2, goss_b=0.2,
-    growth=LEAFWISE, num_leaves=31,
 )
 
 
@@ -251,91 +249,82 @@ class RegressionTree:
 class _SplitContext:
     """Per-fit state for exact greedy split search.
 
-    Columns are argsorted once per fit; each node carries its row set
-    pre-sorted per feature, and children inherit by stable partition,
-    so no sorting happens inside the tree.
+    A node holds its rows as one int array `orders` of shape
+    (n_cols, n_node_rows) whose row k lists the node's rows sorted by
+    feature cols[k]. The columns are argsorted once per fit and children
+    inherit by stable partition, so no sorting happens inside the tree.
+    Every node row appears exactly once in each row of `orders`, so a
+    row subset selects the same number of entries from every row and
+    `orders[mask[orders]]` reshapes back to (n_cols, n_subset_rows).
     """
 
-    def __init__(self, Xcols, n_rows):
-        self.Xcols = Xcols
-        self.global_order = [np.argsort(c, kind="stable") for c in Xcols]
-        self._member = np.zeros(n_rows, dtype=bool)
+    def __init__(self, X):
+        self.XT = np.ascontiguousarray(X.T)
+        self.global_order = np.argsort(self.XT, axis=1, kind="stable")
 
-    def root_orders(self, rows, cols, n_rows):
-        if rows.size == n_rows:
-            return {f: self.global_order[f] for f in cols}
-        mask = self._member
+    def _member(self, rows):
+        mask = np.zeros(self.XT.shape[1], dtype=bool)
         mask[rows] = True
-        orders = {f: self.global_order[f][mask[self.global_order[f]]]
-                  for f in cols}
-        mask[rows] = False
-        return orders
+        return mask
+
+    def root_orders(self, rows, cols):
+        orders = self.global_order[cols]
+        if rows.size == orders.shape[1]:
+            return orders
+        return orders[self._member(rows)[orders]].reshape(len(cols), -1)
 
     def partition(self, orders, left_rows):
-        mask = self._member
-        mask[left_rows] = True
-        left, right = {}, {}
-        for f, o in orders.items():
-            sel = mask[o]
-            left[f] = o[sel]
-            right[f] = o[~sel]
-        mask[left_rows] = False
-        return left, right
+        sel = self._member(left_rows)[orders]
+        k = orders.shape[0]
+        return orders[sel].reshape(k, -1), orders[~sel].reshape(k, -1)
 
 
 def _best_split(ctx, orders, g, h, cols, params):
     """Exact greedy search over (feature, midpoint threshold).
 
-    Returns (gain, feature, threshold, left_rows, right_rows) with the
-    row arrays sorted per feature, or None when no positive-gain split
-    satisfies min_child_weight. Ties break to the lowest feature index,
-    then the lowest threshold.
+    All features of the node are searched at once: row k of the value,
+    gradient and hessian matrices follows `orders[k]`, and a split after
+    position i of row k is a candidate where the sorted values differ.
+    Returns (gain, feature, threshold, left_orders, right_orders), both
+    children in the (n_cols, n_child_rows) layout, or None when no
+    positive-gain split satisfies min_child_weight. The row-major argmax
+    breaks ties to the lowest feature index, then the lowest threshold.
     """
-    any_rows = orders[cols[0]]
-    G = g[any_rows].sum()
-    H = h[any_rows].sum()
-    mcw = params.min_child_weight
-    best = None
-    for f in cols:
-        o = orders[f]
-        vs = ctx.Xcols[f][o]
-        # Split after position i (0-based) is valid where vs[i] < vs[i+1].
-        boundary = np.nonzero(vs[:-1] < vs[1:])[0]
-        if boundary.size == 0:
-            continue
-        gs = np.cumsum(g[o])
-        hs = np.cumsum(h[o])
-        G_L = gs[boundary]
-        H_L = hs[boundary]
-        G_R = G - G_L
-        H_R = H - H_L
-        valid = (H_L >= mcw) & (H_R >= mcw)
-        if not valid.any():
-            continue
-        gains = 0.5 * (
-            G_L * G_L / (H_L + params.reg_lambda)
-            + G_R * G_R / (H_R + params.reg_lambda)
-            - G * G / (H + params.reg_lambda)
-        ) - params.gamma
-        gains = np.where(valid, gains, -np.inf)
-        j = int(np.argmax(gains))  # first max -> lowest threshold
-        if best is None or gains[j] > best[0]:
-            i = int(boundary[j])
-            thr = 0.5 * (vs[i] + vs[i + 1])
-            if not (vs[i] < thr):
-                # Adjacent representable values: midpoint rounds onto vs[i].
-                thr = vs[i + 1]
-            best = (float(gains[j]), f, thr, i)
-    if best is None or best[0] <= 0:
+    n_node = orders.shape[1]
+    if n_node < 2:
         return None
-    gain, f, thr, i = best
-    left, right = ctx.partition(orders, orders[f][: i + 1])
-    return gain, f, thr, left, right
+    rows = orders[0]
+    G = g[rows].sum()
+    H = h[rows].sum()
+    vs = ctx.XT[cols[:, None], orders]
+    G_L = np.cumsum(g[orders], axis=1)[:, :-1]
+    H_L = np.cumsum(h[orders], axis=1)[:, :-1]
+    G_R = G - G_L
+    H_R = H - H_L
+    mcw = params.min_child_weight
+    valid = (vs[:, :-1] < vs[:, 1:]) & (H_L >= mcw) & (H_R >= mcw)
+    gains = 0.5 * (
+        G_L * G_L / (H_L + params.reg_lambda)
+        + G_R * G_R / (H_R + params.reg_lambda)
+        - G * G / (H + params.reg_lambda)
+    ) - params.gamma
+    gains = np.where(valid, gains, -np.inf)
+    c, i = divmod(int(np.argmax(gains)), n_node - 1)
+    gain = float(gains[c, i])
+    if gain <= 0:
+        return None
+    lo, hi = vs[c, i], vs[c, i + 1]
+    thr = 0.5 * (lo + hi)
+    if not (lo < thr):
+        # Adjacent representable values: midpoint rounds onto lo.
+        thr = hi
+    left, right = ctx.partition(orders, orders[c, : i + 1])
+    return gain, int(cols[c]), float(thr), left, right
 
 
 def _grow_depthwise(tree, ctx, orders, g, h, cols, params, gain_acc):
     def grow(orders, depth):
-        rows = orders[cols[0]]
+        rows = orders[0]
         G = g[rows].sum()
         H = h[rows].sum()
         if depth >= params.max_depth:
@@ -357,7 +346,7 @@ def _grow_leafwise(tree, ctx, orders, g, h, cols, params, gain_acc):
     """Best-first growth capped by num_leaves and max_depth."""
     import heapq
 
-    rows = orders[cols[0]]
+    rows = orders[0]
     root = tree.add_leaf(
         leaf_weight(g[rows].sum(), h[rows].sum(), params.reg_lambda)
     )
@@ -379,8 +368,8 @@ def _grow_leafwise(tree, ctx, orders, g, h, cols, params, gain_acc):
     while heap and n_leaves < params.num_leaves:
         _, _, node, depth, found = heapq.heappop(heap)
         gain, f, thr, lorders, rorders = found
-        lrows = lorders[cols[0]]
-        rrows = rorders[cols[0]]
+        lrows = lorders[0]
+        rrows = rorders[0]
         tree.feature[node] = f
         tree.threshold[node] = thr
         lw = tree.add_leaf(
@@ -486,8 +475,7 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
             raise DataError("validation target length mismatch")
 
     n, n_feat = X.shape
-    Xcols = [np.ascontiguousarray(X[:, j]) for j in range(n_feat)]
-    ctx = _SplitContext(Xcols, n)
+    ctx = _SplitContext(X)
     base_score = float(np.mean(y))
     pred = np.full(n, base_score)
     val_pred = None if X_val is None else np.full(X_val.shape[0], base_score)
@@ -517,13 +505,13 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
             gw, hw = g, h
 
         if n_cols < n_feat:
-            cols = sorted(rng.choice(n_feat, size=n_cols, replace=False))
+            cols = np.sort(rng.choice(n_feat, size=n_cols, replace=False))
         else:
-            cols = list(range(n_feat))
+            cols = np.arange(n_feat)
 
         tree = RegressionTree()
         gain_acc: dict[int, float] = {}
-        orders = ctx.root_orders(rows, cols, n)
+        orders = ctx.root_orders(rows, cols)
         grow = _grow_leafwise if params.growth == LEAFWISE else _grow_depthwise
         grow(tree, ctx, orders, gw, hw, cols, params, gain_acc)
         trees.append(tree)

@@ -242,10 +242,6 @@ def fit_surrogate(space: ParamSpace, trials, seed=0) -> Surrogate:
     return gp_fit(X, y, seed=seed)
 
 
-def gp_posterior(surrogate: Surrogate, x):
-    return surrogate.posterior(x)
-
-
 def expected_improvement(mu, sigma, best):
     """EI for minimization; max(best - mu, 0) in the zero-variance limit."""
     mu = np.asarray(mu, dtype=np.float64)

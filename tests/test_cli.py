@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from cyclecast.cli import main, render_table, strip_timing
+from cyclecast.cli import _pipeline_rmse, main, render_table, strip_timing
+from cyclecast.dataset import SyntheticConfig, generate_synthetic
+from cyclecast.features import FeatureSpec
+from cyclecast.gbtree import HyperParams, load_model, predict
 
 
 def run_cli(*argv):
@@ -66,13 +70,27 @@ class TestBench:
         assert (a / "bench_report.json").read_bytes() == \
             (b / "bench_report.json").read_bytes()
 
-    def test_save_models_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("config", ["xgb-style", "lgbm-style"])
+    def test_save_models_round_trip(self, tmp_path, config):
         out = tmp_path / "out"
-        assert self.bench(out, "--save-models") == 0
-        model_path = out / "model_xgb-style_sinusoidal.json"
+        assert self.bench(out, "--save-models", "--configs", config,
+                          "--encodings", "sinusoidal") == 0
+        model_path = out / f"model_{config}_sinusoidal.json"
         assert model_path.exists()
         payload = json.loads(model_path.read_text())
         assert "feature_spec" in payload["extra"]
+
+        # Refit the same cell in memory and compare predictions bit for bit.
+        report = json.loads((out / "bench_report.json").read_text())
+        frame = generate_synthetic(
+            SyntheticConfig(**report["source"]["synthetic"]))
+        spec = FeatureSpec.from_dict(payload["extra"]["feature_spec"])
+        params = HyperParams.from_dict(report["configs"][config])
+        fitted = _pipeline_rmse(frame, spec, params, report["test_fraction"])
+        loaded, _ = load_model(model_path)
+        X = fitted["matrix"].values
+        assert np.array_equal(predict(loaded, X),
+                              predict(fitted["model"], X))
 
     def test_unknown_encoding_is_usage_error(self, tmp_path):
         assert run_cli("bench", "--out", str(tmp_path),
@@ -145,6 +163,14 @@ class TestTune:
         assert self.tune(out) == 0
         report = json.loads((out / "tune_report.json").read_text())
         assert report["best_cv_score"] <= report["default_cv_score"]
+
+    def test_no_timing_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert self.tune(a) == 0
+        assert self.tune(b) == 0
+        assert "wall_time" not in (a / "trials.jsonl").read_text()
+        for name in ("trials.jsonl", "tune_report.json", "convergence.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_budget_must_exceed_init(self, tmp_path):
         assert self.tune(tmp_path / "out", budget="3", init="3") == 1

@@ -123,6 +123,45 @@ class TestStumpOracle:
             assert np.allclose(pred[x >= thr], right_mean)
 
 
+class TestSplitEdgeCases:
+    def test_identical_columns_split_on_first(self):
+        x = np.array([0.1, 0.9, 2.0, 3.1, 4.0, 5.2, 6.1, 7.0])
+        y = np.array([1.0, 1.2, 0.8, 1.1, 4.0, 4.2, 3.9, 4.1])
+        model, _ = fit(np.column_stack([x, x]), y, stump_params())
+        assert model.trees[0].feature[0] == 0
+        assert set(model.gain_by_feature) == {"f0"}
+
+    def test_constant_column_never_chosen(self):
+        x = np.array([0.1, 0.9, 2.0, 3.1, 4.0, 5.2, 6.1, 7.0])
+        y = np.array([1.0, 1.2, 0.8, 1.1, 4.0, 4.2, 3.9, 4.1])
+        X = np.column_stack([np.full(8, 2.5), x])
+        model, _ = fit(X, y, stump_params())
+        assert model.trees[0].feature[0] == 1
+        assert set(model.gain_by_feature) == {"f1"}
+
+    @pytest.mark.parametrize("growth", [DEPTHWISE, LEAFWISE])
+    def test_column_sample_records_global_index(self, growth):
+        # Seed 1 samples columns [0, 1, 3, 4], so column 3 is row 2 of
+        # the node arrays and the split must map back to index 3.
+        sampled = np.random.default_rng(1).choice(5, size=4, replace=False)
+        assert sorted(sampled.tolist()) == [0, 1, 3, 4]
+        X = np.ones((8, 5))
+        X[:, 3] = np.arange(8.0)
+        y = np.array([0.0] * 4 + [1.0] * 4)
+        params = stump_params(colsample_bytree=0.8, growth=growth, seed=1)
+        model, _ = fit(X, y, params)
+        feature = model.trees[0].feature[0]
+        assert feature == 3 and type(feature) is int
+        assert set(model.gain_by_feature) == {"f3"}
+
+    def test_single_row_node_is_leaf(self):
+        X = np.array([[0.0], [1.0]])
+        y = np.array([0.0, 1.0])
+        model, _ = fit(X, y, stump_params(subsample=0.5))
+        assert model.trees[0].feature == [-1]
+        assert model.no_splits
+
+
 class TestFit:
     def test_constant_target(self):
         X = np.arange(10.0).reshape(-1, 1)
