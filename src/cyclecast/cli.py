@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .dataset import (
     SyntheticConfig, generate_synthetic, load_csv, write_csv,
 )
 from .encoding import STRATEGIES
-from .errors import ConfigError, CyclecastError, DataError, InvariantError
+from .errors import ConfigError, CyclecastError, DataError
 from .features import FeatureSpec, ablate, build_matrix, GROUPS
 from .gbtree import HyperParams
 
@@ -226,45 +226,19 @@ def _fmt(x, nd=4):
     return f"{x:.{nd}f}"
 
 
-def _split_rows(frame, matrix, test_fraction):
-    """Matrix row ranges for a temporal train/test split of the frame."""
-    n = len(frame)
-    n_train = math.ceil((1.0 - test_fraction) * n)
-    if n_train >= n:
-        raise ConfigError("test_fraction leaves an empty test partition")
-    offset = matrix.dropped_warmup
-    tr_hi = n_train - offset
-    if tr_hi < 2:
-        raise DataError("train partition too small after feature warm-up")
-    return tr_hi, matrix.n_rows
-
-
-def _fit_cell(matrix, tr_hi, params, val_fraction=0.1):
-    """Fit on the train rows with a trailing slice held out for patience."""
-    n_val = max(1, int(val_fraction * tr_hi))
-    fit_hi = tr_hi - n_val
-    if fit_hi < 2:
-        raise DataError("train partition too small for an early-stop slice")
-    X_fit = matrix.values[:fit_hi]
-    y_fit = matrix.target[:fit_hi]
-    X_es = matrix.values[fit_hi:tr_hi]
-    y_es = matrix.target[fit_hi:tr_hi]
-    return gbtree.fit(X_fit, y_fit, params, val=(X_es, y_es),
-                      feature_names=matrix.column_names)
-
-
 def _pipeline_rmse(frame, spec, params, test_fraction):
     """Hold-out metrics for one (spec, params) arm."""
+    n_train = evaluation.train_rows(len(frame), test_fraction)
     matrix = build_matrix(frame, spec)
-    tr_hi, n_rows = _split_rows(frame, matrix, test_fraction)
+    cut = n_train - matrix.dropped_warmup
     t0 = time.perf_counter()
-    model, log = _fit_cell(matrix, tr_hi, params)
+    model, log = evaluation.fit_before(matrix, cut, params)
     train_time = time.perf_counter() - t0
-    X_te = matrix.values[tr_hi:]
-    y_te = matrix.target[tr_hi:]
+    X_te = matrix.values[cut:]
+    y_te = matrix.target[cut:]
     pred = gbtree.predict(model, X_te)
     metrics = evaluation.compute_metrics(y_te, pred)
-    test_hours = frame.hours()[matrix.dropped_warmup + tr_hi:]
+    test_hours = frame.hours()[n_train:]
     return {
         "model": model,
         "log": log,
@@ -648,8 +622,12 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (InvariantError, CyclecastError) as exc:
+    except CyclecastError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -1,4 +1,4 @@
-"""Hourly energy data: CSV ingestion, synthetic generation, temporal splitting.
+"""Hourly energy data: CSV ingestion and synthetic generation.
 
 Frames hold the seven household-power measurement columns plus a target
 column name. Timestamps are naive local datetimes at hourly resolution.
@@ -280,28 +280,3 @@ def generate_synthetic(config: SyntheticConfig,
     }
     return TimeSeriesFrame(timestamps=timestamps, columns=columns)
 
-
-def _slice_frame(frame: TimeSeriesFrame, start: int, stop: int) -> TimeSeriesFrame:
-    return TimeSeriesFrame(
-        timestamps=frame.timestamps[start:stop],
-        columns={n: v[start:stop].copy() for n, v in frame.columns.items()},
-        target_name=frame.target_name,
-        gap_count=_count_gaps(frame.timestamps[start:stop]),
-        rejected_rows=(),
-    )
-
-
-def temporal_split(frame: TimeSeriesFrame, test_fraction: float):
-    """Order-preserving split: first ceil((1-f)*n) rows train, rest test."""
-    if not (0.0 < test_fraction < 1.0):
-        raise ConfigError("test_fraction must be in (0, 1)")
-    n = len(frame)
-    if n < 2:
-        raise DataError("frame must have at least 2 rows to split")
-    n_train = math.ceil((1.0 - test_fraction) * n)
-    if n_train < 1 or n_train >= n:
-        raise ConfigError(
-            f"test_fraction {test_fraction} leaves an empty partition "
-            f"({n_train} train rows of {n})"
-        )
-    return _slice_frame(frame, 0, n_train), _slice_frame(frame, n_train, n)

@@ -1,9 +1,11 @@
-"""Metrics, expanding-window cross-validation, period breakdowns, and
+"""Metrics, the one split-and-fit path shared by hold-out evaluation and
+expanding-window cross-validation, period breakdowns, and
 residual-distribution statistics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,6 +14,9 @@ from .errors import ConfigError, DataError
 from .features import build_matrix
 
 MAPE_FLOOR = 1e-8
+
+# Share of a fit's training rows held back, at its end, for early stopping.
+EARLY_STOP_FRACTION = 0.1
 
 PERIOD_BLOCKS = [
     ("Morning (6-12)", 6, 12),
@@ -119,17 +124,15 @@ class CVPlan:
             last_val_end = va_e
 
 
-def expanding_splits(n, k, delta, min_train=None) -> CVPlan:
+def expanding_splits(n, k, delta) -> CVPlan:
     """Trailing equal-width validation blocks with expanding train ranges."""
     if k < 1 or delta < 1:
         raise ConfigError("k and delta must be >= 1")
-    if min_train is None:
-        min_train = delta
     first_val = n - k * delta
-    if first_val < min_train:
+    if first_val < delta:
         raise ConfigError(
             f"n={n} too small for k={k} folds of width {delta} "
-            f"with at least {min_train} initial training rows"
+            f"with at least {delta} initial training rows"
         )
     splits = []
     for i in range(k):
@@ -138,25 +141,46 @@ def expanding_splits(n, k, delta, min_train=None) -> CVPlan:
     return CVPlan(k=k, delta=delta, splits=tuple(splits))
 
 
+def train_rows(n, test_fraction) -> int:
+    """Frame rows before a hold-out split: the first ceil((1-f)*n)."""
+    if not (0.0 < test_fraction < 1.0):
+        raise ConfigError("test_fraction must be in (0, 1)")
+    if n < 2:
+        raise DataError("frame must have at least 2 rows to split")
+    n_train = math.ceil((1.0 - test_fraction) * n)
+    if n_train >= n:
+        raise ConfigError(
+            f"test_fraction {test_fraction} leaves an empty test partition "
+            f"({n_train} train rows of {n})"
+        )
+    return n_train
+
+
+def fit_before(matrix, cut, params):
+    """Fit on matrix rows [0, cut), early-stopping on their trailing slice.
+
+    The patience slice is the last EARLY_STOP_FRACTION of the training
+    rows (at least one), so no row at or after `cut` is seen by the fit.
+    """
+    fit_hi = cut - max(1, int(EARLY_STOP_FRACTION * cut))
+    if fit_hi < 2:
+        raise DataError(
+            "too few training rows after feature warm-up and the "
+            "early-stop slice"
+        )
+    X, y = matrix.values, matrix.target
+    return gbtree.fit(X[:fit_hi], y[:fit_hi], params,
+                      val=(X[fit_hi:cut], y[fit_hi:cut]),
+                      feature_names=matrix.column_names)
+
+
 @dataclass(frozen=True)
 class CVResult:
     cv_score: float
     fold_rmses: tuple
-    fold_metrics: tuple
     dispersion: float  # std of fold RMSE
     stability: float | None  # std / mean of fold RMSE (this artifact's label)
     plan: CVPlan
-
-    def to_dict(self) -> dict:
-        return {
-            "cv_score": self.cv_score,
-            "fold_rmses": list(self.fold_rmses),
-            "fold_metrics": [m.to_dict() for m in self.fold_metrics],
-            "rmse_std": self.dispersion,
-            "cv_stability": self.stability,
-            "k": self.plan.k,
-            "delta": self.plan.delta,
-        }
 
 
 def cross_validate(frame, spec, params, k, delta) -> CVResult:
@@ -164,29 +188,19 @@ def cross_validate(frame, spec, params, k, delta) -> CVResult:
 
     The feature matrix is built once over the full frame (all features
     are backward-looking, so no validation row leaks into training
-    features) and row-filtered per fold.
+    features). Each fold fits with `fit_before` on the rows before its
+    validation block and scores the block.
     """
     plan = expanding_splits(len(frame), k, delta)
     matrix = build_matrix(frame, spec)
     offset = matrix.dropped_warmup
 
     fold_rmses = []
-    fold_metrics = []
-    for (tr_s, tr_e), (va_s, va_e) in plan.splits:
-        tr_lo, tr_hi = max(tr_s - offset, 0), tr_e - offset
-        va_lo, va_hi = va_s - offset, va_e - offset
-        if tr_hi - tr_lo < 2 or va_lo < 0 or va_hi - va_lo < 1:
-            raise DataError(
-                "fold too small after dropping feature warm-up rows"
-            )
-        X_tr = matrix.values[tr_lo:tr_hi]
-        y_tr = matrix.target[tr_lo:tr_hi]
-        X_va = matrix.values[va_lo:va_hi]
-        y_va = matrix.target[va_lo:va_hi]
-        model, _ = gbtree.fit(X_tr, y_tr, params, val=(X_va, y_va))
-        pred = gbtree.predict(model, X_va)
-        fold_rmses.append(rmse(y_va, pred))
-        fold_metrics.append(compute_metrics(y_va, pred))
+    for _, (va_s, va_e) in plan.splits:
+        cut, stop = va_s - offset, va_e - offset
+        model, _ = fit_before(matrix, cut, params)
+        pred = gbtree.predict(model, matrix.values[cut:stop])
+        fold_rmses.append(rmse(matrix.target[cut:stop], pred))
 
     arr = np.asarray(fold_rmses)
     cv_score = float(arr.mean())
@@ -195,7 +209,6 @@ def cross_validate(frame, spec, params, k, delta) -> CVResult:
     return CVResult(
         cv_score=cv_score,
         fold_rmses=tuple(fold_rmses),
-        fold_metrics=tuple(fold_metrics),
         dispersion=dispersion,
         stability=stability,
         plan=plan,

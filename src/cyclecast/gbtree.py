@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
@@ -594,8 +595,17 @@ def save_model(model: GbtModel, path, extra: dict | None = None) -> None:
     }
     if extra:
         doc["extra"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    # Write beside the target and rename, so a failed write leaves the old
+    # file (or none) rather than a truncated one.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path):

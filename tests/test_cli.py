@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cyclecast import cli
 from cyclecast.cli import _pipeline_rmse, main, render_table, strip_timing
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.features import FeatureSpec
@@ -103,6 +104,11 @@ class TestBench:
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run_cli("bench", "--out", str(tmp_path),
                        "--data", str(tmp_path / "nope.csv")) == 2
+
+    @pytest.mark.parametrize("fraction", ["0", "1.0", "1.5", "-0.1"])
+    def test_test_fraction_out_of_range_is_usage_error(self, tmp_path,
+                                                       fraction):
+        assert self.bench(tmp_path, "--test-fraction", fraction) == 1
 
 
 class TestAblation:
@@ -284,3 +290,12 @@ class TestPlumbing:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["synth", "--frobnicate"]) == 1
+
+    def test_unexpected_exception_is_internal_error(self, monkeypatch,
+                                                    capsys):
+        def broken(args):
+            raise TypeError("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "synth", broken)
+        assert main(["synth"]) == 3
+        assert "internal error: TypeError: boom" in capsys.readouterr().err

@@ -6,9 +6,10 @@ import pytest
 
 from cyclecast.dataset import (
     SyntheticConfig, TimeSeriesFrame, generate_synthetic, load_csv,
-    temporal_split, write_csv, CANONICAL_COLUMNS,
+    write_csv, CANONICAL_COLUMNS,
 )
 from cyclecast.errors import ConfigError, DataError
+from cyclecast.evaluation import train_rows
 
 HEADER = ("datetime,Global_active_power,Global_reactive_power,Voltage,"
           "Global_intensity,Sub_metering_1,Sub_metering_2,Sub_metering_3")
@@ -144,42 +145,28 @@ class TestGenerateSynthetic:
 
 
 class TestTemporalSplit:
-    def frame(self, n):
-        return generate_synthetic(SyntheticConfig(n_hours=n, seed=3))
+    """The hold-out split of a frame's rows, drawn by `train_rows`."""
 
     def test_eighty_twenty(self):
-        train, test = temporal_split(self.frame(10), 0.2)
-        assert len(train) == 8 and len(test) == 2
-
-    def test_ordering(self):
-        train, test = temporal_split(self.frame(50), 0.37)
-        assert max(train.timestamps) < min(test.timestamps)
-
-    def test_concatenation_reproduces_frame(self):
-        frame = self.frame(30)
-        train, test = temporal_split(frame, 0.3)
-        assert train.timestamps + test.timestamps == frame.timestamps
-        for name in frame.columns:
-            merged = np.concatenate([train.columns[name], test.columns[name]])
-            assert np.array_equal(merged, frame.columns[name])
+        assert train_rows(10, 0.2) == 8
+        assert train_rows(50, 0.37) == 32
 
     def test_boundary_keeps_one_train_row(self):
         # ceil(0.001 * 10) = 1: the split is legal with a single train row.
-        train, test = temporal_split(self.frame(10), 0.999)
-        assert len(train) == 1 and len(test) == 9
+        assert train_rows(10, 0.999) == 1
 
     def test_empty_test_rejected(self):
         with pytest.raises(ConfigError):
-            temporal_split(self.frame(10), 0.0001)
+            train_rows(10, 0.0001)
 
     def test_fraction_bounds(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ConfigError):
-                temporal_split(self.frame(10), bad)
+                train_rows(10, bad)
 
     def test_too_short(self):
         with pytest.raises(DataError):
-            temporal_split(self.frame(1), 0.5)
+            train_rows(1, 0.5)
 
 
 class TestFrameInvariants:

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from cyclecast import gbtree
+from cyclecast.cli import _pipeline_rmse
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.evaluation import (
-    CVPlan, compute_metrics, cross_validate, expanding_splits, mae, mape_pct,
-    period_breakdown, r2, residual_stats, rmse,
+    EARLY_STOP_FRACTION, CVPlan, compute_metrics, cross_validate,
+    expanding_splits, fit_before, mae, mape_pct, period_breakdown, r2,
+    residual_stats, rmse,
 )
-from cyclecast.features import FeatureSpec
+from cyclecast.features import FeatureSpec, build_matrix
 from cyclecast.gbtree import HyperParams
 
 
@@ -158,6 +161,70 @@ class TestCrossValidate:
                            lags=(168,), ewm_halflives=(), temporal=())
         with pytest.raises(DataError):
             cross_validate(frame, spec, self.params(), k=2, delta=116)
+
+
+class TestFitPath:
+    """Every fit early-stops on the tail of its own training rows, and no
+    fit is scored on those rows, in hold-out and in CV alike."""
+
+    spec = FeatureSpec(rolling_windows=(6,), rolling_stats=("mean",),
+                       lags=(1, 24), ewm_halflives=(),
+                       temporal=(("hour", "sinusoidal"),))
+    params = HyperParams(n_estimators=10, max_depth=3, learning_rate=0.3)
+
+    @pytest.fixture
+    def frame(self):
+        return generate_synthetic(SyntheticConfig(n_hours=700, seed=32))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Matrices passed to gbtree.fit (train, val) and gbtree.predict."""
+        fits, scored = [], []
+        real_fit, real_predict = gbtree.fit, gbtree.predict
+
+        def fit(X, y, params, val=None, **kw):
+            fits.append((X, val[0]))
+            return real_fit(X, y, params, val=val, **kw)
+
+        def predict(model, X):
+            scored.append(X)
+            return real_predict(model, X)
+
+        # evaluation and cli both call through the gbtree module attribute.
+        monkeypatch.setattr(gbtree, "fit", fit)
+        monkeypatch.setattr(gbtree, "predict", predict)
+        return fits, scored
+
+    def check(self, frame, fits, scored):
+        values = build_matrix(frame, self.spec).values
+        index = {row.tobytes(): i for i, row in enumerate(values)}
+        assert len(index) == len(values)  # each row identifies itself
+
+        def rows(X):
+            return [index[row.tobytes()] for row in X]
+
+        assert fits and len(fits) == len(scored)
+        for (X_fit, X_val), X_scored in zip(fits, scored):
+            fit_rows, val_rows = rows(X_fit), rows(X_val)
+            cut = len(fit_rows) + len(val_rows)
+            assert fit_rows + val_rows == list(range(cut))
+            assert len(val_rows) == max(1, int(EARLY_STOP_FRACTION * cut))
+            assert not set(val_rows) & set(rows(X_scored))
+
+    def test_cross_validate(self, frame, calls):
+        cross_validate(frame, self.spec, self.params, k=3, delta=50)
+        self.check(frame, *calls)
+
+    def test_holdout(self, frame, calls):
+        _pipeline_rmse(frame, self.spec, self.params, 0.2)
+        self.check(frame, *calls)
+
+    def test_too_few_fit_rows(self, frame):
+        matrix = build_matrix(frame, self.spec)
+        fit_before(matrix, 3, self.params)  # 2 fit rows, 1 early-stop row
+        for cut in (2, 0, -5):
+            with pytest.raises(DataError):
+                fit_before(matrix, cut, self.params)
 
 
 class TestPeriodBreakdown:

@@ -337,6 +337,23 @@ class TestPredict:
         after = predict(loaded, X)
         assert np.array_equal(before, after)
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        model, _ = fit(np.arange(8.0)[:, None], np.arange(8.0),
+                       HyperParams(n_estimators=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        def broken_dump(obj, fh):
+            fh.write('{"format_version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99}))
