@@ -24,7 +24,7 @@ from .dataset import (
 )
 from .encoding import STRATEGIES
 from .errors import ConfigError, CyclecastError, DataError
-from .features import FeatureSpec, ablate, build_matrix, GROUPS
+from .features import FeatureSpec, ablate, build_matrix
 from .gbtree import HyperParams
 
 EXIT_OK = 0
@@ -188,8 +188,7 @@ def _load_param_overrides(args) -> dict:
 
 def strip_timing(obj):
     """Remove wall-time fields recursively (for --no-timing determinism)."""
-    timing_keys = {"train_time_s", "wall_time", "wall_time_s",
-                   "mean_latency_us", "total_time_s"}
+    timing_keys = {"train_time_s", "wall_time", "mean_latency_us"}
     if isinstance(obj, dict):
         return {k: strip_timing(v) for k, v in obj.items()
                 if k not in timing_keys}
@@ -224,31 +223,6 @@ def _fmt(x, nd=4):
     if x is None:
         return "n/a"
     return f"{x:.{nd}f}"
-
-
-def _pipeline_rmse(frame, spec, params, test_fraction):
-    """Hold-out metrics for one (spec, params) arm."""
-    n_train = evaluation.train_rows(len(frame), test_fraction)
-    matrix = build_matrix(frame, spec)
-    cut = n_train - matrix.dropped_warmup
-    t0 = time.perf_counter()
-    model, log = evaluation.fit_before(matrix, cut, params)
-    train_time = time.perf_counter() - t0
-    X_te = matrix.values[cut:]
-    y_te = matrix.target[cut:]
-    pred = gbtree.predict(model, X_te)
-    metrics = evaluation.compute_metrics(y_te, pred)
-    test_hours = frame.hours()[n_train:]
-    return {
-        "model": model,
-        "log": log,
-        "metrics": metrics,
-        "train_time": train_time,
-        "y_test": y_te,
-        "pred": pred,
-        "test_hours": test_hours,
-        "matrix": matrix,
-    }
 
 
 def cmd_synth(args) -> int:
@@ -295,7 +269,8 @@ def cmd_bench(args) -> int:
             params = HyperParams.from_dict({**params.to_dict(), **overrides})
         for enc in encodings:
             spec = base_spec.with_encoding(enc)
-            result = _pipeline_rmse(frame, spec, params, args.test_fraction)
+            result = evaluation.holdout(frame, spec, params,
+                                        args.test_fraction)
             cell = {
                 "model": cname,
                 "encoding": enc,
@@ -393,7 +368,8 @@ def cmd_ablation(args) -> int:
     full_rmse = None
     for label, group in ABLATION_ROWS:
         arm_spec = spec if group is None else ablate(spec, group)
-        result = _pipeline_rmse(frame, arm_spec, params, args.test_fraction)
+        result = evaluation.holdout(frame, arm_spec, params,
+                                    args.test_fraction)
         m = result["metrics"]
         if group is None:
             full_rmse = m.rmse
@@ -450,6 +426,7 @@ def cmd_tune(args) -> int:
     if args.encoding is not None:
         spec = spec.with_encoding(args.encoding)
     overrides = _load_param_overrides(args)
+    matrix = build_matrix(frame, spec)
     space = tuner.ParamSpace.default()
     cap = args.n_estimators_cap
 
@@ -465,7 +442,7 @@ def cmd_tune(args) -> int:
     def objective(point: dict) -> float:
         params = to_params(point)
         return evaluation.cross_validate(
-            frame, spec, params, args.k, args.delta).cv_score
+            matrix, params, args.k, args.delta).cv_score
 
     defaults = HyperParams(seed=args.seed)
     default_point = {
@@ -555,8 +532,6 @@ def cmd_predict(args) -> int:
             "target history (rolling/lag/ewm)"
         )
     matrix = build_matrix(frame, spec)
-    if tuple(matrix.column_names) != model.feature_names:
-        raise DataError("rebuilt feature columns do not match the model")
 
     t0 = time.perf_counter()
     pred = gbtree.predict(model, matrix)

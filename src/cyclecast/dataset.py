@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -125,8 +125,7 @@ def _parse_timestamp(text: str) -> datetime:
     return datetime.fromisoformat(text.strip())
 
 
-def load_csv(path, schema: dict | None = None,
-             time_col: str = DEFAULT_TIME_COL,
+def load_csv(path, time_col: str = DEFAULT_TIME_COL,
              target_name: str = "global_active_power",
              allow_missing_target: bool = False) -> TimeSeriesFrame:
     """Load an hourly energy CSV into a TimeSeriesFrame.
@@ -140,7 +139,7 @@ def load_csv(path, schema: dict | None = None,
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
+    schema = dict(DEFAULT_SCHEMA)
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -210,8 +209,7 @@ def load_csv(path, schema: dict | None = None,
     )
 
 
-def write_csv(frame: TimeSeriesFrame, path,
-              time_col: str = DEFAULT_TIME_COL) -> None:
+def write_csv(frame: TimeSeriesFrame, path) -> None:
     """Write a frame in the canonical CSV schema (round-trips load_csv)."""
     path = Path(path)
     names = [n for n in CANONICAL_COLUMNS if n in frame.columns]
@@ -219,22 +217,22 @@ def write_csv(frame: TimeSeriesFrame, path,
     names += extra
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([time_col] + [_CSV_HEADER.get(n, n) for n in names])
+        header = [DEFAULT_TIME_COL] + [_CSV_HEADER.get(n, n) for n in names]
+        writer.writerow(header)
         for i, ts in enumerate(frame.timestamps):
             row = [ts.isoformat(sep=" ")]
             row += [repr(float(frame.columns[n][i])) for n in names]
             writer.writerow(row)
 
 
-def generate_synthetic(config: SyntheticConfig,
-                       start: datetime = DEFAULT_START) -> TimeSeriesFrame:
+def generate_synthetic(config: SyntheticConfig) -> TimeSeriesFrame:
     """Generate an hourly frame with daily and weekly cycles plus trend/noise.
 
     Deterministic for a fixed seed; each column draws from its own
     spawned PRNG stream so adding columns never perturbs existing ones.
     """
     n = config.n_hours
-    timestamps = tuple(start + timedelta(hours=i) for i in range(n))
+    timestamps = tuple(DEFAULT_START + timedelta(hours=i) for i in range(n))
     t = np.arange(n, dtype=np.float64)
     hour = np.array([ts.hour for ts in timestamps], dtype=np.float64)
     dow_hour = np.array(

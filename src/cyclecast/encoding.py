@@ -72,19 +72,6 @@ def cyclic_distance(t1, t2, period):
     return math.hypot(s1 - s2, c1 - c2)
 
 
-def encode_ordinal(t):
-    """Identity encoding; loses wraparound adjacency."""
-    return float(t)
-
-
-def encode_onehot(t, period):
-    """Indicator vector of length `period` with a 1 at index t."""
-    _check_phase(t, period)
-    out = np.zeros(period, dtype=np.float64)
-    out[int(t)] = 1.0
-    return out
-
-
 def encoded_column_names(feature: CyclicFeature, strategy: str):
     """Output column names for one feature under one strategy."""
     if strategy == SINUSOIDAL:

@@ -5,6 +5,7 @@ residual-distribution statistics."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +55,15 @@ def r2(y, yhat):
     return 1.0 - sse / sst
 
 
-def mape_pct(y, yhat, eps=MAPE_FLOOR):
-    """Mean absolute percentage error with an epsilon denominator floor.
+def mape_pct(y, yhat):
+    """Mean absolute percentage error with a MAPE_FLOOR denominator floor.
 
     Returns (value, floored) where floored marks that at least one |y|
-    fell below eps.
+    fell below MAPE_FLOOR.
     """
     y, yhat = _check_pair(y, yhat)
-    denom = np.maximum(np.abs(y), eps)
-    floored = bool(np.any(np.abs(y) < eps))
+    denom = np.maximum(np.abs(y), MAPE_FLOOR)
+    floored = bool(np.any(np.abs(y) < MAPE_FLOOR))
     return float(100.0 * np.mean(np.abs(y - yhat) / denom)), floored
 
 
@@ -183,17 +184,43 @@ class CVResult:
     plan: CVPlan
 
 
-def cross_validate(frame, spec, params, k, delta) -> CVResult:
+def holdout(frame, spec, params, test_fraction) -> dict:
+    """Hold-out fit and metrics for one (spec, params) arm.
+
+    Fits with `fit_before` on the matrix rows of the first
+    `train_rows(len(frame), test_fraction)` frame rows and scores the rest.
+    """
+    n_train = train_rows(len(frame), test_fraction)
+    matrix = build_matrix(frame, spec)
+    cut = n_train - matrix.dropped_warmup
+    t0 = time.perf_counter()
+    model, log = fit_before(matrix, cut, params)
+    train_time = time.perf_counter() - t0
+    y_te = matrix.target[cut:]
+    pred = gbtree.predict(model, matrix.values[cut:])
+    return {
+        "model": model,
+        "log": log,
+        "metrics": compute_metrics(y_te, pred),
+        "train_time": train_time,
+        "y_test": y_te,
+        "pred": pred,
+        "test_hours": frame.hours()[n_train:],
+        "matrix": matrix,
+    }
+
+
+def cross_validate(matrix, params, k, delta) -> CVResult:
     """Mean fold RMSE over expanding-window folds.
 
-    The feature matrix is built once over the full frame (all features
-    are backward-looking, so no validation row leaks into training
-    features). Each fold fits with `fit_before` on the rows before its
-    validation block and scores the block.
+    Folds are laid out over the frame rows the matrix was built from,
+    warm-up included (all features are backward-looking, so no
+    validation row leaks into training features). Each fold fits with
+    `fit_before` on the rows before its validation block and scores the
+    block.
     """
-    plan = expanding_splits(len(frame), k, delta)
-    matrix = build_matrix(frame, spec)
     offset = matrix.dropped_warmup
+    plan = expanding_splits(offset + matrix.n_rows, k, delta)
 
     fold_rmses = []
     for _, (va_s, va_e) in plan.splits:

@@ -8,7 +8,7 @@ defined.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -229,12 +229,6 @@ class FeatureMatrix:
     @property
     def n_rows(self):
         return self.values.shape[0]
-
-    def groups(self) -> dict:
-        out = {g: [] for g in GROUPS}
-        for name in self.column_names:
-            out[group_of(name)].append(name)
-        return out
 
 
 def build_matrix(frame, spec: FeatureSpec) -> FeatureMatrix:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,6 @@ class HyperParams:
     gamma: float = 0.0
     goss_a: float | None = None
     goss_b: float | None = None
-    goss_inverse_weights: bool = False
     growth: str = DEPTHWISE
     num_leaves: int = 31
     patience: int = 50
@@ -92,14 +91,6 @@ class HyperParams:
         if extra:
             raise ConfigError(f"unknown hyperparameter keys: {sorted(extra)}")
         return cls(**d)
-
-
-# Reference optimal configuration for the xgb-style learner.
-XGB_STYLE_OPTIMAL = HyperParams(
-    learning_rate=0.023764, max_depth=6, n_estimators=1000,
-    min_child_weight=1.0, subsample=0.6, colsample_bytree=1.0,
-    gamma=0.97328, growth=DEPTHWISE,
-)
 
 
 def squared_loss_grad_hess(y, pred):
@@ -165,14 +156,6 @@ def goss_sample(g, a, b, rng):
         np.full(n_rand, (1.0 - a) / b),
     ])
     return indices, weights
-
-
-def _goss_sample_params(g, params: HyperParams, rng):
-    idx, w = goss_sample(g, params.goss_a, params.goss_b, rng)
-    if params.goss_inverse_weights:
-        # Alternative amplification factor 1/(1-a); biased unless b = 1-a.
-        w = np.where(w == 1.0, 1.0, 1.0 / (1.0 - params.goss_a))
-    return idx, w
 
 
 class RegressionTree:
@@ -408,9 +391,6 @@ class GbtModel:
     feature_names: tuple
     no_splits: bool = False
 
-    def predict(self, X, feature_names=None):
-        return predict(self, X, feature_names)
-
 
 def _rmse(y, pred):
     return float(np.sqrt(np.mean((y - pred) ** 2)))
@@ -433,17 +413,10 @@ def early_stop_triggered(val_loss, t, patience):
 def fit(X, y, params: HyperParams, val=None, feature_names=None):
     """Train a boosted ensemble; returns (GbtModel, TrainLog).
 
-    `X` may be a FeatureMatrix or a 2-D array; `val` is an optional
-    (X_val, y_val) pair that enables patience-based early stopping.
-    Plain arrays get f0..fN names unless `feature_names` is given.
+    `X` is a 2-D array; `val` is an optional (X_val, y_val) pair of arrays
+    that enables patience-based early stopping. Columns get f0..fN names
+    unless `feature_names` is given.
     """
-    if feature_names is not None:
-        feature_names = tuple(feature_names)
-    if hasattr(X, "values") and hasattr(X, "column_names"):
-        feature_names = tuple(X.column_names)
-        if y is None:
-            y = X.target
-        X = X.values
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] == 0:
@@ -455,19 +428,14 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise DataError("non-finite values in training inputs")
     if feature_names is None:
-        feature_names = tuple(f"f{j}" for j in range(X.shape[1]))
+        feature_names = [f"f{j}" for j in range(X.shape[1])]
+    feature_names = tuple(feature_names)
     if len(feature_names) != X.shape[1]:
         raise DataError("feature_names length does not match X columns")
 
     X_val = y_val = None
     if val is not None:
         X_val, y_val = val
-        if hasattr(X_val, "values"):
-            if tuple(X_val.column_names) != feature_names:
-                raise DataError("validation feature columns do not match")
-            if y_val is None:
-                y_val = X_val.target
-            X_val = X_val.values
         X_val = np.asarray(X_val, dtype=np.float64)
         y_val = np.asarray(y_val, dtype=np.float64)
         if X_val.ndim != 2 or X_val.shape[1] != X.shape[1]:
@@ -492,7 +460,7 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
         g, h = squared_loss_grad_hess(y, pred)
 
         if params.goss_a is not None:
-            rows, w = _goss_sample_params(g, params, rng)
+            rows, w = goss_sample(g, params.goss_a, params.goss_b, rng)
             gw = g.copy()
             hw = h.copy()
             gw[rows] = g[rows] * w
@@ -546,8 +514,13 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
     return model, log
 
 
-def predict(model: GbtModel, X, feature_names=None):
-    """Ensemble prediction: base score plus shrunk tree outputs."""
+def predict(model: GbtModel, X):
+    """Ensemble prediction: base score plus shrunk tree outputs.
+
+    `X` is a 2-D array or a FeatureMatrix, whose column names must then
+    match the model's.
+    """
+    feature_names = None
     if hasattr(X, "values") and hasattr(X, "column_names"):
         feature_names = tuple(X.column_names)
         X = X.values
@@ -557,7 +530,7 @@ def predict(model: GbtModel, X, feature_names=None):
             f"expected {len(model.feature_names)} feature columns, "
             f"got {X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
         )
-    if feature_names is not None and tuple(feature_names) != model.feature_names:
+    if feature_names is not None and feature_names != model.feature_names:
         missing = set(model.feature_names) - set(feature_names)
         raise DataError(
             "feature columns do not match training columns; "
@@ -618,12 +591,16 @@ def load_model(path):
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
+    params = dict(doc["params"])
+    # Files from before the GOSS weighting switch was removed still carry
+    # it; prediction never reads it.
+    params.pop("goss_inverse_weights", None)
     model = GbtModel(
         trees=[RegressionTree.from_dict(t) for t in doc["trees"]],
         base_score=float(doc["base_score"]),
         best_iteration=int(doc["best_iteration"]),
         gain_by_feature={k: float(v) for k, v in doc["gain_by_feature"].items()},
-        params=HyperParams.from_dict(doc["params"]),
+        params=HyperParams.from_dict(params),
         feature_names=tuple(doc["feature_names"]),
         no_splits=bool(doc.get("no_splits", False)),
     )

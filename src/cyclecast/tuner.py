@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as sp_optimize
@@ -17,10 +17,13 @@ from scipy import stats as sp_stats
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.stats import qmc
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, CyclecastError, DataError
 
 NOISE_FLOOR = 1e-6
 MAX_JITTER = 1e-2
+
+# Sobol candidates scored by expected improvement per iteration.
+N_CANDIDATES = 4096
 
 LINEAR = "linear"
 LOG = "log"
@@ -107,15 +110,19 @@ class Trial:
     iteration: int
     wall_time: float = 0.0
     failed: bool = False
+    error: str | None = None  # why a failed trial failed
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "iteration": self.iteration,
             "params": self.params,
             "objective": self.objective,
             "failed": self.failed,
             "wall_time": self.wall_time,
         }
+        if self.failed:
+            d["error"] = self.error
+        return d
 
 
 def _matern52(X1, X2, length_scales, signal_var):
@@ -232,16 +239,6 @@ def gp_fit(X, y, seed=0) -> Surrogate:
                 )
 
 
-def fit_surrogate(space: ParamSpace, trials, seed=0) -> Surrogate:
-    """gp_fit over a trial history (failed trials excluded)."""
-    ok = [t for t in trials if not t.failed]
-    if len(ok) < 2:
-        raise DataError("need at least 2 finished trials to fit a surrogate")
-    X = np.array([space.to_unit(t.params) for t in ok])
-    y = np.array([t.objective for t in ok])
-    return gp_fit(X, y, seed=seed)
-
-
 def expected_improvement(mu, sigma, best):
     """EI for minimization; max(best - mu, 0) in the zero-variance limit."""
     mu = np.asarray(mu, dtype=np.float64)
@@ -263,24 +260,30 @@ def expected_improvement(mu, sigma, best):
 
 
 def _evaluate(objective, params, iteration):
+    """Run one trial. A CyclecastError or a non-finite value marks it
+    failed, with the reason; any other exception propagates."""
     t0 = time.perf_counter()
+    error = None
     try:
         value = float(objective(params))
-        failed = not math.isfinite(value)
-    except Exception:
-        value, failed = None, True
+        if not math.isfinite(value):
+            error = f"non-finite objective {value!r}"
+    except CyclecastError as exc:
+        error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t0
+    failed = error is not None
     return Trial(
         params=params,
         objective=None if failed else value,
         iteration=iteration,
         wall_time=wall,
         failed=failed,
+        error=error,
     )
 
 
 def optimize(space: ParamSpace, objective, budget, init, seed=42,
-             initial_points=None, n_candidates=4096, on_trial=None):
+             initial_points=None, on_trial=None):
     """Sequential GP/EI minimization of `objective` over `space`.
 
     Starts from Latin-hypercube samples (plus any caller-provided
@@ -330,7 +333,7 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
             )
             best_val = min(y_obs)
             best_u = X_obs[int(np.argmin(y_obs))]
-            cands = sobol.random(n_candidates)
+            cands = sobol.random(N_CANDIDATES)
             local = np.clip(
                 best_u + rng.normal(0.0, 0.05, size=(64, d)), 0.0, 1.0
             )
@@ -352,7 +355,7 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
     return best_trial.params, trials
 
 
-def random_search(space: ParamSpace, objective, budget, seed=42, on_trial=None):
+def random_search(space: ParamSpace, objective, budget, seed=42):
     """Uniform random baseline over the same space."""
     if budget < 1:
         raise ConfigError("budget must be >= 1")
@@ -360,10 +363,7 @@ def random_search(space: ParamSpace, objective, budget, seed=42, on_trial=None):
     trials = []
     for it in range(budget):
         params = space.from_unit(rng.uniform(size=space.n_dims))
-        trial = _evaluate(objective, params, it)
-        trials.append(trial)
-        if on_trial is not None:
-            on_trial(trial)
+        trials.append(_evaluate(objective, params, it))
     ok = [t for t in trials if not t.failed]
     if not ok:
         raise DataError("every trial failed; no best point")

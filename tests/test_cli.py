@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cyclecast import cli
-from cyclecast.cli import _pipeline_rmse, main, render_table, strip_timing
+from cyclecast import cli, evaluation
+from cyclecast.cli import main, render_table, strip_timing
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.features import FeatureSpec
 from cyclecast.gbtree import HyperParams, load_model, predict
@@ -87,7 +87,8 @@ class TestBench:
             SyntheticConfig(**report["source"]["synthetic"]))
         spec = FeatureSpec.from_dict(payload["extra"]["feature_spec"])
         params = HyperParams.from_dict(report["configs"][config])
-        fitted = _pipeline_rmse(frame, spec, params, report["test_fraction"])
+        fitted = evaluation.holdout(frame, spec, params,
+                                    report["test_fraction"])
         loaded, _ = load_model(model_path)
         X = fitted["matrix"].values
         assert np.array_equal(predict(loaded, X),
@@ -104,6 +105,12 @@ class TestBench:
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run_cli("bench", "--out", str(tmp_path),
                        "--data", str(tmp_path / "nope.csv")) == 2
+
+    def test_removed_goss_switch_in_params_is_usage_error(self, tmp_path):
+        # `goss_inverse_weights` is no longer a hyperparameter.
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"goss_inverse_weights": False}))
+        assert self.bench(tmp_path, "--params", str(path)) == 1
 
     @pytest.mark.parametrize("fraction", ["0", "1.0", "1.5", "-0.1"])
     def test_test_fraction_out_of_range_is_usage_error(self, tmp_path,
@@ -266,6 +273,16 @@ class TestPredict:
         code = run_cli("predict", "--model", str(model), "--data", str(bare),
                        "--out", str(tmp_path / "pred"))
         assert code == 2
+
+    def test_column_mismatch_is_data_error(self, tmp_path, capsys):
+        model, data = self.fitted_model(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["feature_names"].reverse()
+        model.write_text(json.dumps(payload))
+        code = run_cli("predict", "--model", str(model), "--data", str(data),
+                       "--out", str(tmp_path / "pred"))
+        assert code == 2
+        assert "feature columns do not match" in capsys.readouterr().err
 
     def test_missing_model_file(self, tmp_path):
         assert run_cli("predict", "--model", str(tmp_path / "nope.json"),

@@ -5,10 +5,10 @@ import pytest
 
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.encoding import (
-    FEATURES, HOUR, MONTH, cyclic_distance, encode_onehot, encode_ordinal,
-    encode_sinusoidal, encoded_column_names, expand_temporal,
+    FEATURES, HOUR, MONTH, CyclicFeature, cyclic_distance, encode_sinusoidal,
+    encoded_column_names, expand_temporal,
 )
-from cyclecast.errors import ConfigError
+from cyclecast.errors import ConfigError, DataError
 
 
 class TestSinusoidal:
@@ -84,29 +84,46 @@ class TestCyclicDistance:
 
 
 class TestOrdinalOnehot:
+    """Ordinal and one-hot columns from `expand_temporal`. The synthetic
+    frame starts at 2023-01-01 00:00, a Sunday."""
+
+    def frame(self, n):
+        return generate_synthetic(SyntheticConfig(n_hours=n, noise_std=0.0))
+
+    def onehot_rows(self, frame, feature):
+        block = expand_temporal(frame, [(feature, "onehot")])
+        return np.column_stack(list(block.values()))
+
     def test_ordinal_identity(self):
-        assert encode_ordinal(0) == 0.0
-        assert encode_ordinal(23) == 23.0
+        block = expand_temporal(self.frame(48), [(HOUR, "ordinal")])
+        assert block["hour"].tolist() == [float(h % 24) for h in range(48)]
 
     def test_ordinal_discontinuity_vs_cyclic(self):
-        # Wraparound pair looks maximally far apart ordinally but is
+        # Hours 23 -> 0 look maximally far apart ordinally but are
         # adjacent on the circle.
-        ordinal_gap = abs(encode_ordinal(23) - encode_ordinal(0))
-        assert ordinal_gap == 23.0
-        assert cyclic_distance(23, 0, 24) == pytest.approx(
-            cyclic_distance(3, 4, 24), abs=1e-12)
+        frame = self.frame(25)
+        block = expand_temporal(frame, [(HOUR, "ordinal"),
+                                        (HOUR, "sinusoidal")])
+        assert block["hour"][23] - block["hour"][24] == 23.0
+        xy = np.column_stack([block["hour_sin"], block["hour_cos"]])
+        assert np.linalg.norm(xy[23] - xy[24]) == pytest.approx(
+            np.linalg.norm(xy[3] - xy[4]), abs=1e-12)
 
     def test_onehot_basis(self):
-        assert encode_onehot(0, 7).tolist() == [1, 0, 0, 0, 0, 0, 0]
-        assert encode_onehot(6, 7).tolist() == [0, 0, 0, 0, 0, 0, 1]
+        rows = self.onehot_rows(self.frame(48), FEATURES["dayofweek"])
+        assert rows[0].tolist() == [0, 0, 0, 0, 0, 0, 1]  # Sunday
+        assert rows[24].tolist() == [1, 0, 0, 0, 0, 0, 0]  # Monday
 
     def test_onehot_sums_to_one(self):
-        for t in range(12):
-            assert encode_onehot(t, 12).sum() == 1.0
+        rows = self.onehot_rows(self.frame(8760), MONTH)
+        assert rows.shape == (8760, 12)
+        assert np.all(rows.sum(axis=1) == 1.0)
+        assert np.all(rows.sum(axis=0) > 0)  # every month appears
 
     def test_onehot_out_of_range(self):
-        with pytest.raises(ConfigError):
-            encode_onehot(7, 7)
+        bad = CyclicFeature("weekday", 7, lambda ts: 7)
+        with pytest.raises(DataError):
+            expand_temporal(self.frame(3), [(bad, "onehot")])
 
 
 class TestColumnContract:

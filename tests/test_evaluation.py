@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from cyclecast import gbtree
-from cyclecast.cli import _pipeline_rmse
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.evaluation import (
     EARLY_STOP_FRACTION, CVPlan, compute_metrics, cross_validate,
-    expanding_splits, fit_before, mae, mape_pct, period_breakdown, r2,
-    residual_stats, rmse,
+    expanding_splits, fit_before, holdout, mae, mape_pct, period_breakdown,
+    r2, residual_stats, rmse,
 )
 from cyclecast.features import FeatureSpec, build_matrix
 from cyclecast.gbtree import HyperParams
@@ -113,9 +112,9 @@ class TestExpandingSplits:
 
 
 class TestCrossValidate:
-    def frame(self, n=700, noise=0.3, seed=30):
-        return generate_synthetic(SyntheticConfig(n_hours=n, noise_std=noise,
-                                                  seed=seed))
+    def matrix(self, n=700):
+        frame = generate_synthetic(SyntheticConfig(n_hours=n, seed=30))
+        return build_matrix(frame, self.small_spec())
 
     def small_spec(self):
         return FeatureSpec(rolling_windows=(6,), rolling_stats=("mean",),
@@ -128,8 +127,7 @@ class TestCrossValidate:
         return HyperParams(**defaults)
 
     def test_score_is_mean_of_folds(self):
-        res = cross_validate(self.frame(), self.small_spec(), self.params(),
-                             k=3, delta=50)
+        res = cross_validate(self.matrix(), self.params(), k=3, delta=50)
         assert len(res.fold_rmses) == 3
         assert res.cv_score == pytest.approx(np.mean(res.fold_rmses))
         assert res.dispersion == pytest.approx(
@@ -137,10 +135,8 @@ class TestCrossValidate:
         assert res.stability == pytest.approx(res.dispersion / res.cv_score)
 
     def test_deterministic(self):
-        a = cross_validate(self.frame(), self.small_spec(), self.params(),
-                           k=3, delta=40)
-        b = cross_validate(self.frame(), self.small_spec(), self.params(),
-                           k=3, delta=40)
+        a = cross_validate(self.matrix(), self.params(), k=3, delta=40)
+        b = cross_validate(self.matrix(), self.params(), k=3, delta=40)
         assert a.fold_rmses == b.fold_rmses
 
     def test_noise_free_series_scores_near_zero(self):
@@ -152,15 +148,26 @@ class TestCrossValidate:
                            lags=(168,), ewm_halflives=(), temporal=())
         params = HyperParams(n_estimators=3, max_depth=9, learning_rate=1.0,
                              reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
-        res = cross_validate(frame, spec, params, k=2, delta=100)
+        res = cross_validate(build_matrix(frame, spec), params, k=2,
+                             delta=100)
         assert res.cv_score < 1e-9
 
     def test_fold_eats_warmup(self):
-        frame = self.frame(400)
+        frame = generate_synthetic(SyntheticConfig(n_hours=400, seed=30))
         spec = FeatureSpec(rolling_windows=(), rolling_stats=(),
                            lags=(168,), ewm_halflives=(), temporal=())
+        matrix = build_matrix(frame, spec)
         with pytest.raises(DataError):
-            cross_validate(frame, spec, self.params(), k=2, delta=116)
+            cross_validate(matrix, self.params(), k=2, delta=116)
+
+    def test_folds_span_warmup_and_matrix_rows(self):
+        # Folds lie over all frame rows, warm-up included: the first
+        # validation block starts at frame row 700 - 3 * 50 = 550.
+        matrix = self.matrix()
+        res = cross_validate(matrix, self.params(), k=3, delta=50)
+        assert matrix.dropped_warmup + matrix.n_rows == 700
+        assert res.plan.splits[0] == ((0, 550), (550, 600))
+        assert res.plan.splits[-1][1] == (650, 700)
 
 
 class TestFitPath:
@@ -190,7 +197,7 @@ class TestFitPath:
             scored.append(X)
             return real_predict(model, X)
 
-        # evaluation and cli both call through the gbtree module attribute.
+        # evaluation calls through the gbtree module attribute.
         monkeypatch.setattr(gbtree, "fit", fit)
         monkeypatch.setattr(gbtree, "predict", predict)
         return fits, scored
@@ -212,11 +219,12 @@ class TestFitPath:
             assert not set(val_rows) & set(rows(X_scored))
 
     def test_cross_validate(self, frame, calls):
-        cross_validate(frame, self.spec, self.params, k=3, delta=50)
+        cross_validate(build_matrix(frame, self.spec), self.params, k=3,
+                       delta=50)
         self.check(frame, *calls)
 
     def test_holdout(self, frame, calls):
-        _pipeline_rmse(frame, self.spec, self.params, 0.2)
+        holdout(frame, self.spec, self.params, 0.2)
         self.check(frame, *calls)
 
     def test_too_few_fit_rows(self, frame):

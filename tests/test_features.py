@@ -196,9 +196,12 @@ class TestBuildMatrix:
 
     def test_group_partition(self):
         m = build_matrix(self.frame(), FeatureSpec())
-        groups = m.groups()
-        merged = [c for g in GROUPS for c in groups[g]]
-        assert sorted(merged) == sorted(m.column_names)
+        groups = {name: group_of(name) for name in m.column_names}
+        assert set(groups.values()) == set(GROUPS)
+        assert groups["hour_sin"] == groups["hour_cos"] == "Sinusoidal"
+        assert groups["rolling_std_24h"] == "RollingStats"
+        assert groups["lag_168h"] == "LagFeatures"
+        assert groups["hour"] == groups["ewm_12h"] == "Others"
 
     def test_deterministic(self):
         frame = self.frame()

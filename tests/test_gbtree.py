@@ -1,12 +1,15 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.errors import ConfigError, DataError
+from cyclecast.features import FeatureSpec, build_matrix
 from cyclecast.gbtree import (
-    DEPTHWISE, LEAFWISE, GbtModel, HyperParams, XGB_STYLE_OPTIMAL,
+    DEPTHWISE, LEAFWISE, GbtModel, HyperParams,
     early_stop_triggered, feature_importance, fit, goss_sample, leaf_weight,
     load_model, predict, save_model, split_gain, squared_loss_grad_hess,
 )
@@ -178,19 +181,6 @@ class TestFit:
         losses = np.array(log.train_loss)
         assert np.all(np.diff(losses) <= 1e-12)
 
-    def test_reference_optimal_config_echoed(self):
-        X = np.arange(20.0).reshape(-1, 1)
-        y = np.sin(X[:, 0])
-        params = HyperParams(**{**XGB_STYLE_OPTIMAL.to_dict(),
-                                "n_estimators": 3})
-        model, _ = fit(X, y, params)
-        assert model.params.learning_rate == 0.023764
-        assert model.params.max_depth == 6
-        assert model.params.subsample == 0.6
-        assert model.params.colsample_bytree == 1.0
-        assert model.params.gamma == 0.97328
-        assert XGB_STYLE_OPTIMAL.n_estimators == 1000
-
     def test_seed_determinism(self, tmp_path):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(150, 5))
@@ -324,6 +314,18 @@ class TestPredict:
         with pytest.raises(DataError, match="feature columns"):
             predict(model, np.zeros((3, 5)))
 
+    def test_matrix_column_names_checked(self):
+        frame = generate_synthetic(SyntheticConfig(n_hours=300, seed=15))
+        matrix = build_matrix(frame, FeatureSpec())
+        model, _ = fit(matrix.values, matrix.target,
+                       HyperParams(n_estimators=2),
+                       feature_names=matrix.column_names)
+        assert np.array_equal(predict(model, matrix),
+                              predict(model, matrix.values))
+        renamed = replace(matrix, column_names=matrix.column_names[::-1])
+        with pytest.raises(DataError, match="feature columns do not match"):
+            predict(model, renamed)
+
     def test_serialization_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(200, 4))
@@ -359,6 +361,25 @@ class TestPredict:
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(DataError, match="version"):
             load_model(path)
+
+    def test_file_with_removed_goss_switch_loads(self, tmp_path):
+        # Files written before `goss_inverse_weights` was removed carry it
+        # in `params` as false.
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(100, 3))
+        y = X[:, 0] + 0.1 * rng.normal(size=100)
+        params = HyperParams(n_estimators=5, goss_a=0.2, goss_b=0.2,
+                             growth=LEAFWISE)
+        model, _ = fit(X, y, params)
+        save_model(model, tmp_path / "new.json")
+        doc = json.loads((tmp_path / "new.json").read_text())
+        assert "goss_inverse_weights" not in doc["params"]
+        doc["params"]["goss_inverse_weights"] = False
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        new, _ = load_model(tmp_path / "new.json")
+        old, _ = load_model(tmp_path / "old.json")
+        assert old.params == new.params == params
+        assert np.array_equal(predict(old, X), predict(new, X))
 
 
 class TestFeatureImportance:

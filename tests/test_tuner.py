@@ -5,8 +5,8 @@ import pytest
 
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.tuner import (
-    Dimension, ParamSpace, Trial, expected_improvement, fit_surrogate,
-    gp_fit, incumbent_trace, optimize, random_search,
+    Dimension, ParamSpace, expected_improvement, gp_fit, incumbent_trace,
+    optimize, random_search,
 )
 
 
@@ -143,18 +143,6 @@ class TestGpSurrogate:
         with pytest.raises(DataError):
             gp_fit(np.array([[0.5]]), np.array([1.0]))
 
-    def test_fit_surrogate_skips_failed_trials(self):
-        trials = [
-            Trial(params={"x": 0.0, "y": 0.0}, objective=0.0, iteration=0),
-            Trial(params={"x": 1.0, "y": 1.0}, objective=2.0, iteration=1),
-            Trial(params={"x": 2.0, "y": 2.0}, objective=None, iteration=2,
-                  failed=True),
-        ]
-        gp = fit_surrogate(sphere_space(), trials, seed=0)
-        assert gp.X.shape == (2, 2)
-        with pytest.raises(DataError):
-            fit_surrogate(sphere_space(), trials[:1] + trials[2:], seed=0)
-
 
 class TestOptimize:
     def test_sphere_convergence(self):
@@ -190,15 +178,27 @@ class TestOptimize:
         def flaky(p):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
-                raise RuntimeError("boom")
+                raise DataError("boom")
             return sphere(p)
 
         best, trials = optimize(sphere_space(), flaky, budget=20, init=6,
                                 seed=3)
-        assert sum(t.failed for t in trials) > 0
-        assert all(t.objective is None for t in trials if t.failed)
+        failed = [t for t in trials if t.failed]
+        assert failed
+        assert all(t.objective is None for t in failed)
+        assert all(t.error == "DataError: boom" for t in failed)
+        assert all(t.to_dict()["error"] == "DataError: boom" for t in failed)
+        assert all(t.error is None and "error" not in t.to_dict()
+                   for t in trials if not t.failed)
         assert sphere(best) == min(
             t.objective for t in trials if not t.failed)
+
+    def test_unexpected_exception_propagates(self):
+        def buggy(p):
+            raise RuntimeError("bug")
+
+        with pytest.raises(RuntimeError, match="bug"):
+            optimize(sphere_space(), buggy, budget=5, init=2, seed=3)
 
     def test_non_finite_objective_marks_failed(self):
         def bad(p):
@@ -206,6 +206,16 @@ class TestOptimize:
 
         with pytest.raises(DataError):
             optimize(sphere_space(), bad, budget=5, init=2, seed=4)
+
+    def test_non_finite_objective_records_reason(self):
+        def half_bad(p):
+            return math.inf if p["x"] > 0 else sphere(p)
+
+        _, trials = random_search(sphere_space(), half_bad, budget=10,
+                                  seed=0)
+        failed = [t for t in trials if t.failed]
+        assert 0 < len(failed) < len(trials)
+        assert all(t.error == "non-finite objective inf" for t in failed)
 
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
