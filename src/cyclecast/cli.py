@@ -71,14 +71,17 @@ def _add_common(p):
                    help="strip wall-time fields from reports")
 
 
-def _add_data_source(p):
-    p.add_argument("--data", default=None, help="input CSV path")
-    p.add_argument("--n-hours", type=int, default=4380,
-                   help="synthetic rows when no --data is given")
+def _add_synthetic(p, n_hours, n_hours_help=None):
+    p.add_argument("--n-hours", type=int, default=n_hours, help=n_hours_help)
     p.add_argument("--daily-amplitude", type=float, default=1.0)
     p.add_argument("--weekly-amplitude", type=float, default=0.5)
     p.add_argument("--trend-slope", type=float, default=0.0)
     p.add_argument("--noise-std", type=float, default=0.3)
+
+
+def _add_data_source(p):
+    p.add_argument("--data", default=None, help="input CSV path")
+    _add_synthetic(p, 4380, "synthetic rows when no --data is given")
     p.add_argument("--time-col", default="datetime")
 
 
@@ -98,11 +101,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="write a synthetic dataset CSV")
     _add_common(p)
-    p.add_argument("--n-hours", type=int, default=8760)
-    p.add_argument("--daily-amplitude", type=float, default=1.0)
-    p.add_argument("--weekly-amplitude", type=float, default=0.5)
-    p.add_argument("--trend-slope", type=float, default=0.0)
-    p.add_argument("--noise-std", type=float, default=0.3)
+    _add_synthetic(p, 8760)
     p.add_argument("--output", default=None,
                    help="CSV path (default <out>/synthetic.csv)")
 
@@ -427,6 +426,7 @@ def cmd_tune(args) -> int:
         spec = spec.with_encoding(args.encoding)
     overrides = _load_param_overrides(args)
     matrix = build_matrix(frame, spec)
+    evaluation.cv_plan(matrix, args.k, args.delta)  # a bad layout fails here
     space = tuner.ParamSpace.default()
     cap = args.n_estimators_cap
 
@@ -543,9 +543,8 @@ def cmd_predict(args) -> int:
     with open(pred_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["datetime", "prediction"])
-        for i in range(matrix.n_rows):
-            ts = frame.timestamps[offset + i]
-            writer.writerow([ts.isoformat(sep=" "), repr(float(pred[i]))])
+        for ts, p in zip(frame.timestamps[offset:].tolist(), pred):
+            writer.writerow([ts.isoformat(sep=" "), repr(float(p))])
 
     report = {
         "experiment": "predict",

@@ -1,7 +1,9 @@
 """Hourly energy data: CSV ingestion and synthetic generation.
 
 Frames hold the seven household-power measurement columns plus a target
-column name. Timestamps are naive local datetimes at hourly resolution.
+column name. Timestamps are naive local times, read from ISO 8601 text
+and held as one datetime64[us] array, so sub-second parts are kept; a
+CSV row whose timestamp carries a UTC offset is rejected.
 """
 
 from __future__ import annotations
@@ -9,11 +11,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
+from .encoding import DAYOFWEEK, HOUR
 from .errors import ConfigError, DataError
 
 # Canonical internal column names and the UCI-style CSV headers they map to.
@@ -41,6 +44,8 @@ _CSV_HEADER = {v: k for k, v in DEFAULT_SCHEMA.items()}
 
 DEFAULT_TIME_COL = "datetime"
 DEFAULT_START = datetime(2023, 1, 1, 0, 0, 0)
+_EPOCH = datetime(1970, 1, 1)
+_ONE_HOUR = np.timedelta64(1, "h")
 
 # Base level added to the synthetic target so loads stay positive.
 SYNTHETIC_BASE_LEVEL = 2.0
@@ -50,10 +55,9 @@ SYNTHETIC_BASE_LEVEL = 2.0
 class TimeSeriesFrame:
     """Immutable time-indexed table of hourly measurements."""
 
-    timestamps: tuple
+    timestamps: np.ndarray  # datetime64[us], strictly increasing
     columns: dict
     target_name: str = "global_active_power"
-    gap_count: int = 0
     rejected_rows: tuple = ()
 
     def __post_init__(self):
@@ -66,11 +70,12 @@ class TimeSeriesFrame:
             values.setflags(write=False)
         if self.target_name not in self.columns:
             raise DataError(f"target column {self.target_name!r} not present")
-        for i in range(1, n):
-            if self.timestamps[i] <= self.timestamps[i - 1]:
-                raise DataError(
-                    f"timestamps not strictly increasing at row {i}"
-                )
+        self.timestamps.setflags(write=False)
+        steps = np.diff(self.timestamps)
+        bad = np.flatnonzero(steps <= np.timedelta64(0))
+        if bad.size:
+            kind = "duplicate" if steps[bad[0]] == 0 else "non-monotonic"
+            raise DataError(f"{kind} timestamp at row {bad[0] + 1}")
 
     def __len__(self):
         return len(self.timestamps)
@@ -79,9 +84,11 @@ class TimeSeriesFrame:
     def target(self) -> np.ndarray:
         return self.columns[self.target_name]
 
-    def hours(self) -> np.ndarray:
-        """Hour-of-day label per row."""
-        return np.array([ts.hour for ts in self.timestamps], dtype=np.int64)
+    @property
+    def gap_count(self) -> int:
+        """Missing hourly rows implied by steps longer than one hour."""
+        missing = np.diff(self.timestamps) // _ONE_HOUR - 1
+        return int(missing[missing > 0].sum())
 
     def meta(self) -> dict:
         return {
@@ -111,30 +118,16 @@ class SyntheticConfig:
             raise ConfigError("amplitudes must be >= 0")
 
 
-def _count_gaps(timestamps) -> int:
-    one_hour = timedelta(hours=1)
-    gaps = 0
-    for i in range(1, len(timestamps)):
-        step = timestamps[i] - timestamps[i - 1]
-        if step > one_hour:
-            gaps += int(step / one_hour) - 1
-    return gaps
-
-
-def _parse_timestamp(text: str) -> datetime:
-    return datetime.fromisoformat(text.strip())
-
-
 def load_csv(path, time_col: str = DEFAULT_TIME_COL,
              target_name: str = "global_active_power",
              allow_missing_target: bool = False) -> TimeSeriesFrame:
     """Load an hourly energy CSV into a TimeSeriesFrame.
 
-    Rows with unparseable numeric cells are rejected and recorded in
-    ``rejected_rows`` as (row_index, reason); non-monotonic or duplicate
-    timestamps are hard errors. With ``allow_missing_target`` a file
-    without the target column loads with that column filled by NaN
-    (prediction-only input).
+    Rows with unparseable cells or a timestamp that carries a UTC offset
+    are rejected and recorded in ``rejected_rows`` as (row_index, reason);
+    non-monotonic or duplicate timestamps are hard errors. With
+    ``allow_missing_target`` a file without the target column loads with
+    that column filled by NaN (prediction-only input).
     """
     path = Path(path)
     if not path.exists():
@@ -161,14 +154,17 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
         time_idx = header.index(time_col)
         col_idx = {schema[src]: header.index(src) for src in schema}
 
-        timestamps = []
+        micros = []
         values = {name: [] for name in col_idx}
         rejected = []
         for row_index, row in enumerate(reader):
             try:
-                ts = _parse_timestamp(row[time_idx])
+                ts = datetime.fromisoformat(row[time_idx].strip())
             except (ValueError, IndexError):
                 rejected.append((row_index, "unparseable timestamp"))
+                continue
+            if ts.tzinfo is not None:
+                rejected.append((row_index, "timestamp has a UTC offset"))
                 continue
             parsed = {}
             bad = None
@@ -184,27 +180,21 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
             if bad is not None:
                 rejected.append((row_index, bad))
                 continue
-            timestamps.append(ts)
+            micros.append((ts - _EPOCH) // datetime.resolution)
             for name in col_idx:
                 values[name].append(parsed[name])
 
-    for i in range(1, len(timestamps)):
-        if timestamps[i] == timestamps[i - 1]:
-            raise DataError(f"{path}: duplicate timestamp at row {i}")
-        if timestamps[i] < timestamps[i - 1]:
-            raise DataError(f"{path}: non-monotonic timestamp at row {i}")
-    if not timestamps:
+    if not micros:
         raise DataError(f"{path}: no valid data rows")
 
     columns = {name: np.asarray(vals, dtype=np.float64)
                for name, vals in values.items()}
     if target_missing:
-        columns[target_name] = np.full(len(timestamps), np.nan)
+        columns[target_name] = np.full(len(micros), np.nan)
     return TimeSeriesFrame(
-        timestamps=tuple(timestamps),
+        timestamps=np.array(micros, dtype=np.int64).view("datetime64[us]"),
         columns=columns,
         target_name=target_name,
-        gap_count=_count_gaps(timestamps),
         rejected_rows=tuple(rejected),
     )
 
@@ -219,7 +209,7 @@ def write_csv(frame: TimeSeriesFrame, path) -> None:
         writer = csv.writer(fh)
         header = [DEFAULT_TIME_COL] + [_CSV_HEADER.get(n, n) for n in names]
         writer.writerow(header)
-        for i, ts in enumerate(frame.timestamps):
+        for i, ts in enumerate(frame.timestamps.tolist()):
             row = [ts.isoformat(sep=" ")]
             row += [repr(float(frame.columns[n][i])) for n in names]
             writer.writerow(row)
@@ -232,12 +222,10 @@ def generate_synthetic(config: SyntheticConfig) -> TimeSeriesFrame:
     spawned PRNG stream so adding columns never perturbs existing ones.
     """
     n = config.n_hours
-    timestamps = tuple(DEFAULT_START + timedelta(hours=i) for i in range(n))
+    timestamps = np.datetime64(DEFAULT_START, "us") + np.arange(n) * _ONE_HOUR
     t = np.arange(n, dtype=np.float64)
-    hour = np.array([ts.hour for ts in timestamps], dtype=np.float64)
-    dow_hour = np.array(
-        [ts.weekday() * 24 + ts.hour for ts in timestamps], dtype=np.float64
-    )
+    hour = HOUR.phases(timestamps)
+    dow_hour = DAYOFWEEK.phases(timestamps) * 24 + hour
 
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(config.seed).spawn(8)]

@@ -26,15 +26,14 @@ class CyclicFeature:
 
     name: str
     period: int
-    extractor: object  # callable datetime -> int phase in [0, period)
+    extractor: object  # datetime64 array -> int phase array in [0, period)
 
     def __post_init__(self):
         if self.period < 2:
             raise ConfigError(f"period must be >= 2, got {self.period}")
 
     def phases(self, timestamps) -> np.ndarray:
-        out = np.array([self.extractor(ts) for ts in timestamps],
-                       dtype=np.int64)
+        out = np.asarray(self.extractor(timestamps), dtype=np.int64)
         if out.size and (out.min() < 0 or out.max() >= self.period):
             raise DataError(
                 f"{self.name}: extracted phase outside [0, {self.period})"
@@ -42,9 +41,14 @@ class CyclicFeature:
         return out
 
 
-HOUR = CyclicFeature("hour", 24, lambda ts: ts.hour)
-DAYOFWEEK = CyclicFeature("dayofweek", 7, lambda ts: ts.weekday())
-MONTH = CyclicFeature("month", 12, lambda ts: ts.month - 1)
+# Calendar arithmetic on datetime64 counts from 1970-01-01, a Thursday
+# (weekday 3 with Monday = 0); casting to a coarser unit floors.
+HOUR = CyclicFeature("hour", 24, lambda ts: (
+    ts.astype("datetime64[h]") - ts.astype("datetime64[D]")).astype(np.int64))
+DAYOFWEEK = CyclicFeature("dayofweek", 7, lambda ts: (
+    ts.astype("datetime64[D]").astype(np.int64) + 3) % 7)
+MONTH = CyclicFeature("month", 12, lambda ts: (
+    ts.astype("datetime64[M]").astype(np.int64) % 12))
 
 FEATURES = {f.name: f for f in (HOUR, DAYOFWEEK, MONTH)}
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gbtree
+from .encoding import HOUR
 from .errors import ConfigError, DataError
 from .features import build_matrix
 
@@ -142,6 +143,12 @@ def expanding_splits(n, k, delta) -> CVPlan:
     return CVPlan(k=k, delta=delta, splits=tuple(splits))
 
 
+def cv_plan(matrix, k, delta) -> CVPlan:
+    """Expanding-window folds over the frame rows `matrix` was built from,
+    warm-up included."""
+    return expanding_splits(matrix.dropped_warmup + matrix.n_rows, k, delta)
+
+
 def train_rows(n, test_fraction) -> int:
     """Frame rows before a hold-out split: the first ceil((1-f)*n)."""
     if not (0.0 < test_fraction < 1.0):
@@ -205,7 +212,7 @@ def holdout(frame, spec, params, test_fraction) -> dict:
         "train_time": train_time,
         "y_test": y_te,
         "pred": pred,
-        "test_hours": frame.hours()[n_train:],
+        "test_hours": HOUR.phases(frame.timestamps[n_train:]),
         "matrix": matrix,
     }
 
@@ -213,14 +220,13 @@ def holdout(frame, spec, params, test_fraction) -> dict:
 def cross_validate(matrix, params, k, delta) -> CVResult:
     """Mean fold RMSE over expanding-window folds.
 
-    Folds are laid out over the frame rows the matrix was built from,
-    warm-up included (all features are backward-looking, so no
+    Folds come from `cv_plan` (all features are backward-looking, so no
     validation row leaks into training features). Each fold fits with
     `fit_before` on the rows before its validation block and scores the
     block.
     """
     offset = matrix.dropped_warmup
-    plan = expanding_splits(offset + matrix.n_rows, k, delta)
+    plan = cv_plan(matrix, k, delta)
 
     fold_rmses = []
     for _, (va_s, va_e) in plan.splits:

@@ -106,6 +106,16 @@ class TestBench:
         assert run_cli("bench", "--out", str(tmp_path),
                        "--data", str(tmp_path / "nope.csv")) == 2
 
+    def test_utc_offset_timestamps_are_data_error(self, tmp_path):
+        # Every row carries an offset, so every row is rejected.
+        path = tmp_path / "offsets.csv"
+        path.write_text(
+            "datetime,Global_active_power,Global_reactive_power,Voltage,"
+            "Global_intensity,Sub_metering_1,Sub_metering_2,Sub_metering_3\n"
+            + "".join(f"2023-01-01 {h:02d}:00:00+00:00,1.0,0.1,240.0,4.2,"
+                      "0.0,1.0,2.0\n" for h in range(24)))
+        assert self.bench(tmp_path, "--data", str(path)) == 2
+
     def test_removed_goss_switch_in_params_is_usage_error(self, tmp_path):
         # `goss_inverse_weights` is no longer a hyperparameter.
         path = tmp_path / "params.json"
@@ -187,6 +197,14 @@ class TestTune:
 
     def test_budget_must_exceed_init(self, tmp_path):
         assert self.tune(tmp_path / "out", budget="3", init="3") == 1
+
+    def test_cv_layout_too_large_is_usage_error(self, tmp_path):
+        # 30 folds of 168 rows cannot fit in 600 rows; no trial runs.
+        out = tmp_path / "out"
+        assert run_cli("tune", "--out", str(out), "--n-hours", "600",
+                       "--k", "30", "--delta", "168", "--budget", "3",
+                       "--init", "2", "--no-timing") == 1
+        assert not (out / "trials.jsonl").exists()
 
 
 class TestPredict:

@@ -1,6 +1,3 @@
-import math
-from datetime import datetime, timedelta
-
 import numpy as np
 import pytest
 
@@ -84,6 +81,22 @@ class TestLoadCsv:
         ])
         frame = load_csv(path)
         assert frame.gap_count == 2
+        # A 90-minute step misses no whole hourly row.
+        path = make_csv(tmp_path, [
+            row("2023-01-01 00:00:00"),
+            row("2023-01-01 01:30:00"),
+        ], name="ninety.csv")
+        assert load_csv(path).gap_count == 0
+
+    def test_utc_offset_rejected_with_index(self, tmp_path):
+        path = make_csv(tmp_path, [
+            row("2023-01-01 00:00:00"),
+            row("2023-01-01 01:00:00+01:00"),
+            row("2023-01-01 02:00:00"),
+        ])
+        frame = load_csv(path)
+        assert len(frame) == 2
+        assert frame.rejected_rows == ((1, "timestamp has a UTC offset"),)
 
     def test_year_scale_file(self, tmp_path):
         # Hourly 2023 file at the 8,737-row scale loads in full.
@@ -92,17 +105,25 @@ class TestLoadCsv:
         write_csv(frame, path)
         loaded = load_csv(path)
         assert len(loaded) == 8737
-        assert loaded.timestamps[0].year == 2023
-        assert loaded.timestamps[-1].year == 2023
+        years = loaded.timestamps[[0, -1]].astype("datetime64[Y]")
+        assert np.array_equal(years, np.array(["2023", "2023"],
+                                              dtype="datetime64[Y]"))
 
     def test_round_trip_bit_exact(self, tmp_path):
         frame = generate_synthetic(SyntheticConfig(n_hours=100, seed=9))
         path = tmp_path / "rt.csv"
         write_csv(frame, path)
         loaded = load_csv(path)
-        assert loaded.timestamps == frame.timestamps
+        assert np.array_equal(loaded.timestamps, frame.timestamps)
         for name in CANONICAL_COLUMNS:
             assert np.array_equal(loaded.columns[name], frame.columns[name])
+
+    def test_sub_second_timestamp_round_trip(self, tmp_path):
+        text = row("2023-01-01 00:00:00.500000", 1.5)
+        path = make_csv(tmp_path, [text])
+        out = tmp_path / "out.csv"
+        write_csv(load_csv(path), out)
+        assert out.read_text().splitlines()[1] == text
 
 
 class TestGenerateSynthetic:
@@ -124,7 +145,7 @@ class TestGenerateSynthetic:
     def test_same_seed_bit_identical(self):
         a = generate_synthetic(SyntheticConfig(n_hours=200, seed=7))
         b = generate_synthetic(SyntheticConfig(n_hours=200, seed=7))
-        assert a.timestamps == b.timestamps
+        assert np.array_equal(a.timestamps, b.timestamps)
         for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name])
 
@@ -169,11 +190,15 @@ class TestTemporalSplit:
             train_rows(1, 0.5)
 
 
+def stamps(*texts):
+    return np.array(texts, dtype="datetime64[us]")
+
+
 class TestFrameInvariants:
     def test_target_must_exist(self):
         with pytest.raises(DataError):
             TimeSeriesFrame(
-                timestamps=(datetime(2023, 1, 1),),
+                timestamps=stamps("2023-01-01"),
                 columns={"voltage": np.array([240.0])},
                 target_name="global_active_power",
             )
@@ -181,7 +206,7 @@ class TestFrameInvariants:
     def test_column_length_mismatch(self):
         with pytest.raises(DataError):
             TimeSeriesFrame(
-                timestamps=(datetime(2023, 1, 1),),
+                timestamps=stamps("2023-01-01"),
                 columns={"global_active_power": np.array([1.0, 2.0])},
             )
 

@@ -1,12 +1,13 @@
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.encoding import (
-    FEATURES, HOUR, MONTH, CyclicFeature, cyclic_distance, encode_sinusoidal,
-    encoded_column_names, expand_temporal,
+    DAYOFWEEK, FEATURES, HOUR, MONTH, CyclicFeature, cyclic_distance,
+    encode_sinusoidal, encoded_column_names, expand_temporal,
 )
 from cyclecast.errors import ConfigError, DataError
 
@@ -121,9 +122,26 @@ class TestOrdinalOnehot:
         assert np.all(rows.sum(axis=0) > 0)  # every month appears
 
     def test_onehot_out_of_range(self):
-        bad = CyclicFeature("weekday", 7, lambda ts: 7)
+        bad = CyclicFeature("weekday", 7, lambda ts: np.full(len(ts), 7))
         with pytest.raises(DataError):
             expand_temporal(self.frame(3), [(bad, "onehot")])
+
+
+class TestCalendarPhases:
+    """datetime64 phase arithmetic against `datetime`'s own calendar."""
+
+    @pytest.mark.parametrize("start,end", [
+        (datetime(1969, 12, 31), datetime(1970, 1, 2)),
+        (datetime(2023, 12, 31), datetime(2024, 1, 1)),
+        (datetime(2024, 2, 28), datetime(2024, 3, 1)),
+    ])
+    def test_phases_match_datetime(self, start, end):
+        hours = int((end - start) / timedelta(hours=1)) + 1
+        stamps = [start + timedelta(hours=i) for i in range(hours)]
+        ts = np.array(stamps, dtype="datetime64[us]")
+        assert HOUR.phases(ts).tolist() == [s.hour for s in stamps]
+        assert DAYOFWEEK.phases(ts).tolist() == [s.weekday() for s in stamps]
+        assert MONTH.phases(ts).tolist() == [s.month - 1 for s in stamps]
 
 
 class TestColumnContract:
