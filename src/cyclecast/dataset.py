@@ -51,6 +51,17 @@ _ONE_HOUR = np.timedelta64(1, "h")
 SYNTHETIC_BASE_LEVEL = 2.0
 
 
+def _first_disorder(timestamps):
+    """(kind, index) of the first timestamp not later than the one before
+    it, or None when the array is strictly increasing."""
+    steps = np.diff(timestamps)
+    bad = np.flatnonzero(steps <= np.timedelta64(0))
+    if not bad.size:
+        return None
+    kind = "duplicate" if steps[bad[0]] == 0 else "non-monotonic"
+    return kind, int(bad[0]) + 1
+
+
 @dataclass(frozen=True)
 class TimeSeriesFrame:
     """Immutable time-indexed table of hourly measurements."""
@@ -71,11 +82,10 @@ class TimeSeriesFrame:
         if self.target_name not in self.columns:
             raise DataError(f"target column {self.target_name!r} not present")
         self.timestamps.setflags(write=False)
-        steps = np.diff(self.timestamps)
-        bad = np.flatnonzero(steps <= np.timedelta64(0))
-        if bad.size:
-            kind = "duplicate" if steps[bad[0]] == 0 else "non-monotonic"
-            raise DataError(f"{kind} timestamp at row {bad[0] + 1}")
+        disorder = _first_disorder(self.timestamps)
+        if disorder is not None:
+            kind, i = disorder
+            raise DataError(f"{kind} timestamp at row {i}")
 
     def __len__(self):
         return len(self.timestamps)
@@ -125,7 +135,8 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
 
     Rows with unparseable cells or a timestamp that carries a UTC offset
     are rejected and recorded in ``rejected_rows`` as (row_index, reason);
-    non-monotonic or duplicate timestamps are hard errors. With
+    non-monotonic or duplicate timestamps are hard errors, reported with
+    the path and the same 0-based data-row index. With
     ``allow_missing_target`` a file without the target column loads with
     that column filled by NaN (prediction-only input).
     """
@@ -186,13 +197,22 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
 
     if not micros:
         raise DataError(f"{path}: no valid data rows")
+    timestamps = np.array(micros, dtype=np.int64).view("datetime64[us]")
+    disorder = _first_disorder(timestamps)
+    if disorder is not None:
+        kind, row = disorder
+        for rejected_row, _ in rejected:  # accepted index -> CSV data row
+            if rejected_row > row:
+                break
+            row += 1
+        raise DataError(f"{path}: {kind} timestamp at row {row}")
 
     columns = {name: np.asarray(vals, dtype=np.float64)
                for name, vals in values.items()}
     if target_missing:
         columns[target_name] = np.full(len(micros), np.nan)
     return TimeSeriesFrame(
-        timestamps=np.array(micros, dtype=np.int64).view("datetime64[us]"),
+        timestamps=timestamps,
         columns=columns,
         target_name=target_name,
         rejected_rows=tuple(rejected),

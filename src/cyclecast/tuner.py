@@ -2,7 +2,8 @@
 and expected-improvement acquisition, plus a random-search baseline.
 
 The surrogate is a Matern-5/2 ARD kernel on unit-cube-normalized inputs
-with hyperparameters set by multi-start marginal-likelihood maximization.
+with hyperparameters set by multi-start marginal-likelihood maximization,
+using the likelihood's closed-form gradient.
 """
 
 from __future__ import annotations
@@ -126,10 +127,20 @@ class Trial:
 
 
 def _matern52(X1, X2, length_scales, signal_var):
+    """Matern-5/2 ARD kernel K with what its length-scale gradient needs.
+
+    Returns (K, slope, d2): d2[..., j] is the squared difference in
+    dimension j scaled by length_scales[j], and
+    dK/dlog(length_scales[j]) = slope * d2[..., j].
+    """
     d = X1[:, None, :] / length_scales - X2[None, :, :] / length_scales
-    r = np.sqrt(np.maximum(np.sum(d * d, axis=-1), 0.0))
+    d2 = np.square(d, out=d)
+    r = np.sqrt(np.maximum(np.sum(d2, axis=-1), 0.0))
     s5r = math.sqrt(5.0) * r
-    return signal_var * (1.0 + s5r + 5.0 / 3.0 * r * r) * np.exp(-s5r)
+    e = np.exp(-s5r)
+    K = signal_var * (1.0 + s5r + 5.0 / 3.0 * r * r) * e
+    slope = signal_var * 5.0 / 3.0 * (1.0 + s5r) * e
+    return K, slope, d2
 
 
 class Surrogate:
@@ -146,7 +157,7 @@ class Surrogate:
         self.signal_var = signal_var
         self.noise_var = noise_var
         self.jitter = jitter
-        K = _matern52(X, X, length_scales, signal_var)
+        K = _matern52(X, X, length_scales, signal_var)[0]
         K[np.diag_indices_from(K)] += noise_var + jitter
         self._chol = cho_factor(K, lower=True)
         self._alpha = cho_solve(self._chol, self.y)
@@ -154,7 +165,7 @@ class Surrogate:
     def posterior(self, x: np.ndarray):
         """Predictive (mean, std) at one unit-cube point, in objective units."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        k = _matern52(x, self.X, self.length_scales, self.signal_var)
+        k = _matern52(x, self.X, self.length_scales, self.signal_var)[0]
         mu = k @ self._alpha
         v = cho_solve(self._chol, k.T)
         var = self.signal_var + self.noise_var - np.sum(k * v.T, axis=1)
@@ -167,23 +178,31 @@ class Surrogate:
 
 
 def _neg_log_marginal_likelihood(log_params, X, y):
-    d = X.shape[1]
+    """Negative log marginal likelihood and its gradient in log_params
+    (log length scales, log signal, log noise): GPML eq. 5.9,
+    d/dtheta = 1/2 tr((K^-1 - alpha alpha^T) dK/dtheta)."""
+    n, d = X.shape
     ls = np.exp(log_params[:d])
     sf = math.exp(log_params[d])
-    sn = math.exp(log_params[d + 1]) + NOISE_FLOOR
-    K = _matern52(X, X, ls, sf)
-    K[np.diag_indices_from(K)] += sn
+    noise = math.exp(log_params[d + 1])
+    K0, slope, d2 = _matern52(X, X, ls, sf)
+    K = K0 + (noise + NOISE_FLOOR) * np.eye(n)
     try:
         L = cholesky(K, lower=True)
     except np.linalg.LinAlgError:
-        return 1e25
+        return 1e25, np.zeros(d + 2)
     alpha = cho_solve((L, True), y)
     nll = (
         0.5 * float(y @ alpha)
         + float(np.sum(np.log(np.diag(L))))
         + 0.5 * y.size * math.log(2.0 * math.pi)
     )
-    return nll
+    W = cho_solve((L, True), np.eye(n)) - np.outer(alpha, alpha)
+    grad = np.empty(d + 2)
+    grad[:d] = 0.5 * np.einsum("ab,abj->j", W * slope, d2)
+    grad[d] = 0.5 * float(np.sum(W * K0))
+    grad[d + 1] = 0.5 * noise * float(np.trace(W))
+    return nll, grad
 
 
 def gp_fit(X, y, seed=0) -> Surrogate:
@@ -219,7 +238,7 @@ def gp_fit(X, y, seed=0) -> Surrogate:
     for s in starts:
         res = sp_optimize.minimize(
             _neg_log_marginal_likelihood, s, args=(X, ys),
-            method="L-BFGS-B", bounds=bounds,
+            method="L-BFGS-B", jac=True, bounds=bounds,
         )
         if best is None or res.fun < best.fun:
             best = res

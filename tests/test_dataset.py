@@ -53,6 +53,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate"):
             load_csv(path)
 
+    @pytest.mark.parametrize("rejected", [1, 3])
+    def test_order_error_names_file_and_csv_row(self, tmp_path, rejected):
+        # Data row `rejected` holds `oops`, so row 4 is the fourth accepted
+        # row; it repeats the last accepted timestamp. The error must count
+        # CSV data rows as rejected_rows does.
+        stamps = [f"2023-01-01 0{h}:00:00" for h in range(4)]
+        rows = [row(ts) for ts in stamps]
+        rows[rejected] = f"{stamps[rejected]},oops,0.1,240.0,4.2,0.0,1.0,2.0"
+        rows.append(row(stamps[3] if rejected < 3 else stamps[2]))
+        path = make_csv(tmp_path, rows)
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: duplicate timestamp at row 4"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv")
@@ -208,6 +222,15 @@ class TestFrameInvariants:
             TimeSeriesFrame(
                 timestamps=stamps("2023-01-01"),
                 columns={"global_active_power": np.array([1.0, 2.0])},
+            )
+
+    def test_order_checked_without_csv(self):
+        with pytest.raises(DataError,
+                           match="^non-monotonic timestamp at row 2$"):
+            TimeSeriesFrame(
+                timestamps=stamps("2023-01-01T00", "2023-01-01T02",
+                                  "2023-01-01T01"),
+                columns={"global_active_power": np.zeros(3)},
             )
 
     def test_columns_read_only(self):

@@ -5,8 +5,8 @@ import pytest
 
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.tuner import (
-    Dimension, ParamSpace, expected_improvement, gp_fit, incumbent_trace,
-    optimize, random_search,
+    Dimension, ParamSpace, _neg_log_marginal_likelihood, expected_improvement,
+    gp_fit, incumbent_trace, optimize, random_search,
 )
 
 
@@ -142,6 +142,44 @@ class TestGpSurrogate:
     def test_needs_two_points(self):
         with pytest.raises(DataError):
             gp_fit(np.array([[0.5]]), np.array([1.0]))
+
+
+class TestLikelihoodGradient:
+    @pytest.mark.parametrize("n, d", [(5, 7), (12, 7), (30, 2)])
+    def test_matches_central_differences(self, n, d):
+        # Log-parameters drawn like gp_fit's random starts.
+        rng = np.random.default_rng(100 * n + d)
+        X = rng.uniform(size=(n, d))
+        y = rng.normal(size=n)
+        eps = 1e-5
+        for _ in range(5):
+            theta = np.concatenate([
+                rng.uniform(math.log(0.05), math.log(2.0), size=d),
+                [rng.uniform(math.log(0.2), math.log(2.0))],
+                [rng.uniform(math.log(1e-6), math.log(1e-2))],
+            ])
+            _, grad = _neg_log_marginal_likelihood(theta, X, y)
+            num = np.array([
+                (_neg_log_marginal_likelihood(theta + eps * e, X, y)[0]
+                 - _neg_log_marginal_likelihood(theta - eps * e, X, y)[0])
+                / (2 * eps)
+                for e in np.eye(d + 2)
+            ])
+            worst = np.max(np.abs(grad - num) / np.maximum(1.0, np.abs(num)))
+            assert worst < 1e-6
+
+    def test_failed_cholesky(self):
+        # Five copies of one point under a huge signal: K is all ones to
+        # machine precision, so the noise floor cannot keep it positive.
+        d = 7
+        X = np.tile(np.random.default_rng(0).uniform(size=(1, d)), (5, 1))
+        theta = np.zeros(d + 2)
+        theta[d] = 40.0
+        theta[d + 1] = -20.0
+        nll, grad = _neg_log_marginal_likelihood(theta, X, np.arange(5.0))
+        assert math.isfinite(nll)
+        assert grad.shape == (d + 2,)
+        assert np.all(grad == 0.0)
 
 
 class TestOptimize:
