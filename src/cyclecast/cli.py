@@ -224,6 +224,11 @@ def _fmt(x, nd=4):
     return f"{x:.{nd}f}"
 
 
+def _loss_curves(log) -> dict:
+    """A fit's train and validation RMSE, one entry per fitted tree."""
+    return {"train_loss": log.train_loss, "val_loss": log.val_loss}
+
+
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,6 +283,7 @@ def cmd_bench(args) -> int:
                 "best_iteration": result["model"].best_iteration,
                 "stop_reason": result["log"].stop_reason,
                 "n_features": len(result["matrix"].column_names),
+                **_loss_curves(result["log"]),
             }
             cells.append(cell)
             if best is None or result["metrics"].rmse < best["metrics"].rmse:
@@ -382,6 +388,9 @@ def cmd_ablation(args) -> int:
             "delta_performance": delta,
             "n_features": len(result["matrix"].column_names),
             "train_time_s": result["train_time"],
+            "best_iteration": result["model"].best_iteration,
+            "stop_reason": result["log"].stop_reason,
+            **_loss_curves(result["log"]),
         })
 
     report = {
@@ -432,9 +441,13 @@ def cmd_tune(args) -> int:
 
     fixed = {"growth": gbtree.DEPTHWISE, "patience": 20, "seed": args.seed}
 
+    def fitted(point: dict) -> dict:
+        """`point` as fitted: n_estimators clamped to the cap. The tuner
+        itself keeps the unclamped point."""
+        return {**point, "n_estimators": min(int(point["n_estimators"]), cap)}
+
     def to_params(point: dict) -> HyperParams:
-        d = dict(point)
-        d["n_estimators"] = min(int(d["n_estimators"]), cap)
+        d = fitted(point)
         d.update(fixed)
         d.update(overrides)
         return HyperParams.from_dict(d)
@@ -460,6 +473,7 @@ def cmd_tune(args) -> int:
 
     def on_trial(trial):
         record = trial.to_dict()
+        record["params"] = fitted(record["params"])
         if args.no_timing:
             record = strip_timing(record)
         stream.write(json.dumps(record) + "\n")
@@ -496,7 +510,7 @@ def cmd_tune(args) -> int:
         "delta": args.delta,
         "default_cv_score": default_score,
         "best_cv_score": best_score,
-        "best_point": best_point,
+        "best_point": fitted(best_point),
         "best_params": best_params.to_dict(),
         "n_failed_trials": sum(1 for t in trials if t.failed),
     }

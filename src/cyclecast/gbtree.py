@@ -1,11 +1,17 @@
 """Gradient-boosted regression trees minimizing a second-order regularized
 squared-error objective, built from scratch.
 
-Each tree is grown by exact greedy split search on the per-row gradients
-and hessians; leaf outputs are the closed-form optimum -G/(H+lambda).
-A node's rows are kept as one (n_cols, n_node_rows) array sorted per
-feature, so a node's search over all features is a handful of array
-operations rather than a loop over features.
+Each tree is grown by greedy split search on the per-row gradients and
+hessians; leaf outputs are the closed-form optimum -G/(H+lambda).
+A fit of more than MAX_BINS rows bins each column once: one bin per value
+where a column has at most MAX_BINS distinct values, quantile bins
+otherwise. A node of more than MAX_BINS rows is searched by histogram
+(per-bin gradient and hessian sums from one bincount over all features;
+the larger child's histogram is its parent's minus the smaller child's).
+A node of at most MAX_BINS rows is searched exactly over every distinct
+value, its rows kept as one (n_cols, n_node_rows) array sorted per feature.
+Either way a node's search over all features is a handful of array
+operations rather than a loop over features, and `split_gain` scores it.
 Supports depth-wise and leaf-wise growth, plain row subsampling or
 gradient-based one-side sampling (GOSS), per-tree column subsampling,
 shrinkage, and patience-based early stopping on a validation set.
@@ -27,6 +33,10 @@ DEPTHWISE = "depthwise"
 LEAFWISE = "leafwise"
 
 MODEL_FORMAT_VERSION = 1
+
+# Nodes above this many rows are searched by histogram, each column cut
+# into at most this many bins; smaller nodes are searched exactly.
+MAX_BINS = 255
 
 
 @dataclass(frozen=True)
@@ -110,13 +120,20 @@ def leaf_weight(G, H, reg_lambda):
     return -G / denom
 
 
-def split_gain(G_L, H_L, G_R, H_R, reg_lambda, gamma):
-    """Objective reduction from a split, minus the per-leaf penalty gamma."""
-    def score(G, H):
-        return G * G / (H + reg_lambda) if H + reg_lambda > 0 else 0.0
+def split_gain(G_L, H_L, G, H, reg_lambda, gamma):
+    """Objective reduction from splitting a node with gradient and hessian
+    sums (G, H) into a left child (G_L, H_L) and the rest, minus the
+    per-leaf penalty gamma.
 
+    G_L and H_L may be arrays of candidate splits of one node. Both
+    children must have H + lambda > 0: callers drop any other candidate
+    before calling, so nothing is divided by zero.
+    """
+    G_R = G - G_L
     return 0.5 * (
-        score(G_L, H_L) + score(G_R, H_R) - score(G_L + G_R, H_L + H_R)
+        G_L * G_L / (H_L + reg_lambda)
+        + G_R * G_R / (H - H_L + reg_lambda)
+        - G * G / (H + reg_lambda)
     ) - gamma
 
 
@@ -230,144 +247,257 @@ class RegressionTree:
         return tree
 
 
-class _SplitContext:
-    """Per-fit state for exact greedy split search.
+def _bin_columns(XT):
+    """Bin each column of XT (n_feat, n_rows) into at most MAX_BINS bins.
 
-    A node holds its rows as one int array `orders` of shape
-    (n_cols, n_node_rows) whose row k lists the node's rows sorted by
-    feature cols[k]. The columns are argsorted once per fit and children
-    inherit by stable partition, so no sorting happens inside the tree.
-    Every node row appears exactly once in each row of `orders`, so a
-    row subset selects the same number of entries from every row and
-    `orders[mask[orders]]` reshapes back to (n_cols, n_subset_rows).
+    A column with at most MAX_BINS distinct values gets one bin per value;
+    any other gets equal-frequency bins whose upper edges are sample
+    quantiles. Returns the uint8 bin codes, shaped like XT, and each bin's
+    smallest and largest training value, (n_feat, MAX_BINS) each.
     """
+    n_feat, n = XT.shape
+    codes = np.empty((n_feat, n), dtype=np.uint8)
+    low = np.zeros((n_feat, MAX_BINS))
+    high = np.zeros((n_feat, MAX_BINS))
+    quantile_rows = np.arange(1, MAX_BINS + 1) * n // MAX_BINS - 1
+    for f in range(n_feat):
+        s = np.sort(XT[f])
+        distinct = s[np.concatenate(([True], s[1:] != s[:-1]))]
+        if distinct.size <= MAX_BINS:
+            upper = lower = distinct
+        else:
+            upper = np.unique(s[quantile_rows])
+            # A bin starts at the first value above the previous bin's edge.
+            above = np.searchsorted(distinct, upper[:-1], side="right")
+            lower = np.concatenate((distinct[:1], distinct[above]))
+        codes[f] = np.searchsorted(upper, XT[f])
+        high[f, :upper.size] = upper
+        low[f, :upper.size] = lower
+    return codes, low, high
+
+
+class _SplitContext:
+    """Per-fit state: the columns, and their bins if the fit bins."""
 
     def __init__(self, X):
         self.XT = np.ascontiguousarray(X.T)
-        self.global_order = np.argsort(self.XT, axis=1, kind="stable")
-
-    def _member(self, rows):
-        mask = np.zeros(self.XT.shape[1], dtype=bool)
-        mask[rows] = True
-        return mask
-
-    def root_orders(self, rows, cols):
-        orders = self.global_order[cols]
-        if rows.size == orders.shape[1]:
-            return orders
-        return orders[self._member(rows)[orders]].reshape(len(cols), -1)
-
-    def partition(self, orders, left_rows):
-        sel = self._member(left_rows)[orders]
-        k = orders.shape[0]
-        return orders[sel].reshape(k, -1), orders[~sel].reshape(k, -1)
+        self.codes = None
+        if X.shape[0] > MAX_BINS:
+            self.codes, self.bin_low, self.bin_high = _bin_columns(self.XT)
 
 
-def _best_split(ctx, orders, g, h, cols, params):
-    """Exact greedy search over (feature, midpoint threshold).
+class _Node:
+    """A tree node's rows, in the layout its split search reads.
 
-    All features of the node are searched at once: row k of the value,
-    gradient and hessian matrices follows `orders[k]`, and a split after
-    position i of row k is a candidate where the sorted values differ.
-    Returns (gain, feature, threshold, left_orders, right_orders), both
-    children in the (n_cols, n_child_rows) layout, or None when no
-    positive-gain split satisfies min_child_weight. The row-major argmax
-    breaks ties to the lowest feature index, then the lowest threshold.
+    An exact node (at most MAX_BINS rows) keeps `orders`, shaped
+    (n_cols, n_node_rows), whose row k lists the node's rows sorted by
+    feature cols[k]; its `rows` is orders[0]. A histogram node keeps its
+    `rows` ascending and `hist`, shaped (3, n_cols, MAX_BINS): per bin
+    the sums of g, of h and of rows. G and H sum g and h over `rows`, in
+    that order, once for both the split search and the leaf weight.
     """
-    n_node = orders.shape[1]
-    if n_node < 2:
-        return None
-    rows = orders[0]
-    G = g[rows].sum()
-    H = h[rows].sum()
-    vs = ctx.XT[cols[:, None], orders]
-    G_L = np.cumsum(g[orders], axis=1)[:, :-1]
-    H_L = np.cumsum(h[orders], axis=1)[:, :-1]
-    G_R = G - G_L
-    H_R = H - H_L
-    mcw = params.min_child_weight
-    valid = (vs[:, :-1] < vs[:, 1:]) & (H_L >= mcw) & (H_R >= mcw)
-    gains = 0.5 * (
-        G_L * G_L / (H_L + params.reg_lambda)
-        + G_R * G_R / (H_R + params.reg_lambda)
-        - G * G / (H + params.reg_lambda)
-    ) - params.gamma
-    gains = np.where(valid, gains, -np.inf)
-    c, i = divmod(int(np.argmax(gains)), n_node - 1)
-    gain = float(gains[c, i])
-    if gain <= 0:
-        return None
-    lo, hi = vs[c, i], vs[c, i + 1]
+
+    __slots__ = ("rows", "G", "H", "orders", "hist")
+
+    def __init__(self, rows, g, h, orders=None, hist=None):
+        self.rows = rows
+        self.G = g[rows].sum()
+        self.H = h[rows].sum()
+        self.orders = orders
+        self.hist = hist
+
+
+def _threshold(lo, hi):
+    """Midpoint of lo < hi, moved onto hi where it rounds onto lo."""
     thr = 0.5 * (lo + hi)
     if not (lo < thr):
         # Adjacent representable values: midpoint rounds onto lo.
         thr = hi
-    left, right = ctx.partition(orders, orders[c, : i + 1])
-    return gain, int(cols[c]), float(thr), left, right
+    return float(thr)
 
 
-def _grow_depthwise(tree, ctx, orders, g, h, cols, params, gain_acc):
-    def grow(orders, depth):
-        rows = orders[0]
-        G = g[rows].sum()
-        H = h[rows].sum()
-        if depth >= params.max_depth:
-            return tree.add_leaf(leaf_weight(G, H, params.reg_lambda))
-        found = _best_split(ctx, orders, g, h, cols, params)
+class _TreeSearch:
+    """Split search for one tree: its gradients, hessians and columns.
+
+    Nodes above MAX_BINS rows are searched by histogram, the others
+    exactly in sorted order. Both pick, by `split_gain`, the candidate
+    with the largest positive gain whose children both satisfy
+    min_child_weight; the row-major argmax breaks ties to the lowest
+    feature index, then the lowest threshold.
+    """
+
+    def __init__(self, ctx, g, h, cols, params):
+        self.ctx = ctx
+        self.g = g
+        self.h = h
+        self.cols = cols
+        self.params = params
+        if ctx.codes is not None:
+            # Per row, each column's bin offset by its position, so one
+            # flat bincount histograms every column of a node.
+            self.bins = ctx.codes[cols].T.astype(np.intp, order="C")
+            self.bins += np.arange(cols.size) * MAX_BINS
+
+    def node(self, rows, hist=None):
+        """The node over `rows`, given in ascending order."""
+        if rows.size > MAX_BINS:
+            return _Node(rows, self.g, self.h,
+                         hist=self.histogram(rows) if hist is None else hist)
+        vals = self.ctx.XT[self.cols[:, None], rows]
+        orders = rows[np.argsort(vals, axis=1, kind="stable")]
+        return _Node(orders[0], self.g, self.h, orders=orders)
+
+    def histogram(self, rows):
+        k = self.cols.size
+        idx = self.bins[rows].ravel()
+        size = k * MAX_BINS
+        return np.stack([
+            np.bincount(idx, np.repeat(self.g[rows], k), size),
+            np.bincount(idx, np.repeat(self.h[rows], k), size),
+            np.bincount(idx, minlength=size),
+        ]).reshape(3, k, MAX_BINS)
+
+    def leaf_weight(self, node):
+        return leaf_weight(node.G, node.H, self.params.reg_lambda)
+
+    def _pick(self, G_L, H_L, G, H, candidate):
+        """(k, index, gain) of the best candidate whose children both
+        satisfy min_child_weight, or None when no gain is positive.
+
+        Only those candidates reach `split_gain`: each leaves rows, and so
+        H + lambda > 0, on both sides.
+        """
+        p = self.params
+        mcw = p.min_child_weight
+        valid = candidate & (H_L >= mcw) & (H - H_L >= mcw)
+        ks, idx = valid.nonzero()
+        if ks.size == 0:
+            return None
+        gains = split_gain(G_L[valid], H_L[valid], G, H, p.reg_lambda,
+                           p.gamma)
+        # argmax returns the first maximum, and nonzero lists positions
+        # in row-major order.
+        best = gains.argmax()
+        gain = float(gains[best])
+        if gain <= 0:
+            return None
+        return int(ks[best]), int(idx[best]), gain
+
+    def best_split(self, node):
+        """(gain, k, pos, threshold) of the node's best split, or None.
+
+        The split sends feature cols[k] left up to sorted position `pos`
+        of an exact node, or up to bin `pos` of a histogram node.
+        """
+        G, H = node.G, node.H
+        if node.hist is None:
+            orders = node.orders
+            if orders.shape[1] < 2:
+                return None
+            vs = self.ctx.XT[self.cols[:, None], orders]
+            G_L = self.g[orders].cumsum(axis=1)[:, :-1]
+            H_L = self.h[orders].cumsum(axis=1)[:, :-1]
+            found = self._pick(G_L, H_L, G, H, vs[:, :-1] < vs[:, 1:])
+            if found is None:
+                return None
+            c, i, gain = found
+            return gain, c, i, _threshold(vs[c, i], vs[c, i + 1])
+        G_b, H_b, n_b = node.hist
+        # A split after bin b needs node rows in b and above it.
+        candidate = (n_b > 0) & (np.cumsum(n_b, axis=1) < node.rows.size)
+        found = self._pick(np.cumsum(G_b, axis=1), np.cumsum(H_b, axis=1),
+                           G, H, candidate)
         if found is None:
-            return tree.add_leaf(leaf_weight(G, H, params.reg_lambda))
-        gain, f, thr, lorders, rorders = found
-        node = tree.add_internal(f, thr)
-        gain_acc[f] = gain_acc.get(f, 0.0) + gain
-        tree.left[node] = grow(lorders, depth + 1)
-        tree.right[node] = grow(rorders, depth + 1)
-        return node
+            return None
+        c, b, gain = found
+        f = self.cols[c]
+        nxt = b + 1 + int(np.argmax(n_b[c, b + 1:] > 0))
+        return gain, c, b, _threshold(self.ctx.bin_high[f, b],
+                                      self.ctx.bin_low[f, nxt])
 
-    grow(orders, 0)
+    def children(self, node, c, pos):
+        """The (left, right) children of splitting `node` at (c, pos)."""
+        if node.hist is None:
+            # A stable partition keeps each row of `orders` sorted. Every
+            # node row appears once per row of `orders`, so the left rows
+            # select as many entries from each and the result reshapes.
+            orders = node.orders
+            member = np.zeros(self.ctx.XT.shape[1], dtype=bool)
+            member[orders[c, : pos + 1]] = True
+            sel = member[orders]
+            k = orders.shape[0]
+            left = orders[sel].reshape(k, -1)
+            right = orders[~sel].reshape(k, -1)
+            return (_Node(left[0], self.g, self.h, orders=left),
+                    _Node(right[0], self.g, self.h, orders=right))
+        rows = node.rows
+        go_left = self.ctx.codes[self.cols[c], rows] <= pos
+        left, right = rows[go_left], rows[~go_left]
+        if max(left.size, right.size) <= MAX_BINS:
+            return self.node(left), self.node(right)
+        # Histogram the smaller child; the larger one is the difference.
+        if left.size <= right.size:
+            small = self.histogram(left)
+            return self.node(left, small), self.node(right, node.hist - small)
+        small = self.histogram(right)
+        return self.node(left, node.hist - small), self.node(right, small)
 
 
-def _grow_leafwise(tree, ctx, orders, g, h, cols, params, gain_acc):
+def _grow_depthwise(tree, search, node, params, gain_acc, depth=0):
+    """Depth-first growth capped by max_depth; returns the node's index.
+
+    A module-level function, not a self-referencing closure: such a
+    closure is a reference cycle that keeps each tree's search state
+    alive until the cyclic garbage collector runs.
+    """
+    found = None
+    if depth < params.max_depth:
+        found = search.best_split(node)
+    if found is None:
+        return tree.add_leaf(search.leaf_weight(node))
+    gain, c, pos, thr = found
+    f = int(search.cols[c])
+    left, right = search.children(node, c, pos)
+    idx = tree.add_internal(f, thr)
+    gain_acc[f] = gain_acc.get(f, 0.0) + gain
+    tree.left[idx] = _grow_depthwise(tree, search, left, params, gain_acc,
+                                     depth + 1)
+    tree.right[idx] = _grow_depthwise(tree, search, right, params, gain_acc,
+                                      depth + 1)
+    return idx
+
+
+def _grow_leafwise(tree, search, root, params, gain_acc):
     """Best-first growth capped by num_leaves and max_depth."""
     import heapq
 
-    rows = orders[0]
-    root = tree.add_leaf(
-        leaf_weight(g[rows].sum(), h[rows].sum(), params.reg_lambda)
-    )
     counter = 0
     heap = []
 
-    def push(node, node_orders, depth):
+    def push(idx, node, depth):
         nonlocal counter
         if depth >= params.max_depth:
             return
-        found = _best_split(ctx, node_orders, g, h, cols, params)
+        found = search.best_split(node)
         if found is None:
             return
-        heapq.heappush(heap, (-found[0], counter, node, depth, found))
+        heapq.heappush(heap, (-found[0], counter, idx, node, depth, found))
         counter += 1
 
-    push(root, orders, 0)
+    push(tree.add_leaf(search.leaf_weight(root)), root, 0)
     n_leaves = 1
     while heap and n_leaves < params.num_leaves:
-        _, _, node, depth, found = heapq.heappop(heap)
-        gain, f, thr, lorders, rorders = found
-        lrows = lorders[0]
-        rrows = rorders[0]
-        tree.feature[node] = f
-        tree.threshold[node] = thr
-        lw = tree.add_leaf(
-            leaf_weight(g[lrows].sum(), h[lrows].sum(), params.reg_lambda)
-        )
-        rw = tree.add_leaf(
-            leaf_weight(g[rrows].sum(), h[rrows].sum(), params.reg_lambda)
-        )
-        tree.left[node] = lw
-        tree.right[node] = rw
+        _, _, idx, node, depth, (gain, c, pos, thr) = heapq.heappop(heap)
+        left, right = search.children(node, c, pos)
+        f = int(search.cols[c])
+        tree.feature[idx] = f
+        tree.threshold[idx] = thr
+        tree.left[idx] = tree.add_leaf(search.leaf_weight(left))
+        tree.right[idx] = tree.add_leaf(search.leaf_weight(right))
         gain_acc[f] = gain_acc.get(f, 0.0) + gain
         n_leaves += 1
-        push(lw, lorders, depth + 1)
-        push(rw, rorders, depth + 1)
+        push(tree.left[idx], left, depth + 1)
+        push(tree.right[idx], right, depth + 1)
 
 
 @dataclass
@@ -465,6 +595,7 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
             hw = h.copy()
             gw[rows] = g[rows] * w
             hw[rows] = h[rows] * w
+            rows = np.sort(rows)
         elif params.subsample < 1.0:
             m = max(1, math.floor(params.subsample * n))
             rows = np.sort(rng.choice(n, size=m, replace=False))
@@ -480,9 +611,9 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
 
         tree = RegressionTree()
         gain_acc: dict[int, float] = {}
-        orders = ctx.root_orders(rows, cols)
+        search = _TreeSearch(ctx, gw, hw, cols, params)
         grow = _grow_leafwise if params.growth == LEAFWISE else _grow_depthwise
-        grow(tree, ctx, orders, gw, hw, cols, params, gain_acc)
+        grow(tree, search, search.node(rows), params, gain_acc)
         trees.append(tree)
         for f, gsum in gain_acc.items():
             name = feature_names[f]

@@ -94,6 +94,18 @@ class TestBench:
         assert np.array_equal(predict(loaded, X),
                               predict(fitted["model"], X))
 
+    @pytest.mark.parametrize("config", ["xgb-style", "lgbm-style"])
+    def test_loss_curves_per_tree(self, tmp_path, config):
+        out = tmp_path / "out"
+        assert self.bench(out, "--save-models", "--configs", config,
+                          "--encodings", "sinusoidal") == 0
+        (cell,) = json.loads((out / "bench_report.json").read_text())["cells"]
+        model, _ = load_model(out / f"model_{config}_sinusoidal.json")
+        assert len(cell["train_loss"]) == len(cell["val_loss"]) \
+            == len(model.trees)
+        assert cell["best_iteration"] == \
+            int(np.argmin(cell["val_loss"])) + 1
+
     def test_unknown_encoding_is_usage_error(self, tmp_path):
         assert run_cli("bench", "--out", str(tmp_path),
                        "--encodings", "fourier") == 1
@@ -144,6 +156,16 @@ class TestAblation:
             assert row["n_features"] < report["rows"][0]["n_features"]
         assert "positive means removal degrades" in report["sign_convention"]
 
+    def test_loss_curves_per_row(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("ablation", "--out", str(out), "--n-hours", "900",
+                       "--no-timing") == 0
+        report = json.loads((out / "ablation_report.json").read_text())
+        for row in report["rows"]:
+            assert len(row["train_loss"]) == len(row["val_loss"]) > 0
+            assert row["best_iteration"] == \
+                int(np.argmin(row["val_loss"])) + 1
+
     def test_deterministic_with_no_timing(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -154,11 +176,11 @@ class TestAblation:
 
 
 class TestTune:
-    def tune(self, out, budget="6", init="3"):
+    def tune(self, out, budget="6", init="3", cap="20"):
         return run_cli("tune", "--out", str(out), "--n-hours", "600",
                        "--budget", budget, "--init", init,
                        "--delta", "60", "--k", "2",
-                       "--n-estimators-cap", "20", "--no-timing")
+                       "--n-estimators-cap", cap, "--no-timing")
 
     def test_budget_accounting_and_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -178,6 +200,18 @@ class TestTune:
         best_params = json.loads((out / "best_params.json").read_text())
         assert report["best_params"] == best_params
         assert best_params["n_estimators"] <= 20
+
+    def test_records_fitted_n_estimators(self, tmp_path):
+        # The search axis spans 100-1000 trees, so the cap clamps every
+        # trial; the records must name the clamped count that was fitted.
+        out = tmp_path / "out"
+        assert self.tune(out, cap="10") == 0
+        trials = [json.loads(line)
+                  for line in (out / "trials.jsonl").read_text().splitlines()]
+        assert all(t["params"]["n_estimators"] <= 10 for t in trials)
+        report = json.loads((out / "tune_report.json").read_text())
+        assert report["best_point"]["n_estimators"] == \
+            report["best_params"]["n_estimators"]
 
     def test_tuned_no_worse_than_default(self, tmp_path):
         # The default configuration is seeded as the first trial, so the

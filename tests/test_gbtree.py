@@ -1,15 +1,17 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cyclecast import gbtree
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.features import FeatureSpec, build_matrix
 from cyclecast.gbtree import (
-    DEPTHWISE, LEAFWISE, GbtModel, HyperParams,
+    DEPTHWISE, LEAFWISE, MAX_BINS, GbtModel, HyperParams,
     early_stop_triggered, feature_importance, fit, goss_sample, leaf_weight,
     load_model, predict, save_model, split_gain, squared_loss_grad_hess,
 )
@@ -86,13 +88,22 @@ class TestLeafWeightAndGain:
         assert weights[-1] < 1e-5
 
     def test_symmetric_split_no_gain(self):
-        assert split_gain(1.0, 2.0, 1.0, 2.0, 0.0, 0.0) == pytest.approx(0.0)
+        assert split_gain(1.0, 2.0, 2.0, 4.0, 0.0, 0.0) == pytest.approx(0.0)
 
     def test_gain_arithmetic(self):
-        assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 0.0) == pytest.approx(4.0)
+        assert split_gain(-2.0, 1.0, 0.0, 2.0, 0.0, 0.0) == pytest.approx(4.0)
 
     def test_gamma_penalty_rejects(self):
-        assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 100.0) < 0.0
+        assert split_gain(-2.0, 1.0, 0.0, 2.0, 0.0, 100.0) < 0.0
+
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(17)
+        G_L = rng.normal(size=(3, 5))
+        H_L = rng.uniform(0.0, 4.0, size=(3, 5))
+        gains = split_gain(G_L, H_L, 0.7, 4.0, 0.5, 0.1)
+        for idx in np.ndindex(G_L.shape):
+            assert gains[idx] == split_gain(G_L[idx], H_L[idx], 0.7, 4.0,
+                                            0.5, 0.1)
 
 
 class TestStumpOracle:
@@ -163,6 +174,178 @@ class TestSplitEdgeCases:
         model, _ = fit(X, y, stump_params(subsample=0.5))
         assert model.trees[0].feature == [-1]
         assert model.no_splits
+
+
+def hist_stump_params(**kw):
+    # 1000 rows: above MAX_BINS, so the root is searched by histogram.
+    assert 1000 > MAX_BINS
+    return stump_params(**kw)
+
+
+class TestHistogramSearch:
+    """Fits of more than MAX_BINS rows."""
+
+    def test_few_distinct_values_get_exact_threshold(self):
+        rng = np.random.default_rng(18)
+        hour = rng.integers(0, 24, size=1000).astype(float)
+        y = np.where(hour >= 13, 1.0, 0.0) + 0.1 * rng.normal(size=1000)
+        model, _ = fit(hour.reshape(-1, 1), y, hist_stump_params())
+        thr, left_mean, right_mean = brute_force_stump(hour, y)
+        assert model.trees[0].threshold[0] == thr
+        pred = predict(model, hour.reshape(-1, 1))
+        assert np.allclose(pred[hour < thr], left_mean)
+        assert np.allclose(pred[hour >= thr], right_mean)
+
+    @pytest.mark.parametrize("params", [
+        HyperParams(n_estimators=3, max_depth=5, subsample=0.8, seed=4),
+        HyperParams(n_estimators=3, max_depth=6, growth=LEAFWISE,
+                    num_leaves=20, goss_a=0.3, goss_b=0.3,
+                    colsample_bytree=0.8, seed=4),
+    ], ids=[DEPTHWISE, LEAFWISE])
+    def test_matches_exact_search_on_few_distinct_values(self, params,
+                                                         monkeypatch):
+        # Every column has at most MAX_BINS distinct values, so each bin is
+        # one value and the histogram search must pick the exact search's
+        # splits; only the summation order of the leaf sums differs.
+        # Column 3 holds only even values where hour < 12, so nodes below
+        # the hour split have empty bins between their values.
+        rng = np.random.default_rng(22)
+        n = 1200
+        X = np.column_stack([
+            rng.integers(0, 24, size=n), rng.integers(0, 7, size=n),
+            np.round(rng.normal(size=n), 1), rng.integers(0, 200, size=n),
+        ]).astype(float)
+        morning = X[:, 0] < 12
+        X[morning, 3] -= X[morning, 3] % 2
+        y = (3.0 * (X[:, 0] >= 12) + 1.5 * (X[:, 3] > 100) + 0.3 * X[:, 1]
+             + 0.3 * X[:, 2] + 0.2 * rng.normal(size=n))
+        hist_model, _ = fit(X, y, params)
+        monkeypatch.setattr(gbtree, "MAX_BINS", 10 * n)
+        exact_model, _ = fit(X, y, params)
+        for a, b in zip(hist_model.trees, exact_model.trees):
+            assert a.feature == b.feature
+            assert a.threshold == b.threshold
+            assert a.left == b.left and a.right == b.right
+            assert np.allclose(a.value, b.value, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("growth", [DEPTHWISE, LEAFWISE])
+    def test_training_rows_land_in_their_leaf(self, growth):
+        # Quantile-binned, tied and per-value-binned columns; each leaf's
+        # training rows must reproduce its weight -G/(H + lambda).
+        rng = np.random.default_rng(19)
+        n = 1000
+        X = np.column_stack([
+            rng.normal(size=n),
+            rng.integers(0, 400, size=n).astype(float),
+            np.round(rng.normal(size=n), 1),
+        ])
+        y = X[:, 0] + 0.01 * X[:, 1] + np.sin(3 * X[:, 2]) \
+            + 0.1 * rng.normal(size=n)
+        params = HyperParams(n_estimators=1, learning_rate=1.0, max_depth=5,
+                             reg_lambda=2.0, min_child_weight=3.0,
+                             growth=growth, num_leaves=12)
+        model, _ = fit(X, y, params)
+        pred = predict(model, X)
+        g = model.base_score - y
+        groups = np.unique(pred)
+        assert groups.size == model.trees[0].n_leaves > 8
+        for value in groups:
+            rows = pred == value
+            assert rows.sum() >= params.min_child_weight
+            expected = -g[rows].sum() / (rows.sum() + params.reg_lambda)
+            assert value - model.base_score == pytest.approx(
+                expected, rel=1e-9, abs=1e-12)
+
+    def test_constant_and_duplicate_columns(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=1000)
+        y = np.sin(2 * x) + 0.1 * rng.normal(size=1000)
+        X = np.column_stack([np.full(1000, 2.5), x, x])
+        model, _ = fit(X, y, HyperParams(n_estimators=3, max_depth=4))
+        for tree in model.trees:
+            assert set(tree.feature) == {-1, 1}
+        assert set(model.gain_by_feature) == {"f1"}
+
+    @pytest.mark.parametrize("growth", [DEPTHWISE, LEAFWISE])
+    def test_no_lambda_no_child_weight_no_warning(self, growth):
+        # Child histograms have empty bins, so some candidate sides have
+        # H + lambda = 0.
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(1000, 3))
+        y = X[:, 0] * X[:, 1] + 0.1 * rng.normal(size=1000)
+        params = HyperParams(n_estimators=5, max_depth=8, reg_lambda=0.0,
+                             min_child_weight=0.0, growth=growth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, log = fit(X, y, params)
+        assert np.all(np.isfinite(predict(model, X)))
+        assert log.train_loss[-1] < log.train_loss[0]
+
+
+class TestSmallFitPinned:
+    """Fits of at most MAX_BINS rows are searched exactly; these trees are
+    the exact engine's, recorded before histogram search was added."""
+
+    def data(self):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(120, 3))
+        X[:, 2] = np.round(X[:, 2])
+        y = X[:, 0] + np.where(X[:, 2] > 0, 1.0, -1.0) \
+            + 0.3 * rng.normal(size=120)
+        return X, y
+
+    def test_depthwise_subsample(self):
+        X, y = self.data()
+        model, _ = fit(X, y, HyperParams(n_estimators=2, max_depth=2,
+                                         subsample=0.8, seed=3))
+        assert [t.to_dict() for t in model.trees] == [
+            {"feature": [2, 0, -1, -1, 0, -1, -1],
+             "threshold": [0.5, 0.25427751160860823, 0.0, 0.0,
+                           -0.24821332031166243, 0.0, 0.0],
+             "left": [1, 2, -1, -1, 5, -1, -1],
+             "right": [4, 3, -1, -1, 6, -1, -1],
+             "value": [0.0, 0.0, -1.171801643596259, 0.46955341185786753,
+                       0.0, 0.5617243249871517, 2.0225055456518453]},
+            {"feature": [2, 0, -1, -1, 0, -1, -1],
+             "threshold": [0.5, 0.49778476806938743, 0.0, 0.0,
+                           -0.6783095584884039, 0.0, 0.0],
+             "left": [1, 2, -1, -1, 5, -1, -1],
+             "right": [4, 3, -1, -1, 6, -1, -1],
+             "value": [0.0, 0.0, -1.0516519758008906, 0.48892933423660895,
+                       0.0, 0.17389478545022685, 1.6734265829395492]},
+        ]
+        assert model.gain_by_feature == {"f2": 65.16172480838792,
+                                         "f0": 54.44114583775183}
+
+    def test_leafwise_goss_colsample(self):
+        X, y = self.data()
+        params = HyperParams(n_estimators=2, max_depth=3, growth=LEAFWISE,
+                             num_leaves=4, goss_a=0.3, goss_b=0.3,
+                             colsample_bytree=0.6, seed=3)
+        model, _ = fit(X, y, params)
+        assert [t.to_dict() for t in model.trees] == [
+            {"feature": [0, 0, -1, 1, -1, -1, -1],
+             "threshold": [0.22807044551727365, -1.0695303363077582, 0.0,
+                           1.3525457175787783, 0.0, 0.0, 0.0],
+             "left": [1, 3, -1, 5, -1, -1, -1],
+             "right": [2, 4, -1, 6, -1, -1, -1],
+             "value": [0.09702124740071831, -0.5932035871920018,
+                       1.135092479374665, -1.2240641201608327,
+                       -0.316665969755576, -1.4561399561614485,
+                       0.5124025482910514]},
+            {"feature": [2, 1, -1, -1, 1, -1, -1],
+             "threshold": [0.5, -1.1337887406130975, 0.0, 0.0,
+                           -0.15656413132917318, 0.0, 0.0],
+             "left": [1, 3, -1, -1, 5, -1, -1],
+             "right": [2, 4, -1, -1, 6, -1, -1],
+             "value": [0.021272920496752244, -0.5309663132229536,
+                       1.4307399079413385, -1.1344575278661542,
+                       -0.4617539509584355, -0.058276112736134006,
+                       -0.657432474917407]},
+        ]
+        assert model.gain_by_feature == {"f0": 49.88800919452808,
+                                         "f1": 9.52701335188615,
+                                         "f2": 47.470796977577294}
 
 
 class TestFit:
