@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 import traceback
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__, evaluation, gbtree, tuner
 from .dataset import (
     SyntheticConfig, generate_synthetic, load_csv, write_csv,
+    write_series_csv,
 )
 from .encoding import STRATEGIES
 from .errors import ConfigError, CyclecastError, DataError
@@ -554,11 +556,8 @@ def cmd_predict(args) -> int:
 
     pred_path = out_dir / "predictions.csv"
     offset = matrix.dropped_warmup
-    with open(pred_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["datetime", "prediction"])
-        for ts, p in zip(frame.timestamps[offset:].tolist(), pred):
-            writer.writerow([ts.isoformat(sep=" "), repr(float(p))])
+    write_series_csv(pred_path, ["datetime", "prediction"],
+                     frame.timestamps[offset:], [pred])
 
     report = {
         "experiment": "predict",
@@ -595,6 +594,21 @@ COMMANDS = {
 }
 
 
+def _discard_stdout():
+    """Point stdout's file descriptor at os.devnull, so that the
+    interpreter's final flush of what a closed pipe refused cannot raise
+    again. A stdout without a descriptor holds nothing for that flush."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -603,7 +617,11 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        status = run(argv)
+        if sys.stdout is not None:  # None when started with stdout closed
+            # A reader that closed a buffered stdout shows here, not at exit.
+            sys.stdout.flush()
+        return status
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -613,6 +631,12 @@ def main(argv=None) -> int:
     except CyclecastError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # The reader closed stdout early (`cyclecast bench | head`). Every
+        # command prints only after its artefacts are written, so the run
+        # succeeded.
+        _discard_stdout()
+        return EXIT_OK
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

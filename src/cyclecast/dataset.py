@@ -9,6 +9,7 @@ CSV row whose timestamp carries a UTC offset is rejected.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -46,6 +47,10 @@ DEFAULT_TIME_COL = "datetime"
 DEFAULT_START = datetime(2023, 1, 1, 0, 0, 0)
 _EPOCH = datetime(1970, 1, 1)
 _ONE_HOUR = np.timedelta64(1, "h")
+
+# Rows per chunk when reading or writing a CSV: enough to amortise each
+# chunk's numpy calls, few enough to keep peak memory flat.
+CHUNK_ROWS = 1024
 
 # Base level added to the synthetic target so loads stay positive.
 SYNTHETIC_BASE_LEVEL = 2.0
@@ -128,6 +133,66 @@ class SyntheticConfig:
             raise ConfigError("amplitudes must be >= 0")
 
 
+def _parse_rows(rows, first_row, time_idx, col_idx, rejected):
+    """Parse rows one by one; the only definition of a rejected row.
+
+    Appends (row_index, reason) to `rejected` for each row it rejects,
+    numbering rows from `first_row`. Returns the accepted rows'
+    microseconds since the epoch and their values, one row of the
+    (n_columns, n_accepted) block per column of `col_idx`.
+    """
+    micros = []
+    values = {name: [] for name in col_idx}
+    for row_index, row in enumerate(rows, first_row):
+        try:
+            ts = datetime.fromisoformat(row[time_idx].strip())
+        except (ValueError, IndexError):
+            rejected.append((row_index, "unparseable timestamp"))
+            continue
+        if ts.tzinfo is not None:
+            rejected.append((row_index, "timestamp has a UTC offset"))
+            continue
+        parsed = {}
+        bad = None
+        for name, j in col_idx.items():
+            try:
+                parsed[name] = float(row[j])
+            except (ValueError, IndexError):
+                bad = f"unparseable numeric in column {name!r}"
+                break
+            if not math.isfinite(parsed[name]):
+                bad = f"non-finite value in column {name!r}"
+                break
+        if bad is not None:
+            rejected.append((row_index, bad))
+            continue
+        micros.append((ts - _EPOCH) // datetime.resolution)
+        for name in col_idx:
+            values[name].append(parsed[name])
+    return micros, np.array(list(values.values()), dtype=np.float64)
+
+
+def _parse_clean(rows, time_idx, col_idx):
+    """`_parse_rows`'s result for rows of which it rejects none, parsed
+    column by column; None when some row is short, has an unparseable
+    cell or a UTC offset, or holds a non-finite value."""
+    if min(map(len, rows)) <= max(time_idx, *col_idx.values()):
+        return None
+    cells = list(zip(*rows))
+    try:
+        stamps = list(map(datetime.fromisoformat,
+                          map(str.strip, cells[time_idx])))
+        block = np.array([list(map(float, cells[j]))
+                          for j in col_idx.values()])
+    except ValueError:
+        return None
+    if any(ts.tzinfo is not None for ts in stamps):
+        return None
+    if not np.isfinite(block).all():
+        return None
+    return [(ts - _EPOCH) // datetime.resolution for ts in stamps], block
+
+
 def load_csv(path, time_col: str = DEFAULT_TIME_COL,
              target_name: str = "global_active_power",
              allow_missing_target: bool = False) -> TimeSeriesFrame:
@@ -139,6 +204,10 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
     the path and the same 0-based data-row index. With
     ``allow_missing_target`` a file without the target column loads with
     that column filled by NaN (prediction-only input).
+
+    Rows are read CHUNK_ROWS at a time. A chunk in which every row parses
+    is converted column by column; any other chunk goes row by row
+    through `_parse_rows`, which alone decides rejections.
     """
     path = Path(path)
     if not path.exists():
@@ -165,39 +234,23 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
         time_idx = header.index(time_col)
         col_idx = {schema[src]: header.index(src) for src in schema}
 
-        micros = []
-        values = {name: [] for name in col_idx}
+        micro_chunks = []
+        blocks = []
         rejected = []
-        for row_index, row in enumerate(reader):
-            try:
-                ts = datetime.fromisoformat(row[time_idx].strip())
-            except (ValueError, IndexError):
-                rejected.append((row_index, "unparseable timestamp"))
-                continue
-            if ts.tzinfo is not None:
-                rejected.append((row_index, "timestamp has a UTC offset"))
-                continue
-            parsed = {}
-            bad = None
-            for name, j in col_idx.items():
-                try:
-                    parsed[name] = float(row[j])
-                except (ValueError, IndexError):
-                    bad = f"unparseable numeric in column {name!r}"
-                    break
-                if not math.isfinite(parsed[name]):
-                    bad = f"non-finite value in column {name!r}"
-                    break
-            if bad is not None:
-                rejected.append((row_index, bad))
-                continue
-            micros.append((ts - _EPOCH) // datetime.resolution)
-            for name in col_idx:
-                values[name].append(parsed[name])
+        first_row = 0
+        while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+            parsed = _parse_clean(rows, time_idx, col_idx)
+            if parsed is None:
+                parsed = _parse_rows(rows, first_row, time_idx, col_idx,
+                                     rejected)
+            micros, block = parsed
+            micro_chunks.append(np.array(micros, dtype=np.int64))
+            blocks.append(block)
+            first_row += len(rows)
 
-    if not micros:
+    if not sum(map(len, micro_chunks)):
         raise DataError(f"{path}: no valid data rows")
-    timestamps = np.array(micros, dtype=np.int64).view("datetime64[us]")
+    timestamps = np.concatenate(micro_chunks).view("datetime64[us]")
     disorder = _first_disorder(timestamps)
     if disorder is not None:
         kind, row = disorder
@@ -207,10 +260,9 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
             row += 1
         raise DataError(f"{path}: {kind} timestamp at row {row}")
 
-    columns = {name: np.asarray(vals, dtype=np.float64)
-               for name, vals in values.items()}
+    columns = dict(zip(col_idx, np.concatenate(blocks, axis=1)))
     if target_missing:
-        columns[target_name] = np.full(len(micros), np.nan)
+        columns[target_name] = np.full(len(timestamps), np.nan)
     return TimeSeriesFrame(
         timestamps=timestamps,
         columns=columns,
@@ -219,20 +271,46 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
     )
 
 
+def write_series_csv(path, header, timestamps, columns) -> None:
+    """Write CSV rows of a timestamp and float values, CHUNK_ROWS at a time.
+
+    The bytes equal what csv.writer writes for the rows
+    ``[ts.isoformat(sep=" "), repr(float(v)), ...]`` under `header`.
+    """
+    timestamps = np.asarray(timestamps).astype("datetime64[us]", copy=False)
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(timestamps), CHUNK_ROWS):
+            chunk = slice(start, start + CHUNK_ROWS)
+            fh.write(_format_rows(timestamps[chunk],
+                                  [c[chunk] for c in columns]))
+
+
+def _format_rows(timestamps, columns):
+    """One chunk's CSV lines, each ended by "\\r\\n" like csv.writer's."""
+    stamps = np.datetime_as_string(timestamps, unit="s")
+    fraction = timestamps.view(np.int64) % 1_000_000 != 0
+    if fraction.any():
+        # isoformat prints microseconds only where they are non-zero.
+        stamps = np.where(fraction,
+                          np.datetime_as_string(timestamps, unit="us"),
+                          stamps)
+    cells = [stamps.tolist()]
+    cells += [list(map(repr, c.tolist())) for c in columns]
+    text = "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+    # The ISO separator is the only "T" in the text: a float's repr is
+    # digits, ".", "e", a sign, "inf" or "nan".
+    return text.replace("T", " ")
+
+
 def write_csv(frame: TimeSeriesFrame, path) -> None:
     """Write a frame in the canonical CSV schema (round-trips load_csv)."""
-    path = Path(path)
     names = [n for n in CANONICAL_COLUMNS if n in frame.columns]
-    extra = [n for n in frame.columns if n not in CANONICAL_COLUMNS]
-    names += extra
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [DEFAULT_TIME_COL] + [_CSV_HEADER.get(n, n) for n in names]
-        writer.writerow(header)
-        for i, ts in enumerate(frame.timestamps.tolist()):
-            row = [ts.isoformat(sep=" ")]
-            row += [repr(float(frame.columns[n][i])) for n in names]
-            writer.writerow(row)
+    names += [n for n in frame.columns if n not in CANONICAL_COLUMNS]
+    header = [DEFAULT_TIME_COL] + [_CSV_HEADER.get(n, n) for n in names]
+    write_series_csv(path, header, frame.timestamps,
+                     [frame.columns[n] for n in names])
 
 
 def generate_synthetic(config: SyntheticConfig) -> TimeSeriesFrame:

@@ -211,20 +211,23 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return sum(1 for f in self.feature if f == -1)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]))]
+    def predict(self, XT: np.ndarray) -> np.ndarray:
+        """Leaf values for the rows of XT, a column-major matrix shaped
+        (n_features, n_rows): each row of XT is one feature."""
+        out = np.empty(XT.shape[1])
+        stack = [(0, np.arange(XT.shape[1]))]
         while stack:
             node, rows = stack.pop()
-            if rows.size == 0:
-                continue
             f = self.feature[node]
             if f < 0:
                 out[rows] = self.value[node]
                 continue
-            mask = X[rows, f] < self.threshold[node]
-            stack.append((self.left[node], rows[mask]))
-            stack.append((self.right[node], rows[~mask]))
+            mask = XT[f][rows] < self.threshold[node]
+            left, right = rows.compress(mask), rows.compress(~mask)
+            if left.size:
+                stack.append((self.left[node], left))
+            if right.size:
+                stack.append((self.right[node], right))
         return out
 
     def to_dict(self) -> dict:
@@ -577,7 +580,10 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
     ctx = _SplitContext(X)
     base_score = float(np.mean(y))
     pred = np.full(n, base_score)
-    val_pred = None if X_val is None else np.full(X_val.shape[0], base_score)
+    val_pred = XT_val = None
+    if X_val is not None:
+        val_pred = np.full(X_val.shape[0], base_score)
+        XT_val = np.ascontiguousarray(X_val.T)
 
     rng = np.random.default_rng(params.seed)
     trees = []
@@ -619,10 +625,10 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
             name = feature_names[f]
             gain_by_feature[name] = gain_by_feature.get(name, 0.0) + gsum
 
-        pred = pred + eta * tree.predict(X)
+        pred = pred + eta * tree.predict(ctx.XT)
         log.train_loss.append(_rmse(y, pred))
         if X_val is not None:
-            val_pred = val_pred + eta * tree.predict(X_val)
+            val_pred = val_pred + eta * tree.predict(XT_val)
             log.val_loss.append(_rmse(y_val, val_pred))
             if early_stop_triggered(log.val_loss, it, params.patience):
                 log.stop_reason = "early_stop"
@@ -669,8 +675,9 @@ def predict(model: GbtModel, X):
         )
     out = np.full(X.shape[0], model.base_score)
     eta = model.params.learning_rate
+    XT = np.ascontiguousarray(X.T)
     for tree in model.trees[: model.best_iteration]:
-        out = out + eta * tree.predict(X)
+        out = out + eta * tree.predict(XT)
     return out
 
 

@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -368,3 +371,34 @@ class TestPlumbing:
         monkeypatch.setitem(cli.COMMANDS, "synth", broken)
         assert main(["synth"]) == 3
         assert "internal error: TypeError: boom" in capsys.readouterr().err
+
+    def test_closed_stdout_is_success(self, tmp_path, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--n-hours", "30"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "synth_report.json").is_file()
+
+    def test_no_stdout_is_success(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)  # as under `cyclecast >&-`
+        assert main(["synth", "--out", str(tmp_path), "--n-hours", "30"]) == 0
+
+    @pytest.mark.parametrize("buffering", [1, -1], ids=["line", "block"])
+    def test_closed_pipe_descriptor_points_at_devnull(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      buffering):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)  # the reader has gone, as after `| head`
+        pipe = open(write_fd, "w", buffering=buffering, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", pipe)
+        try:
+            assert main(["synth", "--out", str(tmp_path),
+                         "--n-hours", "30"]) == 0
+            print("flushed at exit", file=pipe)
+        finally:
+            pipe.close()
+        assert capsys.readouterr().err == ""

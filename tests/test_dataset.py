@@ -1,9 +1,13 @@
+import csv
+import math
+from datetime import datetime
+
 import numpy as np
 import pytest
 
 from cyclecast.dataset import (
-    SyntheticConfig, TimeSeriesFrame, generate_synthetic, load_csv,
-    write_csv, CANONICAL_COLUMNS,
+    CHUNK_ROWS, SyntheticConfig, TimeSeriesFrame, generate_synthetic,
+    load_csv, write_csv, write_series_csv, CANONICAL_COLUMNS,
 )
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.evaluation import train_rows
@@ -138,6 +142,150 @@ class TestLoadCsv:
         out = tmp_path / "out.csv"
         write_csv(load_csv(path), out)
         assert out.read_text().splitlines()[1] == text
+
+
+def hourly(n, start="2023-01-01T00"):
+    stamps = np.datetime64(start, "s") + np.arange(n) * np.timedelta64(1, "h")
+    return [str(ts).replace("T", " ") for ts in stamps]
+
+
+def per_row_reference(path):
+    """Accepted rows of a CSV in HEADER's layout, parsed one at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    stamps, values = [], []
+    for r in rows:
+        try:
+            ts = datetime.fromisoformat(r[0].strip())
+            vals = [float(c) for c in r[1:8]]
+        except (ValueError, IndexError):
+            continue
+        if ts.tzinfo is None and len(vals) == 7 and all(map(math.isfinite,
+                                                             vals)):
+            stamps.append(ts)
+            values.append(vals)
+    return np.array(stamps, dtype="datetime64[us]"), np.array(values)
+
+
+class TestLoadCsvChunks:
+    """Rows are parsed CHUNK_ROWS at a time; row numbers stay global."""
+
+    def test_rejected_rows_numbered_across_chunks(self, tmp_path):
+        stamps = hourly(2 * CHUNK_ROWS + 10)
+        rows = [row(ts) for ts in stamps]
+        bad = [CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1]
+        rows[bad[0]] = row(stamps[bad[0]], "oops")
+        rows[bad[1]] = row(stamps[bad[1]] + "+00:00")
+        rows[bad[2]] = row(stamps[bad[2]], "inf")
+        frame = load_csv(make_csv(tmp_path, rows))
+        assert frame.rejected_rows == (
+            (bad[0], "unparseable numeric in column 'global_active_power'"),
+            (bad[1], "timestamp has a UTC offset"),
+            (bad[2], "non-finite value in column 'global_active_power'"),
+        )
+        assert len(frame) == len(rows) - 3
+
+    def test_duplicate_across_chunk_boundary_names_csv_row(self, tmp_path):
+        stamps = hourly(CHUNK_ROWS + 5)
+        rows = [row(ts) for ts in stamps]
+        rows[3] = row(stamps[3], "oops")  # shifts accepted indices by one
+        rows[CHUNK_ROWS] = row(stamps[CHUNK_ROWS - 1])
+        path = make_csv(tmp_path, rows)
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == \
+            f"{path}: duplicate timestamp at row {CHUNK_ROWS}"
+
+    def test_blank_and_short_rows_rejected(self, tmp_path):
+        stamps = hourly(CHUNK_ROWS + 50)
+        rows = [row(ts) for ts in stamps]
+        rows[10] = f"{stamps[10]},1.0"
+        rows[CHUNK_ROWS - 1] = ""
+        # One cell short, alone in its chunk.
+        rows[CHUNK_ROWS + 9] = rows[CHUNK_ROWS + 9].rsplit(",", 1)[0]
+        frame = load_csv(make_csv(tmp_path, rows))
+        assert frame.rejected_rows == (
+            (10, "unparseable numeric in column 'global_reactive_power'"),
+            (CHUNK_ROWS - 1, "unparseable timestamp"),
+            (CHUNK_ROWS + 9, "unparseable numeric in column 'sub_metering_3'"),
+        )
+
+    def test_chunked_parse_matches_row_reference(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = 3 * CHUNK_ROWS + 17
+        stamps = hourly(n, "1969-12-30T00")
+        rows = []
+        for i, ts in enumerate(stamps):
+            if i % 97 == 5:
+                ts += f".{rng.integers(1, 10**6):06d}"
+            cells = rng.normal(size=7) * 10.0 ** rng.integers(-300, 300, 7)
+            rows.append(",".join([ts] + [repr(float(c)) for c in cells]))
+        for i in (7, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3):
+            rows[i] = row(stamps[i], "nan")
+        rows[2 * CHUNK_ROWS] = ""
+        rows[n - 1] = rows[n - 1].split(",")[0]
+        path = make_csv(tmp_path, rows)
+        frame = load_csv(path)
+        stamps_ref, values_ref = per_row_reference(path)
+        assert [r for r, _ in frame.rejected_rows] == [
+            7, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS,
+            2 * CHUNK_ROWS + 3, n - 1]
+        assert np.array_equal(frame.timestamps, stamps_ref)
+        values = np.column_stack([frame.columns[c] for c in CANONICAL_COLUMNS])
+        assert np.array_equal(values.view(np.int64), values_ref.view(np.int64))
+
+
+def reference_csv(tmp_path, header, stamps, columns):
+    """The bytes csv.writer writes for isoformat stamps and repr values."""
+    path = tmp_path / "reference.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for ts, *values in zip(stamps.tolist(), *columns):
+            writer.writerow([ts.isoformat(sep=" ")]
+                            + [repr(float(v)) for v in values])
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    def test_matches_csv_writer_reference(self, tmp_path):
+        rng = np.random.default_rng(6)
+        n = 2 * CHUNK_ROWS + 300
+        hours = np.datetime64("2023-01-01", "us") + \
+            np.arange(n) * np.timedelta64(1, "h")
+        # Sub-second stamps in the first and last chunk only, so one chunk
+        # prints whole seconds throughout.
+        micros = np.zeros(n, dtype=np.int64)
+        some = slice(0, CHUNK_ROWS, 7)
+        micros[some] = rng.integers(1, 10**6, micros[some].size)
+        micros[-1] = 999_999
+        stamps = np.concatenate([
+            np.array(["0001-01-01T00:00:00.000001",
+                      "1969-12-31T23:59:59.999999",
+                      "1970-01-01T00:00:00"], dtype="datetime64[us]"),
+            hours + micros.astype("timedelta64[us]"),
+            np.array(["9999-12-31T23:59:59.999999"], dtype="datetime64[us]"),
+        ])
+        extremes = [0.0, -0.0, 1e-6, 1e-5, 1e16, 1e17, 1e20, 1e22, 5e-324,
+                    -2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
+                    1 / 3, 123456789012345678.0, math.inf, -math.inf,
+                    math.nan]
+        values = rng.normal(size=(2, stamps.size)) * \
+            10.0 ** rng.integers(-320, 308, (2, stamps.size))
+        values[0, :len(extremes)] = extremes
+        values[1, -len(extremes):] = extremes
+        path = tmp_path / "out.csv"
+        write_series_csv(path, ["datetime", "a", "b,c"], stamps, values)
+        assert path.read_bytes() == reference_csv(
+            tmp_path, ["datetime", "a", "b,c"], stamps, values)
+
+    def test_frame_matches_csv_writer_reference(self, tmp_path):
+        frame = generate_synthetic(SyntheticConfig(n_hours=CHUNK_ROWS + 9))
+        path = tmp_path / "frame.csv"
+        write_csv(frame, path)
+        assert path.read_bytes() == reference_csv(
+            tmp_path, HEADER.split(","), frame.timestamps,
+            [frame.columns[c] for c in CANONICAL_COLUMNS])
 
 
 class TestGenerateSynthetic:

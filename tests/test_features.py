@@ -130,6 +130,20 @@ class TestEwmMean:
         out = ewm_mean(series, h)
         assert out[-1] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("halflife", [0.5, 1.0, 12.0, 168.0, 1e6])
+    def test_bit_identical_to_array_loop(self, halflife):
+        # The recurrence as a loop over a numpy output array.
+        rng = np.random.default_rng(int(halflife * 10) % 1000)
+        series = rng.normal(size=2000) * 10.0 ** rng.integers(-3, 4, 2000)
+        alpha = 1.0 - 2.0 ** (-1.0 / halflife)
+        ref = np.empty(series.size)
+        ref[0] = series[0]
+        for i in range(1, series.size):
+            ref[i] = alpha * series[i] + (1.0 - alpha) * ref[i - 1]
+        out = ewm_mean(series, halflife)
+        assert out.dtype == np.float64
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
     def test_errors(self):
         with pytest.raises(ConfigError):
             ewm_mean([1.0], 0.0)

@@ -565,6 +565,67 @@ class TestPredict:
         assert np.array_equal(predict(old, X), predict(new, X))
 
 
+def random_tree(rng, n_feat, values, depth=0):
+    """A RegressionTree grown at random; thresholds are drawn from
+    `values`, so some rows sit exactly on a threshold."""
+    tree = gbtree.RegressionTree()
+
+    def grow(depth):
+        if depth == 4 or rng.random() < 0.2:
+            return tree.add_leaf(rng.normal())
+        idx = tree.add_internal(rng.integers(n_feat), rng.choice(values))
+        tree.left[idx] = grow(depth + 1)
+        tree.right[idx] = grow(depth + 1)
+        return idx
+
+    grow(depth)
+    return tree
+
+
+def walk_rows(tree, X):
+    """Per-row reference walk: x[f] < threshold goes left, else right."""
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] < tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out[i] = tree.value[node]
+    return out
+
+
+class TestTreeWalk:
+    def test_column_major_walk_matches_row_walk(self):
+        rng = np.random.default_rng(21)
+        # Few distinct values, so many rows equal a threshold exactly.
+        values = np.array([-1.5, 0.0, 0.25, 2.0, 3.0])
+        X = rng.choice(values, size=(300, 4))
+        XT = np.ascontiguousarray(X.T)
+        on_threshold = 0
+        for _ in range(50):
+            tree = random_tree(rng, 4, values)
+            assert np.array_equal(tree.predict(XT), walk_rows(tree, X))
+            on_threshold += sum(
+                np.count_nonzero(X[:, f] == t)
+                for f, t in zip(tree.feature, tree.threshold) if f >= 0)
+        assert on_threshold > 0
+
+    def test_value_at_threshold_goes_right(self):
+        tree = gbtree.RegressionTree()
+        root = tree.add_internal(1, 0.5)
+        tree.left[root] = tree.add_leaf(-1.0)
+        tree.right[root] = tree.add_leaf(1.0)
+        XT = np.array([[9.0, 9.0, 9.0], [0.5, 0.4999, 0.5001]])
+        assert tree.predict(XT).tolist() == [1.0, -1.0, 1.0]
+
+    def test_leaf_only_tree_and_no_rows(self):
+        tree = gbtree.RegressionTree()
+        tree.add_leaf(2.5)
+        assert tree.predict(np.zeros((3, 4))).tolist() == [2.5] * 4
+        split = random_tree(np.random.default_rng(3), 2, [0.0, 1.0])
+        assert split.predict(np.zeros((2, 0))).size == 0
+
+
 class TestFeatureImportance:
     def test_single_split_concentrates(self):
         x0 = np.array([0.0] * 4 + [1.0] * 4)
