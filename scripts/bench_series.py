@@ -15,8 +15,20 @@ one run at a time, each from its own checkout.
 Untraced runs (trace 0) are paired by workload and seed. For each
 end-to-end metric that BENCHMARK.json declares, the summary gives each
 side's median and quartiles, the number of pairs in which the change was
-better, and the ratio of the medians. Traced runs (trace 1) are listed
-per workload with their per-layer metrics side by side.
+better, the ratio of the medians and a verdict, the first of these that
+holds:
+
+- better: the change wins at least 9 in 10 pairs (ties count for neither
+  side), and its median beats the parent's by more than the parent's
+  quartile distance;
+- worse: the change's median is worse than the parent's by more than the
+  metric's relative `bound` in BENCHMARK.json;
+- unresolved: the parent's quartile distance over its median exceeds the
+  bound, too wide to call the change flat;
+- flat.
+
+Traced runs (trace 1) are listed per workload with their per-layer
+metrics side by side.
 """
 
 import argparse
@@ -54,6 +66,19 @@ def spread(values):
             "iqr_over_median": (q3 - q1) / median}
 
 
+def verdict(parent, change, wins, pairs, better, bound):
+    """better, worse, unresolved or flat; see the module docstring."""
+    p, c = parent["median"], change["median"]
+    gain = p - c if better == "lower" else c - p
+    if 10 * wins >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+        return "better"
+    if -gain > bound * p:
+        return "worse"
+    if parent["iqr_over_median"] > bound:
+        return "unresolved"
+    return "flat"
+
+
 def summarise(parent, change, end_to_end):
     """Per-metric summary of the seeds both sides ran."""
     seeds = sorted(parent)
@@ -63,17 +88,21 @@ def summarise(parent, change, end_to_end):
     if len(seeds) < 2:
         raise SystemExit("at least two pairs are needed for quartiles")
     summary = {}
-    for name, better in end_to_end.items():
+    for name, (better, bound) in end_to_end.items():
         p = [parent[s]["metrics"][name]["value"] for s in seeds]
         c = [change[s]["metrics"][name]["value"] for s in seeds]
         wins = sum((b < a) if better == "lower" else (b > a)
                    for a, b in zip(p, c))
+        p_spread, c_spread = spread(p), spread(c)
         summary[name] = {
-            "parent": spread(p),
-            "change": spread(c),
+            "parent": p_spread,
+            "change": c_spread,
             "change_better_pairs": wins,
             "pairs": len(seeds),
             "median_ratio": statistics.median(c) / statistics.median(p),
+            "bound": bound,
+            "verdict": verdict(p_spread, c_spread, wins, len(seeds), better,
+                               bound),
         }
     for key in ("failed", "attempted"):
         summary[f"{key}_ops"] = {
@@ -92,7 +121,8 @@ def side_by_side(parent, change):
 
 def build(runs_dir, parent_commit, host, description):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: (m["better"], m["bound"])
+                  for m in spec["end_to_end"]}
     runs = load_runs(runs_dir)
     doc = {"description": description, "parent_commit": parent_commit,
            "host": host, "workloads": {}, "traced": {}}
@@ -136,7 +166,8 @@ def main(argv=None):
             if "median_ratio" in s:
                 print(f"{workload:6} {name:12} {s['parent']['median']:12.4f} "
                       f"-> {s['change']['median']:12.4f}  "
-                      f"better {s['change_better_pairs']}/{s['pairs']}")
+                      f"better {s['change_better_pairs']}/{s['pairs']}  "
+                      f"{s['verdict']}")
     return 0
 
 

@@ -166,25 +166,32 @@ def _load_frame(args):
     return generate_synthetic(config), {"synthetic": config.__dict__.copy()}
 
 
+def _read_json_object(path, what) -> dict:
+    """The JSON object in the `what` file at `path`."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such {what} file: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{what} file {path} is not valid JSON: {exc}") \
+            from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} file must hold a JSON object")
+    return doc
+
+
 def _load_spec(args) -> FeatureSpec:
     if args.features is None:
         return FeatureSpec()
-    path = Path(args.features)
-    if not path.exists():
-        raise DataError(f"no such feature-spec file: {path}")
-    return FeatureSpec.from_json(path.read_text(encoding="utf-8"))
+    return FeatureSpec.from_dict(_read_json_object(args.features,
+                                                   "feature-spec"))
 
 
 def _load_param_overrides(args) -> dict:
     if args.params is None:
         return {}
-    path = Path(args.params)
-    if not path.exists():
-        raise DataError(f"no such params file: {path}")
-    overrides = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(overrides, dict):
-        raise ConfigError("params file must hold a JSON object")
-    return overrides
+    return _read_json_object(args.params, "params")
 
 
 def strip_timing(obj):

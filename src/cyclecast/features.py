@@ -7,7 +7,6 @@ defined.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -178,13 +177,6 @@ class FeatureSpec:
         if "temporal" in kwargs:
             kwargs["temporal"] = tuple(tuple(t) for t in kwargs["temporal"])
         return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FeatureSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def group_of(column_name: str) -> str:

@@ -692,6 +692,11 @@ def feature_importance(model: GbtModel) -> dict:
     }
 
 
+# Keys load_model needs besides format_version; save_model writes them all.
+MODEL_KEYS = ("params", "trees", "base_score", "best_iteration",
+              "feature_names", "gain_by_feature")
+
+
 def save_model(model: GbtModel, path, extra: dict | None = None) -> None:
     """Serialize a fitted model to versioned JSON."""
     doc = {
@@ -724,11 +729,20 @@ def load_model(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such model file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"model file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"model file {path} must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {version!r}")
+        raise DataError(f"model file {path} has unsupported format version "
+                        f"{version!r}")
+    missing = [k for k in MODEL_KEYS if k not in doc]
+    if missing:
+        raise DataError(f"model file {path} lacks {', '.join(missing)}")
     params = dict(doc["params"])
     # Files from before the GOSS weighting switch was removed still carry
     # it; prediction never reads it.

@@ -52,6 +52,70 @@ def test_pairs_summarised_per_workload(tmp_path):
     assert traced["dataset.load_csv_s"] == [0.5, 0.2]
 
 
+def test_verdict_per_metric(tmp_path, capsys):
+    # Ten pairs; bounds from BENCHMARK.json: 0.25 for times, 0.1 for RSS.
+    seeds = range(71, 81)
+    tight = [100.0 + 0.1 * i for i in range(10)]
+    values = {
+        # wins 10/10, gap far beyond the parent's quartiles
+        "setup_s": ([1.4 + 0.01 * i for i in range(10)],
+                    [0.26 + 0.001 * i for i in range(10)]),
+        # 30% slower in the median: beyond the 0.25 bound
+        "wall_s": (tight, [130.0 + 0.1 * i for i in range(10)]),
+        # parent's quartile distance is 50% of its median
+        "op_p50_ms": ([50.0, 150.0] * 5, [60.0, 140.0] * 5),
+        # wins 5/10 by a hair
+        "op_p90_ms": (tight, [v + (-0.01 if i % 2 else 0.01)
+                              for i, v in enumerate(tight)]),
+        # wins 8/10 by 20%: below 9 in 10 pairs
+        "peak_rss_mb": (tight, [v * (0.8 if i < 8 else 1.01)
+                                for i, v in enumerate(tight)]),
+    }
+    runs = tmp_path / "runs"
+    for side_index, side in enumerate(("parent", "change")):
+        for i, seed in enumerate(seeds):
+            put_run(runs, side, f"train-seed{seed}-trace0",
+                    {k: v[side_index][i] for k, v in values.items()})
+    out = tmp_path / "BENCH.json"
+    assert bench_series.main([str(runs), "--parent-commit", "abc",
+                              "--host", "test", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["workloads"]["train"]["summary"]
+    verdicts = {k: summary[k]["verdict"] for k in METRICS}
+    assert verdicts == {"setup_s": "better", "wall_s": "worse",
+                        "op_p50_ms": "unresolved", "op_p90_ms": "flat",
+                        "peak_rss_mb": "flat"}
+    assert summary["peak_rss_mb"]["bound"] == 0.1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines] == list(verdicts.values())
+    assert lines[0].split()[1] == "setup_s"
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_verdict_thresholds(better):
+    sign = 1.0 if better == "lower" else -1.0
+    parent = bench_series.spread([100.0, 102.0, 104.0, 106.0, 108.0])
+    q_distance = parent["q3"] - parent["q1"]
+
+    def verdict(change_median, wins, pairs=10):
+        change = {"median": change_median}
+        return bench_series.verdict(parent, change, wins, pairs, better,
+                                    0.25)
+
+    median = parent["median"]
+    # Better needs both 9 in 10 pairs and a gap beyond the quartiles.
+    beyond = median - sign * (q_distance + 0.5)
+    assert verdict(beyond, 9) == "better"
+    assert verdict(beyond, 8) == "flat"
+    assert verdict(median - sign * (q_distance - 0.5), 10) == "flat"
+    assert verdict(beyond, 18, pairs=20) == "better"
+    # Worse is judged against the bound, whatever the pairs say.
+    assert verdict(median + sign * 0.26 * median, 0) == "worse"
+    assert verdict(median + sign * 0.24 * median, 0) == "flat"
+    wide = bench_series.spread([50.0, 150.0, 50.0, 150.0])
+    assert bench_series.verdict(wide, {"median": 100.0}, 5, 10, better,
+                                0.25) == "unresolved"
+
+
 def test_unpaired_seed_is_an_error(tmp_path):
     runs = tmp_path / "runs"
     for seed in (1, 2):

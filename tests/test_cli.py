@@ -1,11 +1,14 @@
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclecast
 from cyclecast import cli, evaluation
 from cyclecast.cli import main, render_table, strip_timing
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
@@ -136,6 +139,27 @@ class TestBench:
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"goss_inverse_weights": False}))
         assert self.bench(tmp_path, "--params", str(path)) == 1
+
+    @pytest.mark.parametrize("flag", ["--params", "--features"])
+    def test_invalid_json_file_is_data_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "broken.json"
+        path.write_text('{"max_depth": ')
+        assert self.bench(tmp_path, flag, str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path} is not valid JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, what", [("--params", "params"),
+                                            ("--features", "feature-spec")])
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"spec"', "null"],
+                             ids=["number", "array", "string", "null"])
+    def test_json_file_not_an_object_is_usage_error(self, tmp_path, capsys,
+                                                    flag, what, text):
+        path = tmp_path / "scalar.json"
+        path.write_text(text)
+        assert self.bench(tmp_path, flag, str(path)) == 1
+        assert f"{what} file must hold a JSON object" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("fraction", ["0", "1.0", "1.5", "-0.1"])
     def test_test_fraction_out_of_range_is_usage_error(self, tmp_path,
@@ -343,6 +367,22 @@ class TestPredict:
         assert run_cli("predict", "--model", str(tmp_path / "nope.json"),
                        "--data", str(tmp_path / "nope.csv")) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"format_version": 1, "trees": [', "is not valid JSON"),
+        ("[]", "must hold a JSON object"),
+        ('{"format_version": 1}', "lacks params, trees, base_score"),
+    ], ids=["truncated", "array", "version-only"])
+    def test_broken_model_file_is_data_error(self, tmp_path, capsys, text,
+                                             message):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        assert run_cli("predict", "--model", str(model),
+                       "--data", str(tmp_path / "nope.csv"),
+                       "--out", str(tmp_path / "pred")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: model file {model} ")
+        assert message in err
+
 
 class TestPlumbing:
     def test_render_table_alignment(self):
@@ -402,3 +442,52 @@ class TestPlumbing:
         finally:
             pipe.close()
         assert capsys.readouterr().err == ""
+
+
+# Runs in a fresh interpreter: pytest's own process already holds scipy.
+COLD_START = """
+import json, sys
+from pathlib import Path
+
+from cyclecast import cli
+
+SCIPY = ("scipy.optimize", "scipy.linalg", "scipy.stats")
+out = Path(sys.argv[1])
+csv = str(out / "synthetic.csv")
+model = str(out / "model_xgb-style_sinusoidal.json")
+steps = [
+    ("synth", ["--n-hours", "400"]),
+    ("bench", ["--data", csv, "--configs", "xgb-style",
+               "--encodings", "sinusoidal", "--save-models"]),
+    ("ablation", ["--data", csv, "--params", str(out / "params.json")]),
+    ("predict", ["--model", model, "--data", csv]),
+    ("tune", ["--data", csv, "--budget", "3", "--init", "2", "--k", "2",
+              "--delta", "48", "--n-estimators-cap", "5"]),
+]
+report = {"import": [m for m in SCIPY if m in sys.modules],
+          "tuner": "cyclecast.tuner" in sys.modules}
+for command, argv in steps:
+    code = cli.main([command, "--out", str(out), "--no-timing", *argv])
+    report[command] = [code, [m for m in SCIPY if m in sys.modules]]
+print(json.dumps(report))
+"""
+
+
+class TestColdStart:
+    def test_only_tune_imports_scipy(self, tmp_path):
+        (tmp_path / "params.json").write_text('{"n_estimators": 10}')
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cyclecast.__file__).parent.parent),
+             os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report.pop("import") == []
+        assert report.pop("tuner") is True
+        tune = report.pop("tune")
+        assert report == {c: [0, []] for c in
+                          ("synth", "bench", "ablation", "predict")}
+        assert tune[0] == 0
+        assert "scipy.optimize" in tune[1]

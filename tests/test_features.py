@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -157,7 +158,8 @@ class TestFeatureSpec:
 
     def test_json_round_trip(self):
         spec = FeatureSpec(rolling_windows=(4, 8), lags=(1, 3))
-        again = FeatureSpec.from_json(spec.to_json())
+        # As a model file stores it: tuples come back from JSON as lists.
+        again = FeatureSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
 
     def test_unknown_key_rejected(self):

@@ -545,6 +545,45 @@ class TestPredict:
         with pytest.raises(DataError, match="version"):
             load_model(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"format_version": 1, "params": ', "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ("5", "must hold a JSON object"),
+    ], ids=["truncated", "array", "number"])
+    def test_malformed_file_is_data_error(self, tmp_path, text, message):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"note": "\xe9"}')
+        with pytest.raises(DataError, match="is not valid JSON"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", gbtree.MODEL_KEYS)
+    def test_missing_key_is_data_error(self, tmp_path, key):
+        model, _ = fit(np.arange(8.0)[:, None], np.arange(8.0),
+                       HyperParams(n_estimators=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"lacks {key}$") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_only_version_names_every_missing_key(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            {"format_version": gbtree.MODEL_FORMAT_VERSION}))
+        with pytest.raises(DataError,
+                           match="lacks " + ", ".join(gbtree.MODEL_KEYS)):
+            load_model(path)
+
     def test_file_with_removed_goss_switch_loads(self, tmp_path):
         # Files written before `goss_inverse_weights` was removed carry it
         # in `params` as false.
