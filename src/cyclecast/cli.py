@@ -194,6 +194,11 @@ def _load_param_overrides(args) -> dict:
     return _read_json_object(args.params, "params")
 
 
+def _with_overrides(params: HyperParams, overrides: dict) -> HyperParams:
+    """`params` with the `--params` overrides applied."""
+    return HyperParams.from_dict({**params.to_dict(), **overrides})
+
+
 def strip_timing(obj):
     """Remove wall-time fields recursively (for --no-timing determinism)."""
     timing_keys = {"train_time_s", "wall_time", "mean_latency_us"}
@@ -277,9 +282,7 @@ def cmd_bench(args) -> int:
     cells = []
     best = None
     for cname in names:
-        params = configs[cname]
-        if overrides:
-            params = HyperParams.from_dict({**params.to_dict(), **overrides})
+        params = _with_overrides(configs[cname], overrides)
         for enc in encodings:
             spec = base_spec.with_encoding(enc)
             result = evaluation.holdout(frame, spec, params,
@@ -368,10 +371,8 @@ def cmd_ablation(args) -> int:
     configs = learner_configs(args.seed)
     if args.config not in configs:
         raise ConfigError(f"unknown learner config {args.config!r}")
-    params = configs[args.config]
-    overrides = _load_param_overrides(args)
-    if overrides:
-        params = HyperParams.from_dict({**params.to_dict(), **overrides})
+    params = _with_overrides(configs[args.config],
+                             _load_param_overrides(args))
 
     frame, source = _load_frame(args)
     spec = _load_spec(args)
@@ -442,13 +443,13 @@ def cmd_tune(args) -> int:
     spec = _load_spec(args)
     if args.encoding is not None:
         spec = spec.with_encoding(args.encoding)
-    overrides = _load_param_overrides(args)
+    # What every trial fits besides the searched point; --params wins.
+    fixed = {"growth": gbtree.DEPTHWISE, "patience": 20, "seed": args.seed,
+             **_load_param_overrides(args)}
     matrix = build_matrix(frame, spec)
     evaluation.cv_plan(matrix, args.k, args.delta)  # a bad layout fails here
     space = tuner.ParamSpace.default()
     cap = args.n_estimators_cap
-
-    fixed = {"growth": gbtree.DEPTHWISE, "patience": 20, "seed": args.seed}
 
     def fitted(point: dict) -> dict:
         """`point` as fitted: n_estimators clamped to the cap. The tuner
@@ -456,46 +457,33 @@ def cmd_tune(args) -> int:
         return {**point, "n_estimators": min(int(point["n_estimators"]), cap)}
 
     def to_params(point: dict) -> HyperParams:
-        d = fitted(point)
-        d.update(fixed)
-        d.update(overrides)
-        return HyperParams.from_dict(d)
+        return HyperParams.from_dict({**fitted(point), **fixed})
 
     def objective(point: dict) -> float:
         params = to_params(point)
         return evaluation.cross_validate(
             matrix, params, args.k, args.delta).cv_score
 
-    defaults = HyperParams(seed=args.seed)
-    default_point = {
-        "learning_rate": defaults.learning_rate,
-        "max_depth": defaults.max_depth,
-        "n_estimators": min(defaults.n_estimators, cap),
-        "min_child_weight": defaults.min_child_weight,
-        "subsample": defaults.subsample,
-        "colsample_bytree": defaults.colsample_bytree,
-        "gamma": defaults.gamma,
-    }
+    defaults = HyperParams().to_dict()
+    default_point = fitted({d.name: defaults[d.name]
+                            for d in space.dimensions})
+    to_params(default_point)  # bad --params values fail here, not per trial
 
     trials_path = out_dir / "trials.jsonl"
-    stream = open(trials_path, "w", encoding="utf-8")
+    with open(trials_path, "w", encoding="utf-8") as stream:
+        def on_trial(trial):
+            record = trial.to_dict()
+            record["params"] = fitted(record["params"])
+            if args.no_timing:
+                record = strip_timing(record)
+            stream.write(json.dumps(record) + "\n")
+            stream.flush()
 
-    def on_trial(trial):
-        record = trial.to_dict()
-        record["params"] = fitted(record["params"])
-        if args.no_timing:
-            record = strip_timing(record)
-        stream.write(json.dumps(record) + "\n")
-        stream.flush()
-
-    try:
         best_point, trials = tuner.optimize(
             space, objective, budget=args.budget, init=args.init,
             seed=args.seed, initial_points=[default_point],
             on_trial=on_trial,
         )
-    finally:
-        stream.close()
 
     trace = tuner.incumbent_trace(trials)
     with open(out_dir / "convergence.csv", "w", newline="",
@@ -507,7 +495,7 @@ def cmd_tune(args) -> int:
 
     best_params = to_params(best_point)
     default_score = trials[0].objective
-    best_score = min(t.objective for t in trials if not t.failed)
+    best_score = trace[-1]
     report = {
         "experiment": "tune",
         "tool_version": __version__,
@@ -525,9 +513,8 @@ def cmd_tune(args) -> int:
     }
     report = write_report(report, out_dir / "tune_report.json",
                           args.no_timing)
-    with open(out_dir / "best_params.json", "w", encoding="utf-8") as fh:
-        json.dump(best_params.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_report(best_params.to_dict(), out_dir / "best_params.json",
+                 no_timing=False)
     print(render_table(
         ["", "cv_score"],
         [["default", _fmt(default_score)], ["tuned", _fmt(best_score)]],
@@ -543,7 +530,10 @@ def cmd_predict(args) -> int:
     if "feature_spec" not in extra:
         raise DataError("model file carries no feature spec; cannot rebuild "
                         "features from raw data")
-    spec = FeatureSpec.from_dict(extra["feature_spec"])
+    try:
+        spec = FeatureSpec.from_dict(extra["feature_spec"])
+    except ConfigError as exc:
+        raise DataError(f"model file {args.model}: {exc}") from None
     target_name = extra.get("target_name", "global_active_power")
     frame = load_csv(args.data, time_col=args.time_col,
                      target_name=target_name, allow_missing_target=True)

@@ -20,17 +20,7 @@ import numpy as np
 from .encoding import DAYOFWEEK, HOUR
 from .errors import ConfigError, DataError
 
-# Canonical internal column names and the UCI-style CSV headers they map to.
-CANONICAL_COLUMNS = [
-    "global_active_power",
-    "global_reactive_power",
-    "voltage",
-    "global_intensity",
-    "sub_metering_1",
-    "sub_metering_2",
-    "sub_metering_3",
-]
-
+# UCI-style CSV headers and the canonical internal column names they map to.
 DEFAULT_SCHEMA = {
     "Global_active_power": "global_active_power",
     "Global_reactive_power": "global_reactive_power",
@@ -41,6 +31,7 @@ DEFAULT_SCHEMA = {
     "Sub_metering_3": "sub_metering_3",
 }
 
+CANONICAL_COLUMNS = list(DEFAULT_SCHEMA.values())
 _CSV_HEADER = {v: k for k, v in DEFAULT_SCHEMA.items()}
 
 DEFAULT_TIME_COL = "datetime"

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all cyclecast modules."""
+"""Exception hierarchy shared by all cyclecast modules, and the value-type
+checks that their configuration parsers share."""
+
+import math
 
 
 class CyclecastError(Exception):
@@ -15,3 +18,16 @@ class DataError(CyclecastError):
 
 class InvariantError(CyclecastError):
     """Internal invariant violated (CLI exit code 3)."""
+
+
+def is_integer(value) -> bool:
+    """An int that is not a bool (JSON true and false load as bools, which
+    Python counts as ints)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite int or float that is not a bool (Python's JSON reader
+    accepts NaN and Infinity)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))

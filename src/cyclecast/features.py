@@ -13,7 +13,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import encoding
-from .errors import ConfigError, DataError, InvariantError
+from .errors import (
+    ConfigError, DataError, InvariantError, is_integer, is_real,
+)
 
 GROUP_SINUSOIDAL = "Sinusoidal"
 GROUP_ROLLING = "RollingStats"
@@ -76,6 +78,40 @@ def ewm_mean(series, halflife):
         e = alpha * v + decay * e
         out.append(e)
     return np.array(out)
+
+
+def _target_columns(spec):
+    """(name, transform, argument) of each column derived from the target,
+    in emitted order: rolling stats, then lags, then EWM means."""
+    rolling = {"mean": rolling_mean, "std": rolling_std}
+    columns = [(f"rolling_{stat}_{w}h", rolling[stat], w)
+               for w in spec.rolling_windows for stat in spec.rolling_stats]
+    columns += [(f"lag_{k}h", lag, k) for k in spec.lags]
+    for h in spec.ewm_halflives:
+        label = int(h) if float(h).is_integer() else h
+        columns.append((f"ewm_{label}h", ewm_mean, h))
+    return columns
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_term(value) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_is_str, value)))
+
+
+# Per FeatureSpec field, the check each item of its list must pass and
+# how an error message names such items.
+_SPEC_ITEMS = {
+    "rolling_windows": (is_integer, "integers"),
+    "rolling_stats": (_is_str, "strings"),
+    "lags": (is_integer, "integers"),
+    "ewm_halflives": (is_real, "numbers"),
+    "temporal": (_is_term, "[name, strategy] string pairs"),
+    "disabled_groups": (_is_str, "strings"),
+}
 
 
 @dataclass(frozen=True)
@@ -141,14 +177,7 @@ class FeatureSpec:
         for fname, strategy in self.temporal:
             feat = encoding.FEATURES[fname]
             names.extend(encoding.encoded_column_names(feat, strategy))
-        for w in self.rolling_windows:
-            for stat in self.rolling_stats:
-                names.append(f"rolling_{stat}_{w}h")
-        for k in self.lags:
-            names.append(f"lag_{k}h")
-        for h in self.ewm_halflives:
-            label = int(h) if float(h).is_integer() else h
-            names.append(f"ewm_{label}h")
+        names += [name for name, _, _ in _target_columns(self)]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate feature column names in spec")
         return [n for n in names if group_of(n) not in self.disabled_groups]
@@ -165,17 +194,19 @@ class FeatureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown feature-spec keys: {sorted(extra)}")
-        kwargs = {k: v for k, v in d.items()}
-        for key in ("rolling_windows", "rolling_stats", "lags",
-                    "ewm_halflives", "disabled_groups"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "temporal" in kwargs:
-            kwargs["temporal"] = tuple(tuple(t) for t in kwargs["temporal"])
+        kwargs = {}
+        for key, value in d.items():
+            ok, what = _SPEC_ITEMS[key]
+            if not isinstance(value, (list, tuple)) or \
+                    not all(map(ok, value)):
+                raise ConfigError(
+                    f"feature-spec {key!r} must be a list of {what}, "
+                    f"got {value!r}")
+            kwargs[key] = tuple(tuple(v) if key == "temporal" else v
+                                for v in value)
         return cls(**kwargs)
 
 
@@ -245,18 +276,12 @@ def build_matrix(frame, spec: FeatureSpec) -> FeatureMatrix:
         )
     y = frame.target
 
-    columns: dict[str, np.ndarray] = {}
     terms = [(encoding.FEATURES[n], s) for n, s in spec.temporal]
-    columns.update(encoding.expand_temporal(frame, terms))
-    for w in spec.rolling_windows:
-        for stat in spec.rolling_stats:
-            fn = rolling_mean if stat == "mean" else rolling_std
-            columns[f"rolling_{stat}_{w}h"] = fn(y, w)
-    for k in spec.lags:
-        columns[f"lag_{k}h"] = lag(y, k)
-    for h in spec.ewm_halflives:
-        label = int(h) if float(h).is_integer() else h
-        columns[f"ewm_{label}h"] = ewm_mean(y, h)
+    columns = encoding.expand_temporal(frame, terms)
+    emitted = set(names)
+    for name, transform, arg in _target_columns(spec):
+        if name in emitted:
+            columns[name] = transform(y, arg)
 
     values = np.column_stack([columns[n][warmup:] for n in names])
     return FeatureMatrix(

@@ -27,7 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvariantError
+from .errors import (
+    ConfigError, DataError, InvariantError, is_integer, is_real,
+)
 
 DEPTHWISE = "depthwise"
 LEAFWISE = "leafwise"
@@ -37,6 +39,16 @@ MODEL_FORMAT_VERSION = 1
 # Nodes above this many rows are searched by histogram, each column cut
 # into at most this many bins; smaller nodes are searched exactly.
 MAX_BINS = 255
+
+
+# Per field annotation of HyperParams, the check a value must pass and
+# how an error message names such values.
+_FIELD_TYPES = {
+    "int": (is_integer, "an integer"),
+    "float": (is_real, "a number"),
+    "float | None": (lambda v: v is None or is_real(v), "a number or null"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -96,10 +108,15 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperParams":
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
+        fields = cls.__dataclass_fields__
+        extra = set(d) - set(fields)
         if extra:
             raise ConfigError(f"unknown hyperparameter keys: {sorted(extra)}")
+        for key, value in d.items():
+            ok, what = _FIELD_TYPES[fields[key].type]
+            if not ok(value):
+                raise ConfigError(
+                    f"hyperparameter {key!r} must be {what}, got {value!r}")
         return cls(**d)
 
 
@@ -175,6 +192,10 @@ def goss_sample(g, a, b, rng):
     return indices, weights
 
 
+# A tree's parallel node arrays, in the order a saved tree lists them.
+TREE_KEYS = ("feature", "threshold", "left", "right", "value")
+
+
 class RegressionTree:
     """Binary regression tree stored as parallel node arrays.
 
@@ -231,13 +252,7 @@ class RegressionTree:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": list(self.threshold),
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": list(self.value),
-        }
+        return {k: list(getattr(self, k)) for k in TREE_KEYS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
@@ -522,7 +537,11 @@ class GbtModel:
     gain_by_feature: dict
     params: HyperParams
     feature_names: tuple
-    no_splits: bool = False
+
+    @property
+    def no_splits(self) -> bool:
+        """True when no tree split any node."""
+        return not self.gain_by_feature
 
 
 def _rmse(y, pred):
@@ -646,7 +665,6 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
         gain_by_feature=gain_by_feature,
         params=params,
         feature_names=feature_names,
-        no_splits=not gain_by_feature,
     )
     return model, log
 
@@ -747,13 +765,59 @@ def load_model(path):
     # Files from before the GOSS weighting switch was removed still carry
     # it; prediction never reads it.
     params.pop("goss_inverse_weights", None)
+    try:
+        params = HyperParams.from_dict(params)
+    except ConfigError as exc:
+        raise DataError(f"model file {path}: {exc}") from None
+    feature_names = tuple(doc["feature_names"])
+    if not isinstance(doc["trees"], list):
+        raise DataError(f"model file {path}: trees must be a list")
+    trees = [_load_tree(t, len(feature_names), f"model file {path}: tree {i}")
+             for i, t in enumerate(doc["trees"])]
+    best_iteration = doc["best_iteration"]
+    if not (is_integer(best_iteration) and 1 <= best_iteration <= len(trees)):
+        raise DataError(f"model file {path}: best_iteration "
+                        f"{best_iteration!r} is outside [1, {len(trees)}]")
     model = GbtModel(
-        trees=[RegressionTree.from_dict(t) for t in doc["trees"]],
+        trees=trees,
         base_score=float(doc["base_score"]),
-        best_iteration=int(doc["best_iteration"]),
+        best_iteration=best_iteration,
         gain_by_feature={k: float(v) for k, v in doc["gain_by_feature"].items()},
-        params=HyperParams.from_dict(params),
-        feature_names=tuple(doc["feature_names"]),
-        no_splits=bool(doc.get("no_splits", False)),
+        params=params,
+        feature_names=feature_names,
     )
     return model, doc.get("extra", {})
+
+
+def _load_tree(d, n_features, where):
+    """The tree saved as `d`, after checking that `predict` can walk it.
+
+    Raises DataError, prefixed by `where`, when `d` lacks a node array,
+    its arrays differ in length or hold a non-number, a feature index is
+    outside [-1, n_features), or an internal node's child is not numbered
+    after it and below the node count. Both growth policies number
+    children after their parent, so every walk ends at a leaf.
+    """
+    if not isinstance(d, dict):
+        raise DataError(f"{where} is not a JSON object")
+    missing = [k for k in TREE_KEYS if k not in d]
+    if missing:
+        raise DataError(f"{where} lacks {', '.join(missing)}")
+    if not all(isinstance(d[k], list) for k in TREE_KEYS):
+        raise DataError(f"{where}: {', '.join(TREE_KEYS)} must be lists")
+    n = len(d["feature"])
+    if n == 0 or any(len(d[k]) != n for k in TREE_KEYS):
+        raise DataError(f"{where} has no nodes or arrays of unequal length")
+    try:
+        tree = RegressionTree.from_dict(d)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{where} holds a non-numeric node entry") from None
+    for j, (f, left, right) in enumerate(zip(tree.feature, tree.left,
+                                             tree.right)):
+        if not -1 <= f < n_features:
+            raise DataError(f"{where}: node {j} splits on feature {f}, "
+                            f"outside [-1, {n_features})")
+        if f >= 0 and not (j < left < n and j < right < n):
+            raise DataError(f"{where}: node {j} has children {left} and "
+                            f"{right}, not both in ({j}, {n})")
+    return tree

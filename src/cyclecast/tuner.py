@@ -144,6 +144,14 @@ def _matern52(X1, X2, length_scales, signal_var):
     return K, slope, d2
 
 
+def _standardize(y):
+    """(mean, std, (y - mean) / std) of y; std is 1 for a constant y."""
+    mean, std = float(np.mean(y)), float(np.std(y))
+    if std == 0.0:
+        std = 1.0
+    return mean, std, (y - mean) / std
+
+
 class Surrogate:
     """GP posterior over observed trials (inputs in the unit cube)."""
 
@@ -151,11 +159,7 @@ class Surrogate:
         from scipy.linalg import cho_factor, cho_solve
 
         self.X = X
-        self.y_mean = float(np.mean(y))
-        self.y_std = float(np.std(y))
-        if self.y_std == 0.0:
-            self.y_std = 1.0
-        self.y = (y - self.y_mean) / self.y_std
+        self.y_mean, self.y_std, self.y = _standardize(y)
         self.length_scales = length_scales
         self.signal_var = signal_var
         self.noise_var = noise_var
@@ -224,10 +228,7 @@ def gp_fit(X, y, seed=0) -> Surrogate:
         raise DataError("GP inputs and targets must align")
     d = X.shape[1]
 
-    y_mean, y_std = float(y.mean()), float(y.std())
-    if y_std == 0.0:
-        y_std = 1.0
-    ys = (y - y_mean) / y_std
+    ys = _standardize(y)[2]
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(d + 2)]
@@ -312,6 +313,14 @@ def _evaluate(objective, params, iteration):
     )
 
 
+def _best_params(trials):
+    """Parameters of the lowest-objective trial that did not fail."""
+    ok = [t for t in trials if not t.failed]
+    if not ok:
+        raise DataError("every trial failed; no best point")
+    return min(ok, key=lambda t: t.objective).params
+
+
 def optimize(space: ParamSpace, objective, budget, init, seed=42,
              initial_points=None, on_trial=None):
     """Sequential GP/EI minimization of `objective` over `space`.
@@ -339,6 +348,7 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
         unit_points.extend(lhs.random(n_lhs))
 
     trials: list[Trial] = []
+    X_obs, y_obs = [], []
 
     def run(u, iteration):
         params = space.from_unit(np.asarray(u))
@@ -346,15 +356,13 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
         trials.append(trial)
         if on_trial is not None:
             on_trial(trial)
-        return trial
-
-    X_obs, y_obs = [], []
-    for i, u in enumerate(unit_points):
-        trial = run(u, i)
         if not trial.failed:
             # Store the unit coordinates of the *rounded* point actually run.
             X_obs.append(space.to_unit(trial.params))
             y_obs.append(trial.objective)
+
+    for i, u in enumerate(unit_points):
+        run(u, i)
 
     sobol = qmc.Sobol(d=d, scramble=True, seed=int(rng.integers(2 ** 31)))
     for it in range(init, budget):
@@ -375,16 +383,9 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
             u_next = cands[int(np.argmax(ei))]
         else:
             u_next = rng.uniform(size=d)
-        trial = run(u_next, it)
-        if not trial.failed:
-            X_obs.append(space.to_unit(trial.params))
-            y_obs.append(trial.objective)
+        run(u_next, it)
 
-    ok = [t for t in trials if not t.failed]
-    if not ok:
-        raise DataError("every trial failed; no best point")
-    best_trial = min(ok, key=lambda t: t.objective)
-    return best_trial.params, trials
+    return _best_params(trials), trials
 
 
 def random_search(space: ParamSpace, objective, budget, seed=42):
@@ -396,11 +397,7 @@ def random_search(space: ParamSpace, objective, budget, seed=42):
     for it in range(budget):
         params = space.from_unit(rng.uniform(size=space.n_dims))
         trials.append(_evaluate(objective, params, it))
-    ok = [t for t in trials if not t.failed]
-    if not ok:
-        raise DataError("every trial failed; no best point")
-    best_trial = min(ok, key=lambda t: t.objective)
-    return best_trial.params, trials
+    return _best_params(trials), trials
 
 
 def incumbent_trace(trials):

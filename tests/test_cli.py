@@ -161,6 +161,38 @@ class TestBench:
         assert f"{what} file must hold a JSON object" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text, key", [
+        ("--features", '{"lags": 5}', "lags"),
+        ("--features", '{"temporal": ["hour"]}', "temporal"),
+        ("--features", '{"temporal": [["hour", 1]]}', "temporal"),
+        ("--features", '{"lags": ["a"]}', "lags"),
+        ("--features", '{"rolling_windows": [true]}', "rolling_windows"),
+        ("--features", '{"ewm_halflives": ["12"]}', "ewm_halflives"),
+        ("--features", '{"ewm_halflives": [Infinity]}', "ewm_halflives"),
+        ("--params", '{"max_depth": "6"}', "max_depth"),
+        ("--params", '{"max_depth": 6.5}', "max_depth"),
+        ("--params", '{"seed": true}', "seed"),
+        ("--params", '{"learning_rate": "fast"}', "learning_rate"),
+        ("--params", '{"learning_rate": NaN}', "learning_rate"),
+        ("--params", '{"goss_a": [0.2], "goss_b": 0.2}', "goss_a"),
+    ])
+    def test_wrong_typed_value_is_usage_error(self, tmp_path, capsys, flag,
+                                              text, key):
+        path = tmp_path / "values.json"
+        path.write_text(text)
+        assert self.bench(tmp_path, flag, str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert repr(key) in err
+
+    def test_integer_for_real_field_is_accepted(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text('{"subsample": 1, "n_estimators": 5}')
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"ewm_halflives": [12, 1.5]}')
+        assert self.bench(tmp_path, "--params", str(path),
+                          "--features", str(spec)) == 0
+
     @pytest.mark.parametrize("fraction", ["0", "1.0", "1.5", "-0.1"])
     def test_test_fraction_out_of_range_is_usage_error(self, tmp_path,
                                                        fraction):
@@ -253,8 +285,21 @@ class TestTune:
         assert self.tune(a) == 0
         assert self.tune(b) == 0
         assert "wall_time" not in (a / "trials.jsonl").read_text()
-        for name in ("trials.jsonl", "tune_report.json", "convergence.csv"):
+        for name in ("trials.jsonl", "tune_report.json", "convergence.csv",
+                     "best_params.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("text", ['{"max_depth": 6.5}', '{"bogus": 1}',
+                                      '{"goss_a": 0.2}'])
+    def test_bad_params_is_usage_error_before_any_trial(self, tmp_path,
+                                                        text):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli("tune", "--out", str(out), "--n-hours", "600",
+                       "--budget", "3", "--init", "2", "--k", "2",
+                       "--delta", "60", "--params", str(path)) == 1
+        assert not (out / "trials.jsonl").exists()
 
     def test_budget_must_exceed_init(self, tmp_path):
         assert self.tune(tmp_path / "out", budget="3", init="3") == 1
@@ -382,6 +427,79 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: model file {model} ")
         assert message in err
+
+
+# Marks a key that `TestModelChecks` deletes instead of setting.
+DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """A saved five-tree xgb-style model and a CSV it can score."""
+    out = tmp_path_factory.mktemp("small_model")
+    (out / "params.json").write_text('{"n_estimators": 5}')
+    assert run_cli("bench", "--out", str(out), "--n-hours", "900",
+                   "--configs", "xgb-style", "--encodings", "sinusoidal",
+                   "--params", str(out / "params.json"), "--save-models",
+                   "--no-timing") == 0
+    assert run_cli("synth", "--out", str(out), "--n-hours", "400") == 0
+    return out / "model_xgb-style_sinusoidal.json", out / "synthetic.csv"
+
+
+class TestModelChecks:
+    """A model file that `predict` cannot use is a data error naming the
+    file; none of these may crash, and none may hang the tree walk."""
+
+    @pytest.mark.parametrize("where, value, message", [
+        (("trees",), [{}],
+         "tree 0 lacks feature, threshold, left, right, value"),
+        (("trees",), {}, "trees must be a list"),
+        (("trees", 1), [], "tree 1 is not a JSON object"),
+        (("trees", 1, "value"), DELETE, "tree 1 lacks value"),
+        (("trees", 0, "left"), 3, "must be lists"),
+        (("trees", 0, "value"), [0.0], "unequal length"),
+        (("trees", 0, "threshold", 0), "x", "non-numeric"),
+        (("trees", 0, "left", 0), float("inf"), "non-numeric"),
+        (("trees", 0, "feature", 0), 99, "node 0 splits on feature 99"),
+        (("trees", 0, "feature", 0), -2, "node 0 splits on feature -2"),
+        (("trees", 0, "left", 0), 0, "node 0 has children 0 and"),
+        (("trees", 2, "right", 0), 10 ** 6, "tree 2: node 0 has children"),
+        (("best_iteration",), 0, "best_iteration 0 is outside [1, 5]"),
+        (("best_iteration",), 6, "best_iteration 6 is outside [1, 5]"),
+        (("params", "max_depth"), "6", "hyperparameter 'max_depth'"),
+        (("extra", "feature_spec", "lags"), 5, "feature-spec 'lags'"),
+    ], ids=["empty-tree", "trees-not-list", "tree-not-object",
+            "missing-array", "array-not-list", "unequal-lengths",
+            "non-numeric", "infinite-index", "feature-too-large",
+            "feature-below-minus-one", "self-loop", "child-out-of-range",
+            "best-iteration-zero", "best-iteration-too-large",
+            "params-type", "spec-type"])
+    def test_broken_model_is_data_error(self, tmp_path, capsys, small_model,
+                                        where, value, message):
+        model, data = small_model
+        doc = json.loads(model.read_text())
+        assert len(doc["trees"]) == 5
+        # Node 0 of each tree the cases edit splits.
+        assert all(doc["trees"][i]["feature"][0] >= 0 for i in range(3))
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        assert run_cli("predict", "--model", str(broken), "--data",
+                       str(data), "--out", str(tmp_path / "pred")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: model file {broken}")
+        assert message in err
+
+    def test_unedited_model_predicts(self, tmp_path, small_model):
+        model, data = small_model
+        assert run_cli("predict", "--model", str(model), "--data",
+                       str(data), "--out", str(tmp_path / "pred")) == 0
 
 
 class TestPlumbing:

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,6 +230,40 @@ class TestBuildMatrix:
     def test_frame_too_short(self):
         with pytest.raises(DataError):
             build_matrix(self.frame(100), FeatureSpec())
+
+    def test_every_column_kind_under_every_ablation(self):
+        spec = FeatureSpec(
+            rolling_windows=(3, 8), rolling_stats=("mean", "std"),
+            lags=(1, 5), ewm_halflives=(12.0, 1.5),
+            temporal=tuple((name, strategy)
+                           for name in ("hour", "dayofweek", "month")
+                           for strategy in ("sinusoidal", "ordinal",
+                                            "onehot")),
+        )
+        frame = self.frame(300)
+        y = frame.target
+        transforms = {
+            "rolling_mean_3h": rolling_mean(y, 3),
+            "rolling_std_3h": rolling_std(y, 3),
+            "rolling_mean_8h": rolling_mean(y, 8),
+            "rolling_std_8h": rolling_std(y, 8),
+            "lag_1h": lag(y, 1),
+            "lag_5h": lag(y, 5),
+            "ewm_12h": ewm_mean(y, 12.0),
+            "ewm_1.5h": ewm_mean(y, 1.5),
+        }
+        full = spec.column_names()
+        assert [n for n in full if n in transforms] == list(transforms)
+        for r in range(len(GROUPS)):  # every group set but all of them
+            for disabled in itertools.combinations(GROUPS, r):
+                sub = replace(spec, disabled_groups=disabled)
+                m = build_matrix(frame, sub)
+                assert list(m.column_names) == sub.column_names()
+                assert m.dropped_warmup == 7  # rolling_*_8h's lookback
+                for name, expected in transforms.items():
+                    if name in m.column_names:
+                        col = m.values[:, m.column_names.index(name)]
+                        assert np.array_equal(col, expected[7:]), name
 
 
 class TestAblate:

@@ -690,6 +690,17 @@ class TestFeatureImportance:
         assert model.no_splits
         assert all(v == 0.0 for v in feature_importance(model).values())
 
+    def test_no_splits_follows_gain_through_a_file(self, tmp_path):
+        X = np.zeros((5, 2))
+        flat, _ = fit(X, np.full(5, 1.0), HyperParams(n_estimators=2))
+        split, _ = fit(np.arange(8.0)[:, None], np.arange(8.0),
+                       HyperParams(n_estimators=2))
+        for model, expected in ((flat, True), (split, False)):
+            path = tmp_path / "model.json"
+            save_model(model, path)
+            assert json.loads(path.read_text())["no_splits"] is expected
+            assert load_model(path)[0].no_splits is expected
+
 
 class TestHyperParamsValidation:
     def test_goss_bounds(self):
