@@ -21,12 +21,14 @@ import numpy as np
 
 from . import __version__, evaluation, gbtree, tuner
 from .dataset import (
-    SyntheticConfig, generate_synthetic, load_csv, write_csv,
+    TARGET_NAME, SyntheticConfig, generate_synthetic, load_csv, write_csv,
     write_series_csv,
 )
 from .encoding import STRATEGIES
 from .errors import ConfigError, CyclecastError, DataError
-from .features import FeatureSpec, ablate, build_matrix
+from .features import (
+    FeatureSpec, ablate, build_matrix, needs_target_history,
+)
 from .gbtree import HyperParams
 
 EXIT_OK = 0
@@ -307,7 +309,7 @@ def cmd_bench(args) -> int:
                     result["model"],
                     out_dir / f"model_{cname}_{enc}.json",
                     extra={"feature_spec": spec.to_dict(),
-                           "target_name": frame.target_name},
+                           "target_name": TARGET_NAME},
                 )
 
     # Relative RMSE improvement of sinusoidal over the ordinal baseline.
@@ -528,18 +530,20 @@ def cmd_predict(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model, extra = gbtree.load_model(args.model)
     if "feature_spec" not in extra:
-        raise DataError("model file carries no feature spec; cannot rebuild "
-                        "features from raw data")
+        raise DataError(f"model file {args.model} carries no feature spec; "
+                        "cannot rebuild features from raw data")
     try:
         spec = FeatureSpec.from_dict(extra["feature_spec"])
     except ConfigError as exc:
         raise DataError(f"model file {args.model}: {exc}") from None
-    target_name = extra.get("target_name", "global_active_power")
+    target_name = extra.get("target_name", TARGET_NAME)
+    if target_name != TARGET_NAME:
+        raise DataError(f"model file {args.model}: target_name "
+                        f"{target_name!r} is not {TARGET_NAME!r}")
     frame = load_csv(args.data, time_col=args.time_col,
-                     target_name=target_name, allow_missing_target=True)
+                     allow_missing_target=True)
     have_target = bool(np.all(np.isfinite(frame.target)))
-    if not have_target and (spec.rolling_windows or spec.lags
-                            or spec.ewm_halflives):
+    if not have_target and needs_target_history(spec):
         raise DataError(
             "data has no target column but the model's features need "
             "target history (rolling/lag/ewm)"

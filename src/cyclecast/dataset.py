@@ -1,9 +1,11 @@
 """Hourly energy data: CSV ingestion and synthetic generation.
 
-Frames hold the seven household-power measurement columns plus a target
-column name. Timestamps are naive local times, read from ISO 8601 text
-and held as one datetime64[us] array, so sub-second parts are kept; a
-CSV row whose timestamp carries a UTC offset is rejected.
+A frame holds one series, household active power: its timestamps and
+the target value at each. A CSV needs a time column and a
+`Global_active_power` column; any other column is ignored. Timestamps
+are naive local times, read from ISO 8601 text and held as one
+datetime64[us] array, so sub-second parts are kept; a CSV row whose
+timestamp carries a UTC offset is rejected.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,19 +23,9 @@ import numpy as np
 from .encoding import DAYOFWEEK, HOUR
 from .errors import ConfigError, DataError
 
-# UCI-style CSV headers and the canonical internal column names they map to.
-DEFAULT_SCHEMA = {
-    "Global_active_power": "global_active_power",
-    "Global_reactive_power": "global_reactive_power",
-    "Voltage": "voltage",
-    "Global_intensity": "global_intensity",
-    "Sub_metering_1": "sub_metering_1",
-    "Sub_metering_2": "sub_metering_2",
-    "Sub_metering_3": "sub_metering_3",
-}
-
-CANONICAL_COLUMNS = list(DEFAULT_SCHEMA.values())
-_CSV_HEADER = {v: k for k, v in DEFAULT_SCHEMA.items()}
+# The target's CSV header, and the name reports and saved models give it.
+TARGET_HEADER = "Global_active_power"
+TARGET_NAME = "global_active_power"
 
 DEFAULT_TIME_COL = "datetime"
 DEFAULT_START = datetime(2023, 1, 1, 0, 0, 0)
@@ -60,23 +53,17 @@ def _first_disorder(timestamps):
 
 @dataclass(frozen=True)
 class TimeSeriesFrame:
-    """Immutable time-indexed table of hourly measurements."""
+    """Immutable hourly series: timestamps and the target at each."""
 
     timestamps: np.ndarray  # datetime64[us], strictly increasing
-    columns: dict
-    target_name: str = "global_active_power"
+    target: np.ndarray  # float64, one value per timestamp
     rejected_rows: tuple = ()
 
     def __post_init__(self):
         n = len(self.timestamps)
-        for name, values in self.columns.items():
-            if len(values) != n:
-                raise DataError(
-                    f"column {name!r} has {len(values)} rows, expected {n}"
-                )
-            values.setflags(write=False)
-        if self.target_name not in self.columns:
-            raise DataError(f"target column {self.target_name!r} not present")
+        if len(self.target) != n:
+            raise DataError(f"target has {len(self.target)} rows, expected {n}")
+        self.target.setflags(write=False)
         self.timestamps.setflags(write=False)
         disorder = _first_disorder(self.timestamps)
         if disorder is not None:
@@ -85,10 +72,6 @@ class TimeSeriesFrame:
 
     def __len__(self):
         return len(self.timestamps)
-
-    @property
-    def target(self) -> np.ndarray:
-        return self.columns[self.target_name]
 
     @property
     def gap_count(self) -> int:
@@ -124,16 +107,16 @@ class SyntheticConfig:
             raise ConfigError("amplitudes must be >= 0")
 
 
-def _parse_rows(rows, first_row, time_idx, col_idx, rejected):
+def _parse_rows(rows, first_row, time_idx, target_idx, rejected):
     """Parse rows one by one; the only definition of a rejected row.
 
     Appends (row_index, reason) to `rejected` for each row it rejects,
     numbering rows from `first_row`. Returns the accepted rows'
-    microseconds since the epoch and their values, one row of the
-    (n_columns, n_accepted) block per column of `col_idx`.
+    microseconds since the epoch and their target values; no values
+    when `target_idx` is None.
     """
     micros = []
-    values = {name: [] for name in col_idx}
+    values = []
     for row_index, row in enumerate(rows, first_row):
         try:
             ts = datetime.fromisoformat(row[time_idx].strip())
@@ -143,58 +126,55 @@ def _parse_rows(rows, first_row, time_idx, col_idx, rejected):
         if ts.tzinfo is not None:
             rejected.append((row_index, "timestamp has a UTC offset"))
             continue
-        parsed = {}
-        bad = None
-        for name, j in col_idx.items():
+        if target_idx is not None:
             try:
-                parsed[name] = float(row[j])
+                value = float(row[target_idx])
             except (ValueError, IndexError):
-                bad = f"unparseable numeric in column {name!r}"
-                break
-            if not math.isfinite(parsed[name]):
-                bad = f"non-finite value in column {name!r}"
-                break
-        if bad is not None:
-            rejected.append((row_index, bad))
-            continue
+                rejected.append((row_index, "unparseable numeric in column "
+                                            f"{TARGET_NAME!r}"))
+                continue
+            if not math.isfinite(value):
+                rejected.append((row_index, "non-finite value in column "
+                                            f"{TARGET_NAME!r}"))
+                continue
+            values.append(value)
         micros.append((ts - _EPOCH) // datetime.resolution)
-        for name in col_idx:
-            values[name].append(parsed[name])
-    return micros, np.array(list(values.values()), dtype=np.float64)
+    return micros, np.array(values, dtype=np.float64)
 
 
-def _parse_clean(rows, time_idx, col_idx):
+def _parse_clean(rows, time_idx, target_idx):
     """`_parse_rows`'s result for rows of which it rejects none, parsed
     column by column; None when some row is short, has an unparseable
     cell or a UTC offset, or holds a non-finite value."""
-    if min(map(len, rows)) <= max(time_idx, *col_idx.values()):
+    last = time_idx if target_idx is None else max(time_idx, target_idx)
+    if min(map(len, rows)) <= last:
         return None
-    cells = list(zip(*rows))
     try:
         stamps = list(map(datetime.fromisoformat,
-                          map(str.strip, cells[time_idx])))
-        block = np.array([list(map(float, cells[j]))
-                          for j in col_idx.values()])
+                          map(str.strip, map(itemgetter(time_idx), rows))))
+        values = (np.empty(0) if target_idx is None else np.array(
+            list(map(float, map(itemgetter(target_idx), rows)))))
     except ValueError:
         return None
     if any(ts.tzinfo is not None for ts in stamps):
         return None
-    if not np.isfinite(block).all():
+    if not np.isfinite(values).all():
         return None
-    return [(ts - _EPOCH) // datetime.resolution for ts in stamps], block
+    return [(ts - _EPOCH) // datetime.resolution for ts in stamps], values
 
 
 def load_csv(path, time_col: str = DEFAULT_TIME_COL,
-             target_name: str = "global_active_power",
              allow_missing_target: bool = False) -> TimeSeriesFrame:
     """Load an hourly energy CSV into a TimeSeriesFrame.
 
-    Rows with unparseable cells or a timestamp that carries a UTC offset
-    are rejected and recorded in ``rejected_rows`` as (row_index, reason);
-    non-monotonic or duplicate timestamps are hard errors, reported with
-    the path and the same 0-based data-row index. With
-    ``allow_missing_target`` a file without the target column loads with
-    that column filled by NaN (prediction-only input).
+    Only the time column and `Global_active_power` are read; other
+    columns are ignored. Rows with an unparseable cell in those two
+    columns or a timestamp that carries a UTC offset are rejected and
+    recorded in ``rejected_rows`` as (row_index, reason); non-monotonic
+    or duplicate timestamps are hard errors, reported with the path and
+    the same 0-based data-row index. With ``allow_missing_target`` a file
+    without the target column loads with a NaN target (prediction-only
+    input).
 
     Rows are read CHUNK_ROWS at a time. A chunk in which every row parses
     is converted column by column; any other chunk goes row by row
@@ -203,7 +183,6 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    schema = dict(DEFAULT_SCHEMA)
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -214,29 +193,27 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
         header = [h.strip() for h in header]
         if time_col not in header:
             raise DataError(f"{path}: missing timestamp column {time_col!r}")
-        target_missing = False
-        for src in list(schema):
-            if src not in header:
-                if allow_missing_target and schema[src] == target_name:
-                    del schema[src]
-                    target_missing = True
-                    continue
-                raise DataError(f"{path}: missing mapped column {src!r}")
         time_idx = header.index(time_col)
-        col_idx = {schema[src]: header.index(src) for src in schema}
+        if TARGET_HEADER in header:
+            target_idx = header.index(TARGET_HEADER)
+        elif allow_missing_target:
+            target_idx = None
+        else:
+            raise DataError(f"{path}: missing target column "
+                            f"{TARGET_HEADER!r}")
 
         micro_chunks = []
-        blocks = []
+        value_chunks = []
         rejected = []
         first_row = 0
         while rows := list(itertools.islice(reader, CHUNK_ROWS)):
-            parsed = _parse_clean(rows, time_idx, col_idx)
+            parsed = _parse_clean(rows, time_idx, target_idx)
             if parsed is None:
-                parsed = _parse_rows(rows, first_row, time_idx, col_idx,
+                parsed = _parse_rows(rows, first_row, time_idx, target_idx,
                                      rejected)
-            micros, block = parsed
+            micros, values = parsed
             micro_chunks.append(np.array(micros, dtype=np.int64))
-            blocks.append(block)
+            value_chunks.append(values)
             first_row += len(rows)
 
     if not sum(map(len, micro_chunks)):
@@ -251,15 +228,12 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
             row += 1
         raise DataError(f"{path}: {kind} timestamp at row {row}")
 
-    columns = dict(zip(col_idx, np.concatenate(blocks, axis=1)))
-    if target_missing:
-        columns[target_name] = np.full(len(timestamps), np.nan)
-    return TimeSeriesFrame(
-        timestamps=timestamps,
-        columns=columns,
-        target_name=target_name,
-        rejected_rows=tuple(rejected),
-    )
+    if target_idx is None:
+        target = np.full(len(timestamps), np.nan)
+    else:
+        target = np.concatenate(value_chunks)
+    return TimeSeriesFrame(timestamps=timestamps, target=target,
+                           rejected_rows=tuple(rejected))
 
 
 def write_series_csv(path, header, timestamps, columns) -> None:
@@ -296,28 +270,25 @@ def _format_rows(timestamps, columns):
 
 
 def write_csv(frame: TimeSeriesFrame, path) -> None:
-    """Write a frame in the canonical CSV schema (round-trips load_csv)."""
-    names = [n for n in CANONICAL_COLUMNS if n in frame.columns]
-    names += [n for n in frame.columns if n not in CANONICAL_COLUMNS]
-    header = [DEFAULT_TIME_COL] + [_CSV_HEADER.get(n, n) for n in names]
-    write_series_csv(path, header, frame.timestamps,
-                     [frame.columns[n] for n in names])
+    """Write a frame as `datetime,Global_active_power` (round-trips
+    load_csv)."""
+    write_series_csv(path, [DEFAULT_TIME_COL, TARGET_HEADER],
+                     frame.timestamps, [frame.target])
 
 
 def generate_synthetic(config: SyntheticConfig) -> TimeSeriesFrame:
     """Generate an hourly frame with daily and weekly cycles plus trend/noise.
 
-    Deterministic for a fixed seed; each column draws from its own
-    spawned PRNG stream so adding columns never perturbs existing ones.
+    Deterministic for a fixed seed. The noise comes from the first child
+    of the seed's SeedSequence, which is the same whatever the number of
+    children spawned, so a later input drawn from another child leaves
+    the target as it is.
     """
     n = config.n_hours
     timestamps = np.datetime64(DEFAULT_START, "us") + np.arange(n) * _ONE_HOUR
     t = np.arange(n, dtype=np.float64)
     hour = HOUR.phases(timestamps)
     dow_hour = DAYOFWEEK.phases(timestamps) * 24 + hour
-
-    streams = [np.random.default_rng(s)
-               for s in np.random.SeedSequence(config.seed).spawn(8)]
 
     target = (
         SYNTHETIC_BASE_LEVEL
@@ -326,32 +297,7 @@ def generate_synthetic(config: SyntheticConfig) -> TimeSeriesFrame:
         + config.trend_slope * t
     )
     if config.noise_std > 0:
-        target = target + streams[0].normal(0.0, config.noise_std, size=n)
-
-    # Correlated auxiliary columns so the full measurement schema is populated.
-    voltage = 240.0 + 2.0 * np.cos(2 * np.pi * hour / 24.0)
-    if config.noise_std > 0:
-        voltage = voltage + streams[1].normal(0.0, 0.5, size=n)
-    reactive = 0.1 * target + (
-        streams[2].normal(0.0, 0.02, size=n) if config.noise_std > 0 else 0.0
-    )
-    intensity = target * 1000.0 / voltage
-    shares = (0.2, 0.3, 0.4)
-    subs = []
-    for j, share in enumerate(shares):
-        s = share * np.maximum(target, 0.0) * 1000.0 / 60.0
-        if config.noise_std > 0:
-            s = s + streams[3 + j].normal(0.0, 0.1, size=n)
-        subs.append(s)
-
-    columns = {
-        "global_active_power": target,
-        "global_reactive_power": np.asarray(reactive, dtype=np.float64),
-        "voltage": voltage,
-        "global_intensity": intensity,
-        "sub_metering_1": subs[0],
-        "sub_metering_2": subs[1],
-        "sub_metering_3": subs[2],
-    }
-    return TimeSeriesFrame(timestamps=timestamps, columns=columns)
-
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed).spawn(1)[0])
+        target = target + rng.normal(0.0, config.noise_std, size=n)
+    return TimeSeriesFrame(timestamps=timestamps, target=target)

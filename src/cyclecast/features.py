@@ -93,6 +93,12 @@ def _target_columns(spec):
     return columns
 
 
+def needs_target_history(spec) -> bool:
+    """Whether the spec emits a column derived from the target."""
+    emitted = set(spec.column_names())
+    return any(name in emitted for name, _, _ in _target_columns(spec))
+
+
 def _is_str(value) -> bool:
     return isinstance(value, str)
 

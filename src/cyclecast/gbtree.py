@@ -715,6 +715,26 @@ MODEL_KEYS = ("params", "trees", "base_score", "best_iteration",
               "feature_names", "gain_by_feature")
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_number_object(value) -> bool:
+    return isinstance(value, dict) and all(map(is_real, value.values()))
+
+
+# Per model-file key outside the trees, the check its value must pass and
+# how an error message names such values.
+_MODEL_VALUES = {
+    "params": (lambda v: isinstance(v, dict), "an object"),
+    "trees": (lambda v: isinstance(v, list), "a list"),
+    "base_score": (is_real, "a number"),
+    "feature_names": (_is_str_list, "a list of strings"),
+    "gain_by_feature": (_is_number_object, "an object of numbers"),
+    "extra": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
 def save_model(model: GbtModel, path, extra: dict | None = None) -> None:
     """Serialize a fitted model to versioned JSON."""
     doc = {
@@ -761,6 +781,9 @@ def load_model(path):
     missing = [k for k in MODEL_KEYS if k not in doc]
     if missing:
         raise DataError(f"model file {path} lacks {', '.join(missing)}")
+    for key, (ok, what) in _MODEL_VALUES.items():
+        if key in doc and not ok(doc[key]):
+            raise DataError(f"model file {path}: {key} must be {what}")
     params = dict(doc["params"])
     # Files from before the GOSS weighting switch was removed still carry
     # it; prediction never reads it.
@@ -770,8 +793,6 @@ def load_model(path):
     except ConfigError as exc:
         raise DataError(f"model file {path}: {exc}") from None
     feature_names = tuple(doc["feature_names"])
-    if not isinstance(doc["trees"], list):
-        raise DataError(f"model file {path}: trees must be a list")
     trees = [_load_tree(t, len(feature_names), f"model file {path}: tree {i}")
              for i, t in enumerate(doc["trees"])]
     best_iteration = doc["best_iteration"]

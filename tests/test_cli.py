@@ -398,6 +398,36 @@ class TestPredict:
                        "--out", str(tmp_path / "pred"))
         assert code == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"rolling_windows": [6], "rolling_stats": [], "lags": [],
+         "ewm_halflives": [], "temporal": [["hour", "sinusoidal"]]},
+        {"rolling_windows": [], "lags": [1, 24], "ewm_halflives": [],
+         "disabled_groups": ["LagFeatures"]},
+    ], ids=["rolling-without-stats", "lags-disabled"])
+    def test_spec_emitting_no_target_column_scores_time_only_csv(
+            self, tmp_path, spec):
+        # Each spec names target transforms but emits none of them.
+        out = tmp_path / "train"
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "params.json").write_text('{"n_estimators": 5}')
+        assert run_cli("bench", "--out", str(out), "--n-hours", "400",
+                       "--configs", "xgb-style", "--encodings", "sinusoidal",
+                       "--features", str(tmp_path / "spec.json"),
+                       "--params", str(tmp_path / "params.json"),
+                       "--save-models", "--no-timing") == 0
+        assert run_cli("synth", "--out", str(out), "--n-hours", "300") == 0
+        lines = (out / "synthetic.csv").read_text().splitlines()
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(line.split(",")[0] + "\n" for line in lines))
+        pred_out = tmp_path / "pred"
+        assert run_cli("predict", "--model",
+                       str(out / "model_xgb-style_sinusoidal.json"),
+                       "--data", str(bare), "--out", str(pred_out),
+                       "--no-timing") == 0
+        report = json.loads((pred_out / "predict_report.json").read_text())
+        assert "metrics" not in report
+        assert report["rows"] == 300 - report["dropped_warmup"]
+
     def test_column_mismatch_is_data_error(self, tmp_path, capsys):
         model, data = self.fitted_model(tmp_path)
         payload = json.loads(model.read_text())
@@ -468,12 +498,22 @@ class TestModelChecks:
         (("best_iteration",), 6, "best_iteration 6 is outside [1, 5]"),
         (("params", "max_depth"), "6", "hyperparameter 'max_depth'"),
         (("extra", "feature_spec", "lags"), 5, "feature-spec 'lags'"),
+        (("params",), [], "params must be an object"),
+        (("base_score",), "x", "base_score must be a number"),
+        (("gain_by_feature",), [],
+         "gain_by_feature must be an object of numbers"),
+        (("feature_names",), 5, "feature_names must be a list of strings"),
+        (("extra",), "feature_spec", "extra must be an object"),
+        (("extra", "target_name"), "voltage",
+         "target_name 'voltage' is not 'global_active_power'"),
     ], ids=["empty-tree", "trees-not-list", "tree-not-object",
             "missing-array", "array-not-list", "unequal-lengths",
             "non-numeric", "infinite-index", "feature-too-large",
             "feature-below-minus-one", "self-loop", "child-out-of-range",
             "best-iteration-zero", "best-iteration-too-large",
-            "params-type", "spec-type"])
+            "params-type", "spec-type", "params-not-object",
+            "base-score-not-number", "gains-not-object",
+            "names-not-list", "extra-not-object", "other-target"])
     def test_broken_model_is_data_error(self, tmp_path, capsys, small_model,
                                         where, value, message):
         model, data = small_model

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import math
+from dataclasses import fields
 from datetime import datetime
 
 import numpy as np
@@ -7,11 +9,13 @@ import pytest
 
 from cyclecast.dataset import (
     CHUNK_ROWS, SyntheticConfig, TimeSeriesFrame, generate_synthetic,
-    load_csv, write_csv, write_series_csv, CANONICAL_COLUMNS,
+    load_csv, write_csv, write_series_csv,
 )
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.evaluation import train_rows
 
+# A household-power header: load_csv reads the first two columns and
+# ignores the rest.
 HEADER = ("datetime,Global_active_power,Global_reactive_power,Voltage,"
           "Global_intensity,Sub_metering_1,Sub_metering_2,Sub_metering_3")
 
@@ -75,11 +79,54 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv")
 
-    def test_missing_mapped_column(self, tmp_path):
-        path = make_csv(tmp_path, ["2023-01-01 00:00:00,1.0"],
-                        header="datetime,Global_active_power")
-        with pytest.raises(DataError, match="missing mapped column"):
+    def test_missing_target_column(self, tmp_path):
+        path = make_csv(tmp_path, ["2023-01-01 00:00:00,240.0"],
+                        header="datetime,Voltage")
+        with pytest.raises(DataError) as info:
             load_csv(path)
+        assert str(info.value) == \
+            f"{path}: missing target column 'Global_active_power'"
+
+    def test_missing_target_allowed_loads_nan(self, tmp_path):
+        path = make_csv(tmp_path, ["2023-01-01 00:00:00",
+                                   "2023-01-01 01:00:00"], header="datetime")
+        frame = load_csv(path, allow_missing_target=True)
+        assert len(frame) == 2
+        assert np.isnan(frame.target).all()
+        assert frame.rejected_rows == ()
+
+    def test_time_and_target_only(self, tmp_path):
+        path = make_csv(tmp_path, ["2023-01-01 00:00:00,1.5",
+                                   "2023-01-01 01:00:00,2.5"],
+                        header="datetime,Global_active_power")
+        frame = load_csv(path)
+        assert frame.target.tolist() == [1.5, 2.5]
+        assert frame.rejected_rows == ()
+
+    def test_garbage_in_ignored_column_keeps_row(self, tmp_path):
+        path = make_csv(tmp_path, [
+            row("2023-01-01 00:00:00", 1.5),
+            "2023-01-01 01:00:00,2.5,0.1,240.0,4.2,0.0,1.0,oops",
+            "2023-01-01 02:00:00,3.5,0.1,240.0,4.2,0.0,1.0,nan",
+        ])
+        frame = load_csv(path)
+        assert frame.target.tolist() == [1.5, 2.5, 3.5]
+        assert frame.rejected_rows == ()
+
+    def test_target_after_other_columns(self, tmp_path):
+        rows = [row("2023-01-01 00:00:00", 1.5),
+                row("2023-01-01 01:00:00", "oops"),
+                row("2023-01-01 02:00:00", 3.5)]
+        reordered = []
+        for text in [HEADER] + rows:
+            ts, target, *others = text.split(",")
+            reordered.append(",".join(others[:3] + [ts, target] + others[3:]))
+        a = load_csv(make_csv(tmp_path, rows))
+        b = load_csv(make_csv(tmp_path, reordered[1:], name="moved.csv",
+                              header=reordered[0]))
+        assert np.array_equal(a.timestamps, b.timestamps)
+        assert a.target.tolist() == b.target.tolist() == [1.5, 3.5]
+        assert a.rejected_rows == b.rejected_rows
 
     def test_bad_numeric_rejected_with_index(self, tmp_path):
         path = make_csv(tmp_path, [
@@ -131,17 +178,20 @@ class TestLoadCsv:
         frame = generate_synthetic(SyntheticConfig(n_hours=100, seed=9))
         path = tmp_path / "rt.csv"
         write_csv(frame, path)
+        assert path.read_text().splitlines()[0] == \
+            "datetime,Global_active_power"
         loaded = load_csv(path)
         assert np.array_equal(loaded.timestamps, frame.timestamps)
-        for name in CANONICAL_COLUMNS:
-            assert np.array_equal(loaded.columns[name], frame.columns[name])
+        assert np.array_equal(loaded.target.view(np.int64),
+                              frame.target.view(np.int64))
 
     def test_sub_second_timestamp_round_trip(self, tmp_path):
-        text = row("2023-01-01 00:00:00.500000", 1.5)
-        path = make_csv(tmp_path, [text])
+        # The ignored columns are not written back.
+        path = make_csv(tmp_path, [row("2023-01-01 00:00:00.500000", 1.5)])
         out = tmp_path / "out.csv"
         write_csv(load_csv(path), out)
-        assert out.read_text().splitlines()[1] == text
+        assert out.read_text().splitlines()[1] == \
+            "2023-01-01 00:00:00.500000,1.5"
 
 
 def hourly(n, start="2023-01-01T00"):
@@ -150,20 +200,20 @@ def hourly(n, start="2023-01-01T00"):
 
 
 def per_row_reference(path):
-    """Accepted rows of a CSV in HEADER's layout, parsed one at a time."""
+    """Accepted rows of a CSV in HEADER's layout, parsed one at a time:
+    their timestamps and targets."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
     stamps, values = [], []
     for r in rows:
         try:
             ts = datetime.fromisoformat(r[0].strip())
-            vals = [float(c) for c in r[1:8]]
+            value = float(r[1])
         except (ValueError, IndexError):
             continue
-        if ts.tzinfo is None and len(vals) == 7 and all(map(math.isfinite,
-                                                             vals)):
+        if ts.tzinfo is None and math.isfinite(value):
             stamps.append(ts)
-            values.append(vals)
+            values.append(value)
     return np.array(stamps, dtype="datetime64[us]"), np.array(values)
 
 
@@ -197,18 +247,25 @@ class TestLoadCsvChunks:
             f"{path}: duplicate timestamp at row {CHUNK_ROWS}"
 
     def test_blank_and_short_rows_rejected(self, tmp_path):
-        stamps = hourly(CHUNK_ROWS + 50)
+        stamps = hourly(2 * CHUNK_ROWS + 50)
         rows = [row(ts) for ts in stamps]
-        rows[10] = f"{stamps[10]},1.0"
+        rows[10] = stamps[10]
+        rows[11] = f"{stamps[11]},1.5"  # short of ignored columns only
         rows[CHUNK_ROWS - 1] = ""
-        # One cell short, alone in its chunk.
-        rows[CHUNK_ROWS + 9] = rows[CHUNK_ROWS + 9].rsplit(",", 1)[0]
+        # Short of the target, alone in its chunk.
+        rows[CHUNK_ROWS + 9] = stamps[CHUNK_ROWS + 9]
+        # Short of ignored columns only, alone in its chunk.
+        rows[2 * CHUNK_ROWS + 9] = f"{stamps[2 * CHUNK_ROWS + 9]},2.5"
         frame = load_csv(make_csv(tmp_path, rows))
         assert frame.rejected_rows == (
-            (10, "unparseable numeric in column 'global_reactive_power'"),
+            (10, "unparseable numeric in column 'global_active_power'"),
             (CHUNK_ROWS - 1, "unparseable timestamp"),
-            (CHUNK_ROWS + 9, "unparseable numeric in column 'sub_metering_3'"),
+            (CHUNK_ROWS + 9,
+             "unparseable numeric in column 'global_active_power'"),
         )
+        assert len(frame) == len(rows) - 3
+        assert frame.target[10] == 1.5
+        assert frame.target[2 * CHUNK_ROWS + 9 - 3] == 2.5
 
     def test_chunked_parse_matches_row_reference(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -222,6 +279,9 @@ class TestLoadCsvChunks:
             rows.append(",".join([ts] + [repr(float(c)) for c in cells]))
         for i in (7, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 3):
             rows[i] = row(stamps[i], "nan")
+        # Bad cells in ignored columns reject nothing.
+        for i in (8, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 1):
+            rows[i] = rows[i].rsplit(",", 1)[0] + ",oops"
         rows[2 * CHUNK_ROWS] = ""
         rows[n - 1] = rows[n - 1].split(",")[0]
         path = make_csv(tmp_path, rows)
@@ -231,8 +291,8 @@ class TestLoadCsvChunks:
             7, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS,
             2 * CHUNK_ROWS + 3, n - 1]
         assert np.array_equal(frame.timestamps, stamps_ref)
-        values = np.column_stack([frame.columns[c] for c in CANONICAL_COLUMNS])
-        assert np.array_equal(values.view(np.int64), values_ref.view(np.int64))
+        assert np.array_equal(frame.target.view(np.int64),
+                              values_ref.view(np.int64))
 
 
 def reference_csv(tmp_path, header, stamps, columns):
@@ -284,8 +344,8 @@ class TestWriteCsv:
         path = tmp_path / "frame.csv"
         write_csv(frame, path)
         assert path.read_bytes() == reference_csv(
-            tmp_path, HEADER.split(","), frame.timestamps,
-            [frame.columns[c] for c in CANONICAL_COLUMNS])
+            tmp_path, ["datetime", "Global_active_power"], frame.timestamps,
+            [frame.target])
 
 
 class TestGenerateSynthetic:
@@ -308,8 +368,14 @@ class TestGenerateSynthetic:
         a = generate_synthetic(SyntheticConfig(n_hours=200, seed=7))
         b = generate_synthetic(SyntheticConfig(n_hours=200, seed=7))
         assert np.array_equal(a.timestamps, b.timestamps)
-        for name in a.columns:
-            assert np.array_equal(a.columns[name], b.columns[name])
+        assert np.array_equal(a.target, b.target)
+
+    def test_target_digest_pinned(self):
+        # The target's bytes, pinned so a change to the generator that
+        # moves them shows here.
+        frame = generate_synthetic(SyntheticConfig(n_hours=500, seed=7))
+        assert hashlib.sha256(frame.target.tobytes()).hexdigest() == (
+            "aac5ec5467f81124248dbef99431e4a64e32fa348b7411e92a14232d11fcf020")
 
     def test_different_seed_differs(self):
         a = generate_synthetic(SyntheticConfig(n_hours=50, seed=1))
@@ -318,7 +384,10 @@ class TestGenerateSynthetic:
 
     def test_schema_fully_populated(self):
         frame = generate_synthetic(SyntheticConfig(n_hours=24))
-        assert set(frame.columns) == set(CANONICAL_COLUMNS)
+        assert [f.name for f in fields(frame)] == [
+            "timestamps", "target", "rejected_rows"]
+        assert frame.target.shape == (24,)
+        assert np.isfinite(frame.target).all()
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -357,19 +426,11 @@ def stamps(*texts):
 
 
 class TestFrameInvariants:
-    def test_target_must_exist(self):
-        with pytest.raises(DataError):
-            TimeSeriesFrame(
-                timestamps=stamps("2023-01-01"),
-                columns={"voltage": np.array([240.0])},
-                target_name="global_active_power",
-            )
-
     def test_column_length_mismatch(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="target has 2 rows, expected 1"):
             TimeSeriesFrame(
                 timestamps=stamps("2023-01-01"),
-                columns={"global_active_power": np.array([1.0, 2.0])},
+                target=np.array([1.0, 2.0]),
             )
 
     def test_order_checked_without_csv(self):
@@ -378,7 +439,7 @@ class TestFrameInvariants:
             TimeSeriesFrame(
                 timestamps=stamps("2023-01-01T00", "2023-01-01T02",
                                   "2023-01-01T01"),
-                columns={"global_active_power": np.zeros(3)},
+                target=np.zeros(3),
             )
 
     def test_columns_read_only(self):
