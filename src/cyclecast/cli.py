@@ -246,9 +246,9 @@ def _loss_curves(log) -> dict:
 
 
 def cmd_synth(args) -> int:
+    config = _synth_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _synth_config(args)
     frame = generate_synthetic(config)
     path = Path(args.output) if args.output else out_dir / "synthetic.csv"
     write_csv(frame, path)
@@ -264,18 +264,22 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _name_list(text, known, what) -> list:
+    """The names in the comma-separated `text`: at least one, each one of
+    `known`, none repeated."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if not (names and set(names) <= set(known)
+            and len(set(names)) == len(names)):
+        raise ConfigError(f"{what} list {text!r} must name one or more of "
+                          f"{sorted(known)}, none twice")
+    return names
+
+
 def cmd_bench(args) -> int:
     out_dir = Path(args.out)
-    encodings = [e.strip() for e in args.encodings.split(",") if e.strip()]
-    for e in encodings:
-        if e not in STRATEGIES:
-            raise ConfigError(f"unknown encoding {e!r}")
+    encodings = _name_list(args.encodings, STRATEGIES, "encoding")
     configs = learner_configs(args.seed)
-    names = [c.strip() for c in args.configs.split(",") if c.strip()]
-    for c in names:
-        if c not in configs:
-            raise ConfigError(f"unknown learner config {c!r}; "
-                              f"choose from {sorted(configs)}")
+    names = _name_list(args.configs, configs, "learner config")
     overrides = _load_param_overrides(args)
 
     frame, source = _load_frame(args)
@@ -301,8 +305,7 @@ def cmd_bench(args) -> int:
             }
             cells.append(cell)
             if best is None or result["metrics"].rmse < best["metrics"].rmse:
-                best = {**result, "model_name": cname, "encoding": enc,
-                        "spec": spec}
+                best = {**result, "model_name": cname, "encoding": enc}
             if args.save_models:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 gbtree.save_model(
@@ -437,10 +440,9 @@ def render_ablation_table(report: dict) -> str:
 
 
 def cmd_tune(args) -> int:
+    tuner.check_budget(args.budget, args.init)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.budget < args.init + 1:
-        raise ConfigError("budget must be at least init + 1")
     frame, source = _load_frame(args)
     spec = _load_spec(args)
     if args.encoding is not None:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import DAYOFWEEK, HOUR
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_real
 
 # The target's CSV header, and the name reports and saved models give it.
 TARGET_HEADER = "Global_active_power"
@@ -101,6 +101,11 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_hours < 1:
             raise ConfigError("n_hours must be >= 1")
+        for name in ("daily_amplitude", "weekly_amplitude", "trend_slope",
+                     "noise_std"):
+            if not is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got "
+                                  f"{getattr(self, name)!r}")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
         if self.daily_amplitude < 0 or self.weekly_amplitude < 0:

@@ -29,5 +29,8 @@ def is_integer(value) -> bool:
 def is_real(value) -> bool:
     """A finite int or float that is not a bool (Python's JSON reader
     accepts NaN and Infinity)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False

@@ -108,8 +108,6 @@ def compute_metrics(y, yhat) -> Metrics:
 class CVPlan:
     """Expanding-window fold layout over half-open row ranges."""
 
-    k: int
-    delta: int
     splits: tuple  # ((train_start, train_end), (val_start, val_end)) per fold
 
     def __post_init__(self):
@@ -140,7 +138,7 @@ def expanding_splits(n, k, delta) -> CVPlan:
     for i in range(k):
         va_s = first_val + i * delta
         splits.append(((0, va_s), (va_s, va_s + delta)))
-    return CVPlan(k=k, delta=delta, splits=tuple(splits))
+    return CVPlan(splits=tuple(splits))
 
 
 def cv_plan(matrix, k, delta) -> CVPlan:
@@ -186,9 +184,6 @@ def fit_before(matrix, cut, params):
 class CVResult:
     cv_score: float
     fold_rmses: tuple
-    dispersion: float  # std of fold RMSE
-    stability: float | None  # std / mean of fold RMSE (this artifact's label)
-    plan: CVPlan
 
 
 def holdout(frame, spec, params, test_fraction) -> dict:
@@ -226,26 +221,15 @@ def cross_validate(matrix, params, k, delta) -> CVResult:
     block.
     """
     offset = matrix.dropped_warmup
-    plan = cv_plan(matrix, k, delta)
-
     fold_rmses = []
-    for _, (va_s, va_e) in plan.splits:
+    for _, (va_s, va_e) in cv_plan(matrix, k, delta).splits:
         cut, stop = va_s - offset, va_e - offset
         model, _ = fit_before(matrix, cut, params)
         pred = gbtree.predict(model, matrix.values[cut:stop])
         fold_rmses.append(rmse(matrix.target[cut:stop], pred))
 
-    arr = np.asarray(fold_rmses)
-    cv_score = float(arr.mean())
-    dispersion = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    stability = dispersion / cv_score if cv_score > 0 else None
-    return CVResult(
-        cv_score=cv_score,
-        fold_rmses=tuple(fold_rmses),
-        dispersion=dispersion,
-        stability=stability,
-        plan=plan,
-    )
+    return CVResult(cv_score=float(np.mean(fold_rmses)),
+                    fold_rmses=tuple(fold_rmses))
 
 
 def period_breakdown(y, yhat, hours):

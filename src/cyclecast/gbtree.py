@@ -192,8 +192,22 @@ def goss_sample(g, a, b, rng):
     return indices, weights
 
 
-# A tree's parallel node arrays, in the order a saved tree lists them.
-TREE_KEYS = ("feature", "threshold", "left", "right", "value")
+# A tree's parallel node arrays, in the order a saved tree lists them, and
+# the types their entries may have. A list read from JSON holds no int
+# subclass but bool, so testing exact types does what `is_integer` and
+# `is_real` do, at less cost per entry.
+_NODE_TYPES = {"feature": {int}, "threshold": {int, float}, "left": {int},
+               "right": {int}, "value": {int, float}}
+TREE_KEYS = tuple(_NODE_TYPES)
+
+
+def _entries_ok(values, types) -> bool:
+    """Every entry's type is one of `types`; reals must also be finite."""
+    try:
+        return set(map(type, values)) <= types and (
+            float not in types or all(map(math.isfinite, values)))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class RegressionTree:
@@ -257,11 +271,8 @@ class RegressionTree:
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
         tree = cls()
-        tree.feature = [int(v) for v in d["feature"]]
-        tree.threshold = [float(v) for v in d["threshold"]]
-        tree.left = [int(v) for v in d["left"]]
-        tree.right = [int(v) for v in d["right"]]
-        tree.value = [float(v) for v in d["value"]]
+        for k in TREE_KEYS:
+            setattr(tree, k, list(d[k]))
         return tree
 
 
@@ -814,10 +825,11 @@ def _load_tree(d, n_features, where):
     """The tree saved as `d`, after checking that `predict` can walk it.
 
     Raises DataError, prefixed by `where`, when `d` lacks a node array,
-    its arrays differ in length or hold a non-number, a feature index is
-    outside [-1, n_features), or an internal node's child is not numbered
-    after it and below the node count. Both growth policies number
-    children after their parent, so every walk ends at a leaf.
+    its arrays differ in length or hold an entry of a type `_NODE_TYPES`
+    does not allow or a non-finite number, a feature index is outside
+    [-1, n_features), or an internal node's child is not numbered after it
+    and below the node count. Both growth policies number children after
+    their parent, so every walk ends at a leaf.
     """
     if not isinstance(d, dict):
         raise DataError(f"{where} is not a JSON object")
@@ -829,10 +841,12 @@ def _load_tree(d, n_features, where):
     n = len(d["feature"])
     if n == 0 or any(len(d[k]) != n for k in TREE_KEYS):
         raise DataError(f"{where} has no nodes or arrays of unequal length")
-    try:
-        tree = RegressionTree.from_dict(d)
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"{where} holds a non-numeric node entry") from None
+    for key, types in _NODE_TYPES.items():
+        if not _entries_ok(d[key], types):
+            what = "finite numbers" if float in types else "integers"
+            raise DataError(f"{where} holds a non-numeric node entry: "
+                            f"{key} entries must be {what}")
+    tree = RegressionTree.from_dict(d)
     for j, (f, left, right) in enumerate(zip(tree.feature, tree.left,
                                              tree.right)):
         if not -1 <= f < n_features:

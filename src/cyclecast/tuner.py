@@ -159,18 +159,18 @@ class Surrogate:
         from scipy.linalg import cho_factor, cho_solve
 
         self.X = X
-        self.y_mean, self.y_std, self.y = _standardize(y)
+        self.y_mean, self.y_std, ys = _standardize(y)
         self.length_scales = length_scales
         self.signal_var = signal_var
         self.noise_var = noise_var
-        self.jitter = jitter
         K = _matern52(X, X, length_scales, signal_var)[0]
         K[np.diag_indices_from(K)] += noise_var + jitter
         self._chol = cho_factor(K, lower=True)
-        self._alpha = cho_solve(self._chol, self.y)
+        self._alpha = cho_solve(self._chol, ys)
 
     def posterior(self, x: np.ndarray):
-        """Predictive (mean, std) at one unit-cube point, in objective units."""
+        """Predictive mean and std arrays, in objective units, at the rows
+        of `x`: unit-cube points, shaped (n, d), or one point, shaped (d,)."""
         from scipy.linalg import cho_solve
 
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -181,8 +181,6 @@ class Surrogate:
         var = np.maximum(var, 0.0)
         mu = mu * self.y_std + self.y_mean
         sigma = np.sqrt(var) * self.y_std
-        if mu.size == 1:
-            return float(mu[0]), float(sigma[0])
         return mu, sigma
 
 
@@ -269,7 +267,8 @@ def gp_fit(X, y, seed=0) -> Surrogate:
 
 
 def expected_improvement(mu, sigma, best):
-    """EI for minimization; max(best - mu, 0) in the zero-variance limit."""
+    """EI array for minimization; max(best - mu, 0) in the zero-variance
+    limit."""
     from scipy.stats import norm
 
     mu = np.asarray(mu, dtype=np.float64)
@@ -284,10 +283,7 @@ def expected_improvement(mu, sigma, best):
         improve * norm.cdf(z) + sigma * norm.pdf(z),
         np.maximum(improve, 0.0),
     )
-    out = np.maximum(ei, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.maximum(ei, 0.0)
 
 
 def _evaluate(objective, params, iteration):
@@ -321,6 +317,13 @@ def _best_params(trials):
     return min(ok, key=lambda t: t.objective).params
 
 
+def check_budget(budget, init):
+    """Raise ConfigError unless `optimize` can run `init` initial trials
+    (at least 2, which the first GP fit needs) and at least one more."""
+    if not budget > init >= 2:
+        raise ConfigError("need budget > init >= 2")
+
+
 def optimize(space: ParamSpace, objective, budget, init, seed=42,
              initial_points=None, on_trial=None):
     """Sequential GP/EI minimization of `objective` over `space`.
@@ -333,45 +336,28 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
     """
     from scipy.stats import qmc
 
-    if not budget > init >= 2:
-        raise ConfigError("need budget > init >= 2")
+    check_budget(budget, init)
     rng = np.random.default_rng(seed)
     d = space.n_dims
 
-    unit_points = []
-    if initial_points:
-        for p in initial_points[:init]:
-            unit_points.append(space.to_unit(p))
+    unit_points = [space.to_unit(p) for p in (initial_points or [])[:init]]
     n_lhs = init - len(unit_points)
     if n_lhs > 0:
         lhs = qmc.LatinHypercube(d=d, seed=int(rng.integers(2 ** 31)))
         unit_points.extend(lhs.random(n_lhs))
+    sobol = qmc.Sobol(d=d, scramble=True, seed=int(rng.integers(2 ** 31)))
 
     trials: list[Trial] = []
-    X_obs, y_obs = [], []
-
-    def run(u, iteration):
-        params = space.from_unit(np.asarray(u))
-        trial = _evaluate(objective, params, iteration)
-        trials.append(trial)
-        if on_trial is not None:
-            on_trial(trial)
-        if not trial.failed:
-            # Store the unit coordinates of the *rounded* point actually run.
-            X_obs.append(space.to_unit(trial.params))
-            y_obs.append(trial.objective)
-
-    for i, u in enumerate(unit_points):
-        run(u, i)
-
-    sobol = qmc.Sobol(d=d, scramble=True, seed=int(rng.integers(2 ** 31)))
-    for it in range(init, budget):
-        if len(y_obs) >= 2:
-            surrogate = gp_fit(
-                np.array(X_obs), np.array(y_obs),
-                seed=int(rng.integers(2 ** 31)),
-            )
-            best_val = min(y_obs)
+    for it in range(budget):
+        ok = [t for t in trials if not t.failed]
+        if it < init:
+            u = unit_points[it]
+        elif len(ok) >= 2:
+            # The GP sees the unit coordinates of the *rounded* points run.
+            X_obs = np.array([space.to_unit(t.params) for t in ok])
+            y_obs = np.array([t.objective for t in ok])
+            surrogate = gp_fit(X_obs, y_obs,
+                               seed=int(rng.integers(2 ** 31)))
             best_u = X_obs[int(np.argmin(y_obs))]
             cands = sobol.random(N_CANDIDATES)
             local = np.clip(
@@ -379,11 +365,14 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
             )
             cands = np.vstack([cands, local])
             mu, sigma = surrogate.posterior(cands)
-            ei = expected_improvement(mu, sigma, best_val)
-            u_next = cands[int(np.argmax(ei))]
+            ei = expected_improvement(mu, sigma, y_obs.min())
+            u = cands[int(np.argmax(ei))]
         else:
-            u_next = rng.uniform(size=d)
-        run(u_next, it)
+            u = rng.uniform(size=d)
+        trial = _evaluate(objective, space.from_unit(np.asarray(u)), it)
+        trials.append(trial)
+        if on_trial is not None:
+            on_trial(trial)
 
     return _best_params(trials), trials
 

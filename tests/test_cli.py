@@ -113,12 +113,34 @@ class TestBench:
             int(np.argmin(cell["val_loss"])) + 1
 
     def test_unknown_encoding_is_usage_error(self, tmp_path):
-        assert run_cli("bench", "--out", str(tmp_path),
-                       "--encodings", "fourier") == 1
+        # An unknown, empty or repeated list fails before any fit, so no
+        # model file is written.
+        out = tmp_path / "out"
+        for encodings in ("fourier", ",", "sinusoidal,sinusoidal"):
+            assert run_cli("bench", "--out", str(out), "--save-models",
+                           "--encodings", encodings) == 1
+            assert not out.exists()
 
     def test_unknown_config_is_usage_error(self, tmp_path):
-        assert run_cli("bench", "--out", str(tmp_path),
-                       "--configs", "catboost-style") == 1
+        out = tmp_path / "out"
+        for configs in ("catboost-style", ",", "xgb-style, xgb-style"):
+            assert run_cli("bench", "--out", str(out), "--save-models",
+                           "--configs", configs) == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise-std", "nan"), ("--daily-amplitude", "inf"),
+        ("--weekly-amplitude", "-inf"), ("--trend-slope", "nan"),
+    ])
+    def test_non_finite_synthetic_flag_is_usage_error(self, tmp_path, capsys,
+                                                      command, flag, value):
+        out = tmp_path / "out"
+        assert run_cli(command, "--out", str(out), f"{flag}={value}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert flag[2:].replace("-", "_") in err
+        assert not out.exists()
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run_cli("bench", "--out", str(tmp_path),
@@ -174,6 +196,8 @@ class TestBench:
         ("--params", '{"seed": true}', "seed"),
         ("--params", '{"learning_rate": "fast"}', "learning_rate"),
         ("--params", '{"learning_rate": NaN}', "learning_rate"),
+        pytest.param("--params", '{"learning_rate": 1%s}' % ("0" * 400),
+                     "learning_rate", id="int-too-large-for-a-float"),
         ("--params", '{"goss_a": [0.2], "goss_b": 0.2}', "goss_a"),
     ])
     def test_wrong_typed_value_is_usage_error(self, tmp_path, capsys, flag,
@@ -302,7 +326,11 @@ class TestTune:
         assert not (out / "trials.jsonl").exists()
 
     def test_budget_must_exceed_init(self, tmp_path):
-        assert self.tune(tmp_path / "out", budget="3", init="3") == 1
+        # Both halves of the rule fail before any file is written.
+        out = tmp_path / "out"
+        for budget, init in (("3", "3"), ("3", "1")):
+            assert self.tune(out, budget=budget, init=init) == 1
+            assert not (out / "trials.jsonl").exists()
 
     def test_cv_layout_too_large_is_usage_error(self, tmp_path):
         # 30 folds of 168 rows cannot fit in 600 rows; no trial runs.
@@ -490,6 +518,17 @@ class TestModelChecks:
         (("trees", 0, "value"), [0.0], "unequal length"),
         (("trees", 0, "threshold", 0), "x", "non-numeric"),
         (("trees", 0, "left", 0), float("inf"), "non-numeric"),
+        (("trees", 0, "feature", 0), 13.7,
+         "tree 0 holds a non-numeric node entry: feature entries must be "
+         "integers"),
+        (("trees", 0, "feature", 0), True,
+         "feature entries must be integers"),
+        (("trees", 0, "value", 0), float("nan"),
+         "value entries must be finite numbers"),
+        (("trees", 0, "threshold", 0), float("inf"),
+         "threshold entries must be finite numbers"),
+        (("trees", 0, "threshold", 0), 10 ** 400,
+         "threshold entries must be finite numbers"),
         (("trees", 0, "feature", 0), 99, "node 0 splits on feature 99"),
         (("trees", 0, "feature", 0), -2, "node 0 splits on feature -2"),
         (("trees", 0, "left", 0), 0, "node 0 has children 0 and"),
@@ -508,7 +547,10 @@ class TestModelChecks:
          "target_name 'voltage' is not 'global_active_power'"),
     ], ids=["empty-tree", "trees-not-list", "tree-not-object",
             "missing-array", "array-not-list", "unequal-lengths",
-            "non-numeric", "infinite-index", "feature-too-large",
+            "non-numeric", "infinite-index", "fractional-feature",
+            "boolean-feature", "nan-value", "infinite-threshold",
+            "huge-int-threshold",
+            "feature-too-large",
             "feature-below-minus-one", "self-loop", "child-out-of-range",
             "best-iteration-zero", "best-iteration-too-large",
             "params-type", "spec-type", "params-not-object",

@@ -394,6 +394,11 @@ class TestGenerateSynthetic:
             SyntheticConfig(n_hours=0)
         with pytest.raises(ConfigError):
             SyntheticConfig(noise_std=-1.0)
+        for name in ("daily_amplitude", "weekly_amplitude", "trend_slope",
+                     "noise_std"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError, match=name):
+                    SyntheticConfig(**{name: bad})
 
 
 class TestTemporalSplit:
