@@ -68,8 +68,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def seed(text) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators and
+    the tuner need."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=seed, default=42)
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--no-timing", action="store_true",
                    help="strip wall-time fields from reports")

@@ -110,6 +110,8 @@ class SyntheticConfig:
             raise ConfigError("noise_std must be >= 0")
         if self.daily_amplitude < 0 or self.weekly_amplitude < 0:
             raise ConfigError("amplitudes must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_rows(rows, first_row, time_idx, target_idx, rejected):

@@ -3,15 +3,20 @@ squared-error objective, built from scratch.
 
 Each tree is grown by greedy split search on the per-row gradients and
 hessians; leaf outputs are the closed-form optimum -G/(H+lambda).
-A fit of more than MAX_BINS rows bins each column once: one bin per value
-where a column has at most MAX_BINS distinct values, quantile bins
-otherwise. A node of more than MAX_BINS rows is searched by histogram
-(per-bin gradient and hessian sums from one bincount over all features;
-the larger child's histogram is its parent's minus the smaller child's).
-A node of at most MAX_BINS rows is searched exactly over every distinct
-value, its rows kept as one (n_cols, n_node_rows) array sorted per feature.
-Either way a node's search over all features is a handful of array
-operations rather than a loop over features, and `split_gain` scores it.
+A fit ranks each column's values once: its rank keys order rows by value,
+ties by row index. A fit of more than MAX_BINS rows also bins each column
+once: one bin per value where a column has at most MAX_BINS distinct
+values, quantile bins otherwise. A node of more than MAX_BINS rows is
+searched by histogram (per-bin gradient and hessian sums from one bincount
+over all features; the larger child's histogram is its parent's minus the
+smaller child's). A node of at most MAX_BINS rows is searched exactly over
+every distinct value, its rows kept as one (n_cols, n_node_rows) array
+sorted per feature by rank key. Either way a node's search over all
+features is a handful of array operations rather than a loop over
+features, and `split_gain` scores it. Where every hessian is exactly 1
+(squared loss without GOSS weights) a hessian sum is a row count, so no
+hessian is summed. Growth records each sampled row's leaf value, so only
+rows outside the tree's sample walk the tree for the training update.
 Supports depth-wise and leaf-wise growth, plain row subsampling or
 gradient-based one-side sampling (GOSS), per-tree column subsampling,
 shrinkage, and patience-based early stopping on a validation set.
@@ -102,6 +107,8 @@ class HyperParams:
             raise ConfigError("num_leaves must be >= 2")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -246,24 +253,26 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return sum(1 for f in self.feature if f == -1)
 
-    def predict(self, XT: np.ndarray) -> np.ndarray:
+    def predict(self, XT: np.ndarray, rows=None) -> np.ndarray:
         """Leaf values for the rows of XT, a column-major matrix shaped
-        (n_features, n_rows): each row of XT is one feature."""
+        (n_features, n_rows): each row of XT is one feature. Given `rows`,
+        an array of row indices, only those rows walk the tree and the
+        result holds their values in that order."""
         out = np.empty(XT.shape[1])
-        stack = [(0, np.arange(XT.shape[1]))]
+        stack = [(0, np.arange(XT.shape[1]) if rows is None else rows)]
         while stack:
-            node, rows = stack.pop()
+            node, at = stack.pop()
             f = self.feature[node]
             if f < 0:
-                out[rows] = self.value[node]
+                out[at] = self.value[node]
                 continue
-            mask = XT[f][rows] < self.threshold[node]
-            left, right = rows.compress(mask), rows.compress(~mask)
+            mask = XT[f][at] < self.threshold[node]
+            left, right = at.compress(mask), at.compress(~mask)
             if left.size:
                 stack.append((self.left[node], left))
             if right.size:
                 stack.append((self.right[node], right))
-        return out
+        return out if rows is None else out[rows]
 
     def to_dict(self) -> dict:
         return {k: list(getattr(self, k)) for k in TREE_KEYS}
@@ -276,13 +285,14 @@ class RegressionTree:
         return tree
 
 
-def _bin_columns(XT):
+def _bin_columns(XT, order):
     """Bin each column of XT (n_feat, n_rows) into at most MAX_BINS bins.
 
-    A column with at most MAX_BINS distinct values gets one bin per value;
-    any other gets equal-frequency bins whose upper edges are sample
-    quantiles. Returns the uint8 bin codes, shaped like XT, and each bin's
-    smallest and largest training value, (n_feat, MAX_BINS) each.
+    `order` lists each column's rows sorted by value. A column with at
+    most MAX_BINS distinct values gets one bin per value; any other gets
+    equal-frequency bins whose upper edges are sample quantiles. Returns
+    the uint8 bin codes, shaped like XT, and each bin's smallest and
+    largest training value, (n_feat, MAX_BINS) each.
     """
     n_feat, n = XT.shape
     codes = np.empty((n_feat, n), dtype=np.uint8)
@@ -290,7 +300,7 @@ def _bin_columns(XT):
     high = np.zeros((n_feat, MAX_BINS))
     quantile_rows = np.arange(1, MAX_BINS + 1) * n // MAX_BINS - 1
     for f in range(n_feat):
-        s = np.sort(XT[f])
+        s = XT[f, order[f]]
         distinct = s[np.concatenate(([True], s[1:] != s[:-1]))]
         if distinct.size <= MAX_BINS:
             upper = lower = distinct
@@ -306,13 +316,38 @@ def _bin_columns(XT):
 
 
 class _SplitContext:
-    """Per-fit state: the columns, and their bins if the fit bins."""
+    """Per-fit state: the columns, their rank keys and, if the fit bins,
+    their bins.
+
+    rank[f, i] is row i's position in column f sorted by value, ties in
+    row order. The keys of a column are unique, so any sort of them gives
+    the stable sort of its values.
+    """
 
     def __init__(self, X):
         self.XT = np.ascontiguousarray(X.T)
-        self.codes = None
-        if X.shape[0] > MAX_BINS:
-            self.codes, self.bin_low, self.bin_high = _bin_columns(self.XT)
+        n_feat, n = self.XT.shape
+        order = np.argsort(self.XT, axis=1, kind="stable")
+        self.rank = np.empty((n_feat, n), dtype=np.int32)
+        np.put_along_axis(self.rank, order, np.arange(n, dtype=np.int32),
+                          axis=1)
+        self.codes = self.all_bins = None
+        if n > MAX_BINS:
+            self.codes, self.bin_low, self.bin_high = _bin_columns(self.XT,
+                                                                   order)
+
+    def offset_bins(self, cols):
+        """Per row, the bins of columns `cols` (ascending), each offset by
+        its position, so one flat bincount histograms every column of a
+        node. The layout of all columns is built once per fit."""
+        every = cols.size == self.codes.shape[0]
+        if every and self.all_bins is not None:
+            return self.all_bins
+        bins = self.codes[cols].T.astype(np.intp, order="C")
+        bins += np.arange(cols.size) * MAX_BINS
+        if every:
+            self.all_bins = bins
+        return bins
 
 
 class _Node:
@@ -320,10 +355,13 @@ class _Node:
 
     An exact node (at most MAX_BINS rows) keeps `orders`, shaped
     (n_cols, n_node_rows), whose row k lists the node's rows sorted by
-    feature cols[k]; its `rows` is orders[0]. A histogram node keeps its
-    `rows` ascending and `hist`, shaped (3, n_cols, MAX_BINS): per bin
-    the sums of g, of h and of rows. G and H sum g and h over `rows`, in
-    that order, once for both the split search and the leaf weight.
+    the rank keys of feature cols[k]; its `rows` is orders[0]. A
+    histogram node keeps its `rows` ascending and `hist`, shaped
+    (3, n_cols, MAX_BINS): per bin the sums of g, of h and of rows. With
+    unit hessians (`h` None) `hist` drops the h sums, which equal the row
+    counts. G and H sum g and h over `rows`, in that order, once for both
+    the split search and the leaf weight; with unit hessians H is the row
+    count.
     """
 
     __slots__ = ("rows", "G", "H", "orders", "hist")
@@ -331,86 +369,97 @@ class _Node:
     def __init__(self, rows, g, h, orders=None, hist=None):
         self.rows = rows
         self.G = g[rows].sum()
-        self.H = h[rows].sum()
+        self.H = float(rows.size) if h is None else h[rows].sum()
         self.orders = orders
         self.hist = hist
 
 
 def _threshold(lo, hi):
-    """Midpoint of lo < hi, moved onto hi where it rounds onto lo."""
+    """Midpoint of lo < hi, moved onto hi where it rounds onto lo or
+    lo + hi overflows."""
+    lo, hi = float(lo), float(hi)
     thr = 0.5 * (lo + hi)
-    if not (lo < thr):
-        # Adjacent representable values: midpoint rounds onto lo.
+    if not (lo < thr <= hi):
+        # Adjacent representable values, where the midpoint rounds onto
+        # lo, or values so large that lo + hi is infinite.
         thr = hi
-    return float(thr)
+    return thr
 
 
 class _TreeSearch:
     """Split search for one tree: its gradients, hessians and columns.
 
     Nodes above MAX_BINS rows are searched by histogram, the others
-    exactly in sorted order. Both pick, by `split_gain`, the candidate
+    exactly in rank-key order. Both pick, by `split_gain`, the candidate
     with the largest positive gain whose children both satisfy
-    min_child_weight; the row-major argmax breaks ties to the lowest
-    feature index, then the lowest threshold.
+    min_child_weight; ties go to the first candidate in row-major order:
+    the lowest feature index, then the lowest threshold. `h` is None when
+    every hessian is exactly 1, as for squared loss without GOSS weights;
+    a hessian sum is then a row count. `leaf` writes each leaf's weight
+    into `leaf_values` at the leaf's rows, so after growth `leaf_values`
+    holds the tree's output for every row of its sample.
     """
 
     def __init__(self, ctx, g, h, cols, params):
         self.ctx = ctx
         self.g = g
-        self.h = h
+        self.h = None if np.all(h == 1.0) else h
         self.cols = cols
         self.params = params
+        self.leaf_values = np.empty(g.size)
         if ctx.codes is not None:
-            # Per row, each column's bin offset by its position, so one
-            # flat bincount histograms every column of a node.
-            self.bins = ctx.codes[cols].T.astype(np.intp, order="C")
-            self.bins += np.arange(cols.size) * MAX_BINS
+            self.bins = ctx.offset_bins(cols)
 
     def node(self, rows, hist=None):
         """The node over `rows`, given in ascending order."""
         if rows.size > MAX_BINS:
             return _Node(rows, self.g, self.h,
                          hist=self.histogram(rows) if hist is None else hist)
-        vals = self.ctx.XT[self.cols[:, None], rows]
-        orders = rows[np.argsort(vals, axis=1, kind="stable")]
+        keys = self.ctx.rank[self.cols[:, None], rows]
+        orders = rows[keys.argsort(axis=1)]
         return _Node(orders[0], self.g, self.h, orders=orders)
 
     def histogram(self, rows):
         k = self.cols.size
         idx = self.bins[rows].ravel()
         size = k * MAX_BINS
-        return np.stack([
-            np.bincount(idx, np.repeat(self.g[rows], k), size),
-            np.bincount(idx, np.repeat(self.h[rows], k), size),
-            np.bincount(idx, minlength=size),
-        ]).reshape(3, k, MAX_BINS)
+        sums = [np.bincount(idx, np.repeat(self.g[rows], k), size)]
+        if self.h is not None:
+            sums.append(np.bincount(idx, np.repeat(self.h[rows], k), size))
+        sums.append(np.bincount(idx, minlength=size))
+        return np.stack(sums).reshape(len(sums), k, MAX_BINS)
 
-    def leaf_weight(self, node):
-        return leaf_weight(node.G, node.H, self.params.reg_lambda)
+    def leaf(self, node):
+        """The node's leaf weight, also written to its rows' leaf values.
+        A leaf split later is overwritten by its children."""
+        weight = leaf_weight(node.G, node.H, self.params.reg_lambda)
+        self.leaf_values[node.rows] = weight
+        return weight
 
     def _pick(self, G_L, H_L, G, H, candidate):
         """(k, index, gain) of the best candidate whose children both
         satisfy min_child_weight, or None when no gain is positive.
 
-        Only those candidates reach `split_gain`: each leaves rows, and so
+        G_L, H_L and candidate are C-contiguous, shaped (k, positions).
+        Only valid candidates reach `split_gain`: each leaves rows, and so
         H + lambda > 0, on both sides.
         """
         p = self.params
         mcw = p.min_child_weight
         valid = candidate & (H_L >= mcw) & (H - H_L >= mcw)
-        ks, idx = valid.nonzero()
-        if ks.size == 0:
+        cells = np.flatnonzero(valid)
+        if cells.size == 0:
             return None
-        gains = split_gain(G_L[valid], H_L[valid], G, H, p.reg_lambda,
-                           p.gamma)
-        # argmax returns the first maximum, and nonzero lists positions
+        gains = split_gain(G_L.ravel()[cells], H_L.ravel()[cells], G, H,
+                           p.reg_lambda, p.gamma)
+        # argmax returns the first maximum, and flatnonzero lists cells
         # in row-major order.
         best = gains.argmax()
         gain = float(gains[best])
         if gain <= 0:
             return None
-        return int(ks[best]), int(idx[best]), gain
+        k, index = divmod(int(cells[best]), valid.shape[1])
+        return k, index, gain
 
     def best_split(self, node):
         """(gain, k, pos, threshold) of the node's best split, or None.
@@ -421,21 +470,29 @@ class _TreeSearch:
         G, H = node.G, node.H
         if node.hist is None:
             orders = node.orders
-            if orders.shape[1] < 2:
+            m = orders.shape[1]
+            if m < 2:
                 return None
             vs = self.ctx.XT[self.cols[:, None], orders]
-            G_L = self.g[orders].cumsum(axis=1)[:, :-1]
-            H_L = self.h[orders].cumsum(axis=1)[:, :-1]
+            prefix = orders[:, :-1]
+            G_L = self.g[prefix].cumsum(axis=1)
+            if self.h is None:
+                # The first j + 1 rows of a sorted node have H_L = j + 1.
+                H_L = np.empty(G_L.shape)
+                H_L[:] = np.arange(1.0, m)
+            else:
+                H_L = self.h[prefix].cumsum(axis=1)
             found = self._pick(G_L, H_L, G, H, vs[:, :-1] < vs[:, 1:])
             if found is None:
                 return None
             c, i, gain = found
             return gain, c, i, _threshold(vs[c, i], vs[c, i + 1])
-        G_b, H_b, n_b = node.hist
+        G_b, n_b = node.hist[0], node.hist[-1]
+        n_L = np.cumsum(n_b, axis=1)
+        H_L = n_L if self.h is None else np.cumsum(node.hist[1], axis=1)
         # A split after bin b needs node rows in b and above it.
-        candidate = (n_b > 0) & (np.cumsum(n_b, axis=1) < node.rows.size)
-        found = self._pick(np.cumsum(G_b, axis=1), np.cumsum(H_b, axis=1),
-                           G, H, candidate)
+        candidate = (n_b > 0) & (n_L < node.rows.size)
+        found = self._pick(np.cumsum(G_b, axis=1), H_L, G, H, candidate)
         if found is None:
             return None
         c, b, gain = found
@@ -483,7 +540,7 @@ def _grow_depthwise(tree, search, node, params, gain_acc, depth=0):
     if depth < params.max_depth:
         found = search.best_split(node)
     if found is None:
-        return tree.add_leaf(search.leaf_weight(node))
+        return tree.add_leaf(search.leaf(node))
     gain, c, pos, thr = found
     f = int(search.cols[c])
     left, right = search.children(node, c, pos)
@@ -513,7 +570,7 @@ def _grow_leafwise(tree, search, root, params, gain_acc):
         heapq.heappush(heap, (-found[0], counter, idx, node, depth, found))
         counter += 1
 
-    push(tree.add_leaf(search.leaf_weight(root)), root, 0)
+    push(tree.add_leaf(search.leaf(root)), root, 0)
     n_leaves = 1
     while heap and n_leaves < params.num_leaves:
         _, _, idx, node, depth, (gain, c, pos, thr) = heapq.heappop(heap)
@@ -521,8 +578,8 @@ def _grow_leafwise(tree, search, root, params, gain_acc):
         f = int(search.cols[c])
         tree.feature[idx] = f
         tree.threshold[idx] = thr
-        tree.left[idx] = tree.add_leaf(search.leaf_weight(left))
-        tree.right[idx] = tree.add_leaf(search.leaf_weight(right))
+        tree.left[idx] = tree.add_leaf(search.leaf(left))
+        tree.right[idx] = tree.add_leaf(search.leaf(right))
         gain_acc[f] = gain_acc.get(f, 0.0) + gain
         n_leaves += 1
         push(tree.left[idx], left, depth + 1)
@@ -605,6 +662,10 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
             raise DataError("validation matrix shape mismatch")
         if X_val.shape[0] != y_val.size:
             raise DataError("validation target length mismatch")
+        if y_val.size == 0:
+            raise DataError("validation set is empty")
+        if not (np.all(np.isfinite(X_val)) and np.all(np.isfinite(y_val))):
+            raise DataError("non-finite values in validation inputs")
 
     n, n_feat = X.shape
     ctx = _SplitContext(X)
@@ -655,7 +716,14 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
             name = feature_names[f]
             gain_by_feature[name] = gain_by_feature.get(name, 0.0) + gsum
 
-        pred = pred + eta * tree.predict(ctx.XT)
+        # Growth left the sampled rows' tree outputs; the rest walk it.
+        out = search.leaf_values
+        if rows.size < n:
+            rest = np.ones(n, dtype=bool)
+            rest[rows] = False
+            rest = np.flatnonzero(rest)
+            out[rest] = tree.predict(ctx.XT, rest)
+        pred = pred + eta * out
         log.train_loss.append(_rmse(y, pred))
         if X_val is not None:
             val_pred = val_pred + eta * tree.predict(XT_val)

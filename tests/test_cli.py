@@ -584,6 +584,36 @@ class TestModelChecks:
                        str(data), "--out", str(tmp_path / "pred")) == 0
 
 
+class TestSeeds:
+    @pytest.mark.parametrize("command", ["synth", "bench", "ablation",
+                                         "tune"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run_cli(command, "--out", str(out), "--n-hours", "400",
+                       "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert "seed must be >= 0, got -1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["bench"],
+                                         ["tune", "--delta", "48"]],
+                             ids=["bench", "tune"])
+    def test_negative_seed_in_params_is_usage_error(self, tmp_path, capsys,
+                                                    command):
+        path = tmp_path / "params.json"
+        path.write_text('{"seed": -3}')
+        out = tmp_path / "out"
+        assert run_cli(*command, "--out", str(out), "--n-hours", "400",
+                       "--params", str(path)) == 1
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (out / "trials.jsonl").exists()
+
+    def test_seed_zero_is_accepted(self, tmp_path):
+        assert run_cli("synth", "--out", str(tmp_path), "--n-hours", "50",
+                       "--seed", "0") == 0
+
+
 class TestPlumbing:
     def test_render_table_alignment(self):
         text = render_table(["a", "bb"], [["xxx", "y"]])

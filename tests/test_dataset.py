@@ -399,6 +399,8 @@ class TestGenerateSynthetic:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigError, match=name):
                     SyntheticConfig(**{name: bad})
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            SyntheticConfig(seed=-1)
 
 
 class TestTemporalSplit:

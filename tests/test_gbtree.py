@@ -168,6 +168,18 @@ class TestSplitEdgeCases:
         assert feature == 3 and type(feature) is int
         assert set(model.gain_by_feature) == {"f3"}
 
+    @pytest.mark.parametrize("n", [4, 1000], ids=["exact", "histogram"])
+    def test_threshold_finite_where_midpoint_overflows(self, n):
+        # lo + hi overflows to inf; the split must still route hi right,
+        # in growth and in predict alike.
+        X = np.where(np.arange(n) < n // 2, 1e308, 1.7e308).reshape(-1, 1)
+        y = (X[:, 0] > 1.5e308).astype(float)
+        model, log = fit(X, y, stump_params())
+        assert model.trees[0].threshold[0] == 1.7e308
+        pred = predict(model, X)
+        assert np.array_equal(pred, y)
+        assert log.train_loss == [0.0]
+
     def test_single_row_node_is_leaf(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 1.0])
@@ -348,6 +360,102 @@ class TestSmallFitPinned:
                                          "f2": 47.470796977577294}
 
 
+def shortcut_data(n):
+    """Tied, quantile-binned and per-value-binned columns."""
+    rng = np.random.default_rng(41)
+    X = np.column_stack([
+        rng.integers(0, 24, size=n).astype(float),
+        rng.normal(size=n),
+        np.round(rng.normal(size=n), 1),
+    ])
+    y = np.sin(X[:, 0] / 4) + X[:, 1] + 0.5 * X[:, 2] \
+        + 0.2 * rng.normal(size=n)
+    return X, y
+
+
+SHORTCUT_FITS = {
+    "depthwise-subsample": HyperParams(n_estimators=6, max_depth=5,
+                                       subsample=0.7, seed=5),
+    "leafwise-goss": HyperParams(n_estimators=6, max_depth=6,
+                                 growth=LEAFWISE, num_leaves=15, goss_a=0.2,
+                                 goss_b=0.3, colsample_bytree=0.7, seed=5),
+}
+
+
+class TestFitShortcuts:
+    """Growth writes the sampled rows' tree outputs, hessians of exactly 1
+    are counted rather than summed, and exact nodes sort rank keys; each
+    must give what the plain computation gives, bit for bit."""
+
+    @pytest.mark.parametrize("n", [200, 1000], ids=["exact", "histogram"])
+    @pytest.mark.parametrize("name", list(SHORTCUT_FITS))
+    def test_train_loss_is_rmse_of_predict(self, name, n):
+        # Rows outside each tree's sample walk it; rows inside take the
+        # leaf value recorded during growth.
+        X, y = shortcut_data(n)
+        assert (n > MAX_BINS) == (n == 1000)
+        model, log = fit(X, y, SHORTCUT_FITS[name])
+        assert len(log.train_loss) == len(model.trees) == 6
+        for t in range(1, len(model.trees) + 1):
+            pred = predict(replace(model, best_iteration=t), X)
+            assert log.train_loss[t - 1] == float(
+                np.sqrt(np.mean((y - pred) ** 2)))
+
+    @pytest.mark.parametrize("n", [200, 1000], ids=["exact", "histogram"])
+    @pytest.mark.parametrize("params", [
+        HyperParams(n_estimators=4, max_depth=5, subsample=0.8, seed=6),
+        HyperParams(n_estimators=4, max_depth=6, growth=LEAFWISE,
+                    num_leaves=20, colsample_bytree=0.7, min_child_weight=3.0,
+                    seed=6),
+    ], ids=[DEPTHWISE, LEAFWISE])
+    def test_unit_hessian_counts_match_weighted_sums(self, params, n,
+                                                     monkeypatch):
+        X, y = shortcut_data(n)
+        original = gbtree._TreeSearch.__init__
+        unit = []
+
+        def spy(self, ctx, g, h, cols, params):
+            original(self, ctx, g, h, cols, params)
+            unit.append(self.h is None)
+
+        monkeypatch.setattr(gbtree._TreeSearch, "__init__", spy)
+        counted, _ = fit(X, y, params)
+        assert unit and all(unit)
+
+        def weighted(self, ctx, g, h, cols, params):
+            original(self, ctx, g, h, cols, params)
+            self.h = h
+
+        monkeypatch.setattr(gbtree._TreeSearch, "__init__", weighted)
+        summed, _ = fit(X, y, params)
+        assert [t.to_dict() for t in counted.trees] == \
+            [t.to_dict() for t in summed.trees]
+        assert counted.gain_by_feature == summed.gain_by_feature
+
+    def test_exact_orders_are_stable_value_order(self):
+        rng = np.random.default_rng(43)
+        n = 240
+        X = np.column_stack([
+            rng.integers(0, 3, size=n), np.round(rng.normal(size=n)),
+            rng.normal(size=n), np.zeros(n),
+        ]).astype(float)
+        X[::7, 1] = -0.0  # equal to 0.0, so tied with it
+        ctx = gbtree._SplitContext(X)
+        cols = np.array([0, 1, 3])
+        search = gbtree._TreeSearch(ctx, rng.normal(size=n), np.ones(n),
+                                    cols, HyperParams(max_depth=3))
+        rows = np.sort(rng.choice(n, size=200, replace=False))
+        nodes = [search.node(rows)]
+        found = search.best_split(nodes[0])
+        nodes += search.children(nodes[0], found[1], found[2])
+        for node in nodes:
+            node_rows = np.sort(node.rows)
+            for k, f in enumerate(cols):
+                expected = node_rows[np.argsort(X[node_rows, f],
+                                                kind="stable")]
+                assert np.array_equal(node.orders[k], expected)
+
+
 class TestFit:
     def test_constant_target(self):
         X = np.arange(10.0).reshape(-1, 1)
@@ -388,6 +496,26 @@ class TestFit:
         X[2, 0] = np.nan
         with pytest.raises(DataError):
             fit(X, np.zeros(5), HyperParams())
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan-target", "non-finite values in validation"),
+        ("inf-feature", "non-finite values in validation"),
+        ("empty", "validation set is empty"),
+    ])
+    def test_rejects_bad_validation_set(self, bad, message):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(200, 2))
+        y = X[:, 0] + 0.1 * rng.normal(size=200)
+        X_val, y_val = X[150:].copy(), y[150:].copy()
+        if bad == "nan-target":
+            y_val[3] = np.nan
+        elif bad == "inf-feature":
+            X_val[5, 1] = np.inf
+        else:
+            X_val, y_val = X_val[:0], y_val[:0]
+        with pytest.raises(DataError, match=message):
+            fit(X[:150], y[:150], HyperParams(n_estimators=5),
+                val=(X_val, y_val))
 
     def test_leafwise_respects_num_leaves(self):
         rng = np.random.default_rng(8)
@@ -664,6 +792,17 @@ class TestTreeWalk:
         split = random_tree(np.random.default_rng(3), 2, [0.0, 1.0])
         assert split.predict(np.zeros((2, 0))).size == 0
 
+    def test_row_subset_walks_only_those_rows(self):
+        rng = np.random.default_rng(23)
+        values = np.array([-1.0, 0.0, 0.5, 2.0])
+        X = rng.choice(values, size=(200, 3))
+        XT = np.ascontiguousarray(X.T)
+        tree = random_tree(rng, 3, values)
+        full = tree.predict(XT)
+        for rows in (rng.permutation(200)[:70], np.array([5]),
+                     np.arange(0), np.arange(200)):
+            assert np.array_equal(tree.predict(XT, rows), full[rows])
+
 
 class TestFeatureImportance:
     def test_single_split_concentrates(self):
@@ -703,6 +842,11 @@ class TestFeatureImportance:
 
 
 class TestHyperParamsValidation:
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            HyperParams(seed=-1)
+        assert HyperParams(seed=0).seed == 0
+
     def test_goss_bounds(self):
         with pytest.raises(ConfigError):
             HyperParams(goss_a=0.8, goss_b=0.4)
