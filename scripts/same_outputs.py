@@ -7,7 +7,10 @@ BASE_SRC and CHANGE_SRC are `src/` directories, for example of a
 `git archive` of the parent commit and of the working tree. Each side runs
 the same fixed `--no-timing` command set, in one interpreter with its
 `src/` first on `sys.path`, in its own working directory under DIR, with
-relative paths, so that the paths written into reports match. The set
+relative paths, so that the paths written into reports match. The base
+side runs under PYTHONHASHSEED=1 and the change side under 2, so passing
+`src` as both sides checks that outputs do not depend on the interpreter's
+hash seed. The set
 covers `synth`, `bench --save-models` at a year and at 600 hours, `bench`
 over three encodings and with a calendar-only feature spec, `ablation`,
 a perfbench-shaped `tune` and a larger one, and `predict` with both saved
@@ -97,15 +100,16 @@ def commands(scale):
     ]
 
 
-def run_side(src, work, argvs):
-    """Run the command set with `src` first on the path, inside `work`."""
+def run_side(src, work, argvs, hash_seed):
+    """Run the command set with `src` first on the path, inside `work`,
+    under PYTHONHASHSEED=`hash_seed`."""
     src = Path(src).resolve()
     if not (src / "cyclecast").is_dir():
         raise SystemExit(f"{src} holds no cyclecast package")
     work.mkdir(parents=True)
     (work / "calendar.json").write_text(json.dumps(CALENDAR_ONLY),
                                         encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
     done = subprocess.run(
         [sys.executable, "-c", DRIVER, str(src), json.dumps(argvs)],
         cwd=work, env=env, stdout=subprocess.DEVNULL, check=False)
@@ -139,10 +143,11 @@ def main(argv=None):
     work = Path(args.work) if args.work else Path(tempfile.mkdtemp())
     try:
         sides = [work / "base", work / "change"]
-        for src, side in zip((args.base_src, args.change_src), sides):
+        for src, side, hash_seed in zip((args.base_src, args.change_src),
+                                        sides, ("1", "2")):
             if side.exists():
                 shutil.rmtree(side)
-            run_side(src, side, argvs)
+            run_side(src, side, argvs, hash_seed)
         diff = differences(*sides)
         n_files = sum(1 for p in sides[0].rglob("*") if p.is_file())
     finally:

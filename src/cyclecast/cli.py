@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__, evaluation, gbtree, tuner
 from .dataset import (
-    TARGET_NAME, SyntheticConfig, generate_synthetic, load_csv, write_csv,
-    write_series_csv,
+    TARGET_NAME, TIME_HEADER, SyntheticConfig, generate_synthetic, load_csv,
+    write_csv, write_series_csv,
 )
 from .encoding import STRATEGIES
 from .errors import ConfigError, CyclecastError, DataError
@@ -77,8 +77,9 @@ def seed(text) -> int:
     return value
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=seed, default=42)
+def _add_common(p, with_seed=True):
+    if with_seed:
+        p.add_argument("--seed", type=seed, default=42)
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--no-timing", action="store_true",
                    help="strip wall-time fields from reports")
@@ -95,7 +96,6 @@ def _add_synthetic(p, n_hours, n_hours_help=None):
 def _add_data_source(p):
     p.add_argument("--data", default=None, help="input CSV path")
     _add_synthetic(p, 4380, "synthetic rows when no --data is given")
-    p.add_argument("--time-col", default="datetime")
 
 
 def _add_features_flags(p):
@@ -103,7 +103,6 @@ def _add_features_flags(p):
                    help="feature-spec JSON file (defaults to built-in spec)")
     p.add_argument("--params", default=None,
                    help="hyperparameter JSON overrides")
-    p.add_argument("--test-fraction", type=float, default=0.2)
 
 
 def build_parser() -> _Parser:
@@ -122,6 +121,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_data_source(p)
     _add_features_flags(p)
+    p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--encodings", default="ordinal,sinusoidal",
                    help="comma-separated encodings to compare")
     p.add_argument("--configs", default="xgb-style,lgbm-style",
@@ -133,15 +133,13 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_data_source(p)
     _add_features_flags(p)
-    p.add_argument("--encoding", choices=STRATEGIES, default=None,
-                   help="re-encode all cyclic features with one strategy")
+    p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--config", default="xgb-style")
 
     p = sub.add_parser("tune", help="Bayesian hyperparameter optimization")
     _add_common(p)
     _add_data_source(p)
     _add_features_flags(p)
-    p.add_argument("--encoding", choices=STRATEGIES, default=None)
     p.add_argument("--budget", type=int, default=30)
     p.add_argument("--init", type=int, default=8)
     p.add_argument("--k", type=int, default=3, help="CV fold count")
@@ -151,10 +149,9 @@ def build_parser() -> _Parser:
                    help="cap trees per trial to keep tuning desk-scale")
 
     p = sub.add_parser("predict", help="predict with a saved model")
-    _add_common(p)
+    _add_common(p, with_seed=False)
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--time-col", default="datetime")
 
     return parser
 
@@ -172,7 +169,7 @@ def _synth_config(args) -> SyntheticConfig:
 
 def _load_frame(args):
     if args.data is not None:
-        return load_csv(args.data, time_col=args.time_col), {"csv": args.data}
+        return load_csv(args.data), {"csv": args.data}
     config = _synth_config(args)
     return generate_synthetic(config), {"synthetic": config.__dict__.copy()}
 
@@ -390,8 +387,6 @@ def cmd_ablation(args) -> int:
 
     frame, source = _load_frame(args)
     spec = _load_spec(args)
-    if args.encoding is not None:
-        spec = spec.with_encoding(args.encoding)
 
     rows = []
     full_rmse = None
@@ -454,14 +449,17 @@ def cmd_tune(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     frame, source = _load_frame(args)
     spec = _load_spec(args)
-    if args.encoding is not None:
-        spec = spec.with_encoding(args.encoding)
+    space = tuner.ParamSpace.default()
+    overrides = _load_param_overrides(args)
+    searched = sorted(overrides.keys() & {d.name for d in space.dimensions})
+    if searched:
+        raise ConfigError(f"--params sets {', '.join(map(repr, searched))}, "
+                          "which tune searches")
     # What every trial fits besides the searched point; --params wins.
     fixed = {"growth": gbtree.DEPTHWISE, "patience": 20, "seed": args.seed,
-             **_load_param_overrides(args)}
+             **overrides}
     matrix = build_matrix(frame, spec)
     evaluation.cv_plan(matrix, args.k, args.delta)  # a bad layout fails here
-    space = tuner.ParamSpace.default()
     cap = args.n_estimators_cap
 
     def fitted(point: dict) -> dict:
@@ -551,8 +549,7 @@ def cmd_predict(args) -> int:
     if target_name != TARGET_NAME:
         raise DataError(f"model file {args.model}: target_name "
                         f"{target_name!r} is not {TARGET_NAME!r}")
-    frame = load_csv(args.data, time_col=args.time_col,
-                     allow_missing_target=True)
+    frame = load_csv(args.data, allow_missing_target=True)
     have_target = bool(np.all(np.isfinite(frame.target)))
     if not have_target and needs_target_history(spec):
         raise DataError(
@@ -568,7 +565,7 @@ def cmd_predict(args) -> int:
 
     pred_path = out_dir / "predictions.csv"
     offset = matrix.dropped_warmup
-    write_series_csv(pred_path, ["datetime", "prediction"],
+    write_series_csv(pred_path, [TIME_HEADER, "prediction"],
                      frame.timestamps[offset:], [pred])
 
     report = {

@@ -1,7 +1,7 @@
 """Hourly energy data: CSV ingestion and synthetic generation.
 
 A frame holds one series, household active power: its timestamps and
-the target value at each. A CSV needs a time column and a
+the target value at each. A CSV needs a `datetime` column and a
 `Global_active_power` column; any other column is ignored. Timestamps
 are naive local times, read from ISO 8601 text and held as one
 datetime64[us] array, so sub-second parts are kept; a CSV row whose
@@ -23,11 +23,12 @@ import numpy as np
 from .encoding import DAYOFWEEK, HOUR
 from .errors import ConfigError, DataError, is_real
 
-# The target's CSV header, and the name reports and saved models give it.
+# The CSV headers of the timestamps and the target, and the name reports
+# and saved models give the target.
+TIME_HEADER = "datetime"
 TARGET_HEADER = "Global_active_power"
 TARGET_NAME = "global_active_power"
 
-DEFAULT_TIME_COL = "datetime"
 DEFAULT_START = datetime(2023, 1, 1, 0, 0, 0)
 _EPOCH = datetime(1970, 1, 1)
 _ONE_HOUR = np.timedelta64(1, "h")
@@ -170,11 +171,10 @@ def _parse_clean(rows, time_idx, target_idx):
     return [(ts - _EPOCH) // datetime.resolution for ts in stamps], values
 
 
-def load_csv(path, time_col: str = DEFAULT_TIME_COL,
-             allow_missing_target: bool = False) -> TimeSeriesFrame:
+def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
     """Load an hourly energy CSV into a TimeSeriesFrame.
 
-    Only the time column and `Global_active_power` are read; other
+    Only the `datetime` and `Global_active_power` columns are read; other
     columns are ignored. Rows with an unparseable cell in those two
     columns or a timestamp that carries a UTC offset are rejected and
     recorded in ``rejected_rows`` as (row_index, reason); non-monotonic
@@ -198,9 +198,10 @@ def load_csv(path, time_col: str = DEFAULT_TIME_COL,
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
-        if time_col not in header:
-            raise DataError(f"{path}: missing timestamp column {time_col!r}")
-        time_idx = header.index(time_col)
+        if TIME_HEADER not in header:
+            raise DataError(f"{path}: missing timestamp column "
+                            f"{TIME_HEADER!r}")
+        time_idx = header.index(TIME_HEADER)
         if TARGET_HEADER in header:
             target_idx = header.index(TARGET_HEADER)
         elif allow_missing_target:
@@ -279,7 +280,7 @@ def _format_rows(timestamps, columns):
 def write_csv(frame: TimeSeriesFrame, path) -> None:
     """Write a frame as `datetime,Global_active_power` (round-trips
     load_csv)."""
-    write_series_csv(path, [DEFAULT_TIME_COL, TARGET_HEADER],
+    write_series_csv(path, [TIME_HEADER, TARGET_HEADER],
                      frame.timestamps, [frame.target])
 
 

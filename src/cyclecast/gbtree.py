@@ -13,10 +13,10 @@ smaller child's). A node of at most MAX_BINS rows is searched exactly over
 every distinct value, its rows kept as one (n_cols, n_node_rows) array
 sorted per feature by rank key. Either way a node's search over all
 features is a handful of array operations rather than a loop over
-features, and `split_gain` scores it. Where every hessian is exactly 1
-(squared loss without GOSS weights) a hessian sum is a row count, so no
-hessian is summed. Growth records each sampled row's leaf value, so only
-rows outside the tree's sample walk the tree for the training update.
+features, and `split_gain` scores it. Without GOSS weights every
+hessian is 1, so a hessian sum is a row count and no hessian is summed.
+Growth records each sampled row's leaf value, so only rows outside the
+tree's sample walk the tree for the training update.
 Supports depth-wise and leaf-wise growth, plain row subsampling or
 gradient-based one-side sampling (GOSS), per-tree column subsampling,
 shrinkage, and patience-based early stopping on a validation set.
@@ -394,8 +394,8 @@ class _TreeSearch:
     with the largest positive gain whose children both satisfy
     min_child_weight; ties go to the first candidate in row-major order:
     the lowest feature index, then the lowest threshold. `h` is None when
-    every hessian is exactly 1, as for squared loss without GOSS weights;
-    a hessian sum is then a row count. `leaf` writes each leaf's weight
+    every hessian is 1, as for squared loss without GOSS weights; a
+    hessian sum is then a row count. `leaf` writes each leaf's weight
     into `leaf_values` at the leaf's rows, so after growth `leaf_values`
     holds the tree's output for every row of its sample.
     """
@@ -403,7 +403,7 @@ class _TreeSearch:
     def __init__(self, ctx, g, h, cols, params):
         self.ctx = ctx
         self.g = g
-        self.h = None if np.all(h == 1.0) else h
+        self.h = h
         self.cols = cols
         self.params = params
         self.leaf_values = np.empty(g.size)
@@ -504,13 +504,12 @@ class _TreeSearch:
     def children(self, node, c, pos):
         """The (left, right) children of splitting `node` at (c, pos)."""
         if node.hist is None:
-            # A stable partition keeps each row of `orders` sorted. Every
-            # node row appears once per row of `orders`, so the left rows
-            # select as many entries from each and the result reshapes.
+            # A stable partition by rank key keeps each row of `orders`
+            # sorted. Every node row appears once per row of `orders`, so
+            # the left rows select as many entries from each and reshape.
             orders = node.orders
-            member = np.zeros(self.ctx.XT.shape[1], dtype=bool)
-            member[orders[c, : pos + 1]] = True
-            sel = member[orders]
+            key = self.ctx.rank[self.cols[c]]
+            sel = key[orders] <= key[orders[c, pos]]
             k = orders.shape[0]
             left = orders[sel].reshape(k, -1)
             right = orders[~sel].reshape(k, -1)
@@ -688,18 +687,17 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
 
         if params.goss_a is not None:
             rows, w = goss_sample(g, params.goss_a, params.goss_b, rng)
-            gw = g.copy()
-            hw = h.copy()
-            gw[rows] = g[rows] * w
-            hw[rows] = h[rows] * w
+            # The unit hessians become the GOSS weights, which scale g too.
+            h[rows] = w
+            g = g * h
             rows = np.sort(rows)
-        elif params.subsample < 1.0:
-            m = max(1, math.floor(params.subsample * n))
-            rows = np.sort(rng.choice(n, size=m, replace=False))
-            gw, hw = g, h
         else:
-            rows = np.arange(n)
-            gw, hw = g, h
+            h = None  # every hessian is 1
+            if params.subsample < 1.0:
+                m = max(1, math.floor(params.subsample * n))
+                rows = np.sort(rng.choice(n, size=m, replace=False))
+            else:
+                rows = np.arange(n)
 
         if n_cols < n_feat:
             cols = np.sort(rng.choice(n_feat, size=n_cols, replace=False))
@@ -708,7 +706,7 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
 
         tree = RegressionTree()
         gain_acc: dict[int, float] = {}
-        search = _TreeSearch(ctx, gw, hw, cols, params)
+        search = _TreeSearch(ctx, g, h, cols, params)
         grow = _grow_leafwise if params.growth == LEAFWISE else _grow_depthwise
         grow(tree, search, search.node(rows), params, gain_acc)
         trees.append(tree)

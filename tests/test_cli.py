@@ -217,6 +217,17 @@ class TestBench:
         assert self.bench(tmp_path, "--params", str(path),
                           "--features", str(spec)) == 0
 
+    def test_time_header_other_than_datetime_is_data_error(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("Datetime,Global_active_power\n"
+                        + "".join(f"2023-01-01 {h:02d}:00:00,1.0\n"
+                                  for h in range(24)))
+        assert self.bench(tmp_path, "--data", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "missing timestamp column 'datetime'" in err
+
     @pytest.mark.parametrize("fraction", ["0", "1.0", "1.5", "-0.1"])
     def test_test_fraction_out_of_range_is_usage_error(self, tmp_path,
                                                        fraction):
@@ -324,6 +335,33 @@ class TestTune:
                        "--budget", "3", "--init", "2", "--k", "2",
                        "--delta", "60", "--params", str(path)) == 1
         assert not (out / "trials.jsonl").exists()
+
+    def test_params_naming_a_searched_knob_is_usage_error(self, tmp_path,
+                                                          capsys):
+        # A fixed value would override every trial's point, so the search
+        # over that dimension would change nothing.
+        path = tmp_path / "params.json"
+        path.write_text('{"n_estimators": 40, "reg_lambda": 2.0, '
+                        '"max_depth": 3}')
+        out = tmp_path / "out"
+        assert run_cli("tune", "--out", str(out), "--n-hours", "600",
+                       "--budget", "3", "--init", "2", "--k", "2",
+                       "--delta", "60", "--params", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --params sets 'max_depth', "
+                              "'n_estimators', which tune searches")
+        assert not (out / "trials.jsonl").exists()
+
+    def test_params_fixing_an_unsearched_knob_is_applied(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text('{"reg_lambda": 2.5}')
+        out = tmp_path / "out"
+        assert run_cli("tune", "--out", str(out), "--n-hours", "600",
+                       "--budget", "3", "--init", "2", "--k", "2",
+                       "--delta", "60", "--n-estimators-cap", "5",
+                       "--params", str(path), "--no-timing") == 0
+        best = json.loads((out / "best_params.json").read_text())
+        assert best["reg_lambda"] == 2.5
 
     def test_budget_must_exceed_init(self, tmp_path):
         # Both halves of the rule fail before any file is written.
@@ -612,6 +650,29 @@ class TestSeeds:
     def test_seed_zero_is_accepted(self, tmp_path):
         assert run_cli("synth", "--out", str(tmp_path), "--n-hours", "50",
                        "--seed", "0") == 0
+
+
+class TestDeclaredOptions:
+    """A subcommand declares only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tune", "--test-fraction", "0.3"],
+        ["predict", "--model", "m.json", "--data", "d.csv", "--seed", "1"],
+        ["ablation", "--encoding", "onehot"],
+        ["tune", "--encoding", "ordinal"],
+        ["bench", "--time-col", "Datetime"],
+        ["ablation", "--time-col", "Datetime"],
+        ["tune", "--time-col", "Datetime"],
+        ["predict", "--model", "m.json", "--data", "d.csv",
+         "--time-col", "Datetime"],
+    ], ids=["tune-test-fraction", "predict-seed", "ablation-encoding",
+            "tune-encoding", "bench-time-col", "ablation-time-col",
+            "tune-time-col", "predict-time-col"])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
 
 class TestPlumbing:

@@ -87,6 +87,16 @@ class TestLoadCsv:
         assert str(info.value) == \
             f"{path}: missing target column 'Global_active_power'"
 
+    @pytest.mark.parametrize("allow_missing_target", [False, True])
+    def test_time_header_is_datetime(self, tmp_path, allow_missing_target):
+        # Header names are matched exactly.
+        path = make_csv(tmp_path, [row("2023-01-01 00:00:00")],
+                        header=HEADER.replace("datetime", "Datetime"))
+        with pytest.raises(DataError) as info:
+            load_csv(path, allow_missing_target=allow_missing_target)
+        assert str(info.value) == \
+            f"{path}: missing timestamp column 'datetime'"
+
     def test_missing_target_allowed_loads_nan(self, tmp_path):
         path = make_csv(tmp_path, ["2023-01-01 00:00:00",
                                    "2023-01-01 01:00:00"], header="datetime")

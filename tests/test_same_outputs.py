@@ -1,5 +1,6 @@
 """scripts/same_outputs.py: two source trees, one command set, byte-equal
-outputs."""
+outputs. With `src` as both sides it checks that outputs do not depend on
+the interpreter's hash seed."""
 
 import importlib.util
 import subprocess
