@@ -85,17 +85,29 @@ def _add_common(p, with_seed=True):
                    help="strip wall-time fields from reports")
 
 
-def _add_synthetic(p, n_hours, n_hours_help=None):
-    p.add_argument("--n-hours", type=int, default=n_hours, help=n_hours_help)
-    p.add_argument("--daily-amplitude", type=float, default=1.0)
-    p.add_argument("--weekly-amplitude", type=float, default=0.5)
-    p.add_argument("--trend-slope", type=float, default=0.0)
-    p.add_argument("--noise-std", type=float, default=0.3)
+# The synthetic-data flags. Each defaults to None, so a command can tell
+# which were given; `_synth_config` takes SyntheticConfig's default for any
+# other, and the command's own default for n_hours.
+SYNTHETIC_FLAGS = {"n_hours": int, "daily_amplitude": float,
+                   "weekly_amplitude": float, "trend_slope": float,
+                   "noise_std": float}
+
+
+def _flag(dest) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _add_synthetic(p, n_hours):
+    p.set_defaults(default_n_hours=n_hours)
+    for dest, kind in SYNTHETIC_FLAGS.items():
+        p.add_argument(_flag(dest), type=kind)
 
 
 def _add_data_source(p):
-    p.add_argument("--data", default=None, help="input CSV path")
-    _add_synthetic(p, 4380, "synthetic rows when no --data is given")
+    p.add_argument("--data", default=None,
+                   help="input CSV path; without it, synthetic data (4380 "
+                        "rows unless --n-hours says otherwise)")
+    _add_synthetic(p, 4380)
 
 
 def _add_features_flags(p):
@@ -156,19 +168,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _given_synthetic(args) -> dict:
+    """The synthetic-data flags given on the command line, by dest."""
+    return {dest: getattr(args, dest) for dest in SYNTHETIC_FLAGS
+            if getattr(args, dest) is not None}
+
+
 def _synth_config(args) -> SyntheticConfig:
-    return SyntheticConfig(
-        n_hours=args.n_hours,
-        daily_amplitude=args.daily_amplitude,
-        weekly_amplitude=args.weekly_amplitude,
-        trend_slope=args.trend_slope,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
+    return SyntheticConfig(**{"n_hours": args.default_n_hours,
+                              **_given_synthetic(args), "seed": args.seed})
 
 
 def _load_frame(args):
     if args.data is not None:
+        given = _given_synthetic(args)
+        if given:
+            raise ConfigError(f"{', '.join(map(_flag, given))} shape "
+                              "synthetic data and cannot be given with "
+                              "--data")
         return load_csv(args.data), {"csv": args.data}
     config = _synth_config(args)
     return generate_synthetic(config), {"synthetic": config.__dict__.copy()}
@@ -446,7 +463,6 @@ def render_ablation_table(report: dict) -> str:
 def cmd_tune(args) -> int:
     tuner.check_budget(args.budget, args.init)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     frame, source = _load_frame(args)
     spec = _load_spec(args)
     space = tuner.ParamSpace.default()
@@ -481,6 +497,7 @@ def cmd_tune(args) -> int:
     to_params(default_point)  # bad --params values fail here, not per trial
 
     trials_path = out_dir / "trials.jsonl"
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(trials_path, "w", encoding="utf-8") as stream:
         def on_trial(trial):
             record = trial.to_dict()
@@ -536,7 +553,6 @@ def cmd_tune(args) -> int:
 
 def cmd_predict(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model, extra = gbtree.load_model(args.model)
     if "feature_spec" not in extra:
         raise DataError(f"model file {args.model} carries no feature spec; "
@@ -564,6 +580,7 @@ def cmd_predict(args) -> int:
     latency_us = 1e6 * elapsed / max(matrix.n_rows, 1)
 
     pred_path = out_dir / "predictions.csv"
+    out_dir.mkdir(parents=True, exist_ok=True)
     offset = matrix.dropped_warmup
     write_series_csv(pred_path, [TIME_HEADER, "prediction"],
                      frame.timestamps[offset:], [pred])

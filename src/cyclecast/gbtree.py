@@ -14,7 +14,10 @@ every distinct value, its rows kept as one (n_cols, n_node_rows) array
 sorted per feature by rank key. Either way a node's search over all
 features is a handful of array operations rather than a loop over
 features, and `split_gain` scores it. Without GOSS weights every
-hessian is 1, so a hessian sum is a row count and no hessian is summed.
+hessian is 1, so a hessian sum is a row count and no hessian is summed;
+an exact node then scores only the thresholds that leave min_child_weight
+rows on both sides. A child at the depth cap is never searched, so it
+gets no search layout, only its rows and gradient and hessian sums.
 Growth records each sampled row's leaf value, so only rows outside the
 tree's sample walk the tree for the training update.
 Supports depth-wise and leaf-wise growth, plain row subsampling or
@@ -153,12 +156,19 @@ def split_gain(G_L, H_L, G, H, reg_lambda, gamma):
     children must have H + lambda > 0: callers drop any other candidate
     before calling, so nothing is divided by zero.
     """
+    # 0.5 * (G_L*G_L/(H_L + lambda) + G_R*G_R/(H - H_L + lambda)
+    #        - G*G/(H + lambda)) - gamma, in that operation order, in place
+    # on two buffers.
     G_R = G - G_L
-    return 0.5 * (
-        G_L * G_L / (H_L + reg_lambda)
-        + G_R * G_R / (H - H_L + reg_lambda)
-        - G * G / (H + reg_lambda)
-    ) - gamma
+    gain = G_L * G_L
+    gain /= H_L + reg_lambda
+    G_R *= G_R
+    G_R /= H - H_L + reg_lambda
+    gain += G_R
+    gain -= G * G / (H + reg_lambda)
+    gain *= 0.5
+    gain -= gamma
+    return gain
 
 
 def goss_sample(g, a, b, rng):
@@ -361,7 +371,8 @@ class _Node:
     unit hessians (`h` None) `hist` drops the h sums, which equal the row
     counts. G and H sum g and h over `rows`, in that order, once for both
     the split search and the leaf weight; with unit hessians H is the row
-    count.
+    count. A node that growth will not search keeps neither `orders` nor
+    `hist`.
     """
 
     __slots__ = ("rows", "G", "H", "orders", "hist")
@@ -410,11 +421,17 @@ class _TreeSearch:
         if ctx.codes is not None:
             self.bins = ctx.offset_bins(cols)
 
-    def node(self, rows, hist=None):
-        """The node over `rows`, given in ascending order."""
+    def node(self, rows, hist=None, searched=True):
+        """The node over `rows`, given in ascending order. A node that is
+        not `searched` gets no search layout, only its rows and G, H; its
+        rows are in the order an exact node would sum them."""
         if rows.size > MAX_BINS:
-            return _Node(rows, self.g, self.h,
-                         hist=self.histogram(rows) if hist is None else hist)
+            if hist is None and searched:
+                hist = self.histogram(rows)
+            return _Node(rows, self.g, self.h, hist=hist)
+        if not searched:
+            rows = rows[self.ctx.rank[self.cols[0], rows].argsort()]
+            return _Node(rows, self.g, self.h)
         keys = self.ctx.rank[self.cols[:, None], rows]
         orders = rows[keys.argsort(axis=1)]
         return _Node(orders[0], self.g, self.h, orders=orders)
@@ -461,6 +478,32 @@ class _TreeSearch:
         k, index = divmod(int(cells[best]), valid.shape[1])
         return k, index, gain
 
+    def _unit_split(self, node):
+        """best_split of an exact node with unit hessians.
+
+        The first j + 1 rows of a sorted node have H_L = j + 1, so
+        min_child_weight admits exactly the positions lo..hi - 1, and only
+        those are scored. A position between equal values gets gain -inf;
+        the first maximum in row-major order wins, as in `_pick`.
+        """
+        p = self.params
+        orders = node.orders
+        m = orders.shape[1]
+        lo = max(math.ceil(min(p.min_child_weight, m)), 1) - 1
+        hi = m - 1 - lo
+        if hi <= lo:
+            return None
+        vs = self.ctx.XT[self.cols[:, None], orders[:, lo:hi + 1]]
+        G_L = self.g[orders[:, :hi]].cumsum(axis=1)[:, lo:]
+        gains = split_gain(G_L, np.arange(lo + 1.0, hi + 1), node.G, node.H,
+                           p.reg_lambda, p.gamma)
+        gains[vs[:, :-1] == vs[:, 1:]] = -np.inf
+        c, i = divmod(int(gains.argmax()), hi - lo)
+        gain = float(gains[c, i])
+        if gain <= 0:
+            return None
+        return gain, c, lo + i, _threshold(vs[c, i], vs[c, i + 1])
+
     def best_split(self, node):
         """(gain, k, pos, threshold) of the node's best split, or None.
 
@@ -469,20 +512,16 @@ class _TreeSearch:
         """
         G, H = node.G, node.H
         if node.hist is None:
+            if self.h is None:
+                return self._unit_split(node)
             orders = node.orders
-            m = orders.shape[1]
-            if m < 2:
+            if orders.shape[1] < 2:
                 return None
             vs = self.ctx.XT[self.cols[:, None], orders]
             prefix = orders[:, :-1]
-            G_L = self.g[prefix].cumsum(axis=1)
-            if self.h is None:
-                # The first j + 1 rows of a sorted node have H_L = j + 1.
-                H_L = np.empty(G_L.shape)
-                H_L[:] = np.arange(1.0, m)
-            else:
-                H_L = self.h[prefix].cumsum(axis=1)
-            found = self._pick(G_L, H_L, G, H, vs[:, :-1] < vs[:, 1:])
+            found = self._pick(self.g[prefix].cumsum(axis=1),
+                               self.h[prefix].cumsum(axis=1), G, H,
+                               vs[:, :-1] < vs[:, 1:])
             if found is None:
                 return None
             c, i, gain = found
@@ -501,15 +540,22 @@ class _TreeSearch:
         return gain, c, b, _threshold(self.ctx.bin_high[f, b],
                                       self.ctx.bin_low[f, nxt])
 
-    def children(self, node, c, pos):
-        """The (left, right) children of splitting `node` at (c, pos)."""
+    def children(self, node, c, pos, searched=True):
+        """The (left, right) children of splitting `node` at (c, pos);
+        growth passes `searched` False for children it will not search."""
         if node.hist is None:
+            key = self.ctx.rank[self.cols[c]]
+            cut = key[node.orders[c, pos]]
+            if not searched:
+                rows = node.rows  # orders[0], the order a child would sum
+                sel = key[rows] <= cut
+                return (_Node(rows[sel], self.g, self.h),
+                        _Node(rows[~sel], self.g, self.h))
             # A stable partition by rank key keeps each row of `orders`
             # sorted. Every node row appears once per row of `orders`, so
             # the left rows select as many entries from each and reshape.
             orders = node.orders
-            key = self.ctx.rank[self.cols[c]]
-            sel = key[orders] <= key[orders[c, pos]]
+            sel = key[orders] <= cut
             k = orders.shape[0]
             left = orders[sel].reshape(k, -1)
             right = orders[~sel].reshape(k, -1)
@@ -518,8 +564,9 @@ class _TreeSearch:
         rows = node.rows
         go_left = self.ctx.codes[self.cols[c], rows] <= pos
         left, right = rows[go_left], rows[~go_left]
-        if max(left.size, right.size) <= MAX_BINS:
-            return self.node(left), self.node(right)
+        if not searched or max(left.size, right.size) <= MAX_BINS:
+            return (self.node(left, searched=searched),
+                    self.node(right, searched=searched))
         # Histogram the smaller child; the larger one is the difference.
         if left.size <= right.size:
             small = self.histogram(left)
@@ -542,7 +589,8 @@ def _grow_depthwise(tree, search, node, params, gain_acc, depth=0):
         return tree.add_leaf(search.leaf(node))
     gain, c, pos, thr = found
     f = int(search.cols[c])
-    left, right = search.children(node, c, pos)
+    left, right = search.children(node, c, pos,
+                                  depth + 1 < params.max_depth)
     idx = tree.add_internal(f, thr)
     gain_acc[f] = gain_acc.get(f, 0.0) + gain
     tree.left[idx] = _grow_depthwise(tree, search, left, params, gain_acc,
@@ -573,7 +621,8 @@ def _grow_leafwise(tree, search, root, params, gain_acc):
     n_leaves = 1
     while heap and n_leaves < params.num_leaves:
         _, _, idx, node, depth, (gain, c, pos, thr) = heapq.heappop(heap)
-        left, right = search.children(node, c, pos)
+        left, right = search.children(node, c, pos,
+                                      depth + 1 < params.max_depth)
         f = int(search.cols[c])
         tree.feature[idx] = f
         tree.threshold[idx] = thr

@@ -3,7 +3,11 @@ and expected-improvement acquisition, plus a random-search baseline.
 
 The surrogate is a Matern-5/2 ARD kernel on unit-cube-normalized inputs
 with hyperparameters set by multi-start marginal-likelihood maximization,
-using the likelihood's closed-form gradient.
+using the likelihood's closed-form gradient. The likelihood and the
+posterior call LAPACK's dpotrf and dpotrs (scipy.linalg.lapack) directly:
+the routines scipy.linalg's cholesky, cho_factor and cho_solve call, less
+those wrappers' per-call checks and lookups, which cost more than the
+factorization of a kernel this small. Only K's finiteness is checked.
 
 Each function imports the scipy parts it uses when it runs, because every
 CLI command imports this module and only `tune` calls into it: importing
@@ -134,13 +138,16 @@ def _matern52(X1, X2, length_scales, signal_var):
     dimension j scaled by length_scales[j], and
     dK/dlog(length_scales[j]) = slope * d2[..., j].
     """
-    d = X1[:, None, :] / length_scales - X2[None, :, :] / length_scales
+    Z1 = X1 / length_scales
+    Z2 = Z1 if X2 is X1 else X2 / length_scales
+    d = Z1[:, None, :] - Z2[None, :, :]
     d2 = np.square(d, out=d)
-    r = np.sqrt(np.maximum(np.sum(d2, axis=-1), 0.0))
+    r = np.sqrt(d2.sum(axis=-1))  # a sum of squares needs no clamp at 0
     s5r = math.sqrt(5.0) * r
     e = np.exp(-s5r)
-    K = signal_var * (1.0 + s5r + 5.0 / 3.0 * r * r) * e
-    slope = signal_var * 5.0 / 3.0 * (1.0 + s5r) * e
+    a = 1.0 + s5r
+    K = signal_var * (a + 5.0 / 3.0 * r * r) * e
+    slope = signal_var * 5.0 / 3.0 * a * e
     return K, slope, d2
 
 
@@ -152,11 +159,23 @@ def _standardize(y):
     return mean, std, (y - mean) / std
 
 
+def _cholesky(K, clean):
+    """(L, info) from LAPACK dpotrf: the lower Cholesky factor of K, and
+    info > 0 when K is not positive definite. `clean` zeroes L's upper
+    triangle. Like scipy.linalg.cholesky, a non-finite K raises
+    ValueError."""
+    from scipy.linalg.lapack import dpotrf
+
+    if not np.isfinite(K).all():
+        raise ValueError("kernel matrix must not contain infs or NaNs")
+    return dpotrf(K, lower=1, clean=clean)
+
+
 class Surrogate:
     """GP posterior over observed trials (inputs in the unit cube)."""
 
     def __init__(self, X, y, length_scales, signal_var, noise_var, jitter):
-        from scipy.linalg import cho_factor, cho_solve
+        from scipy.linalg.lapack import dpotrs
 
         self.X = X
         self.y_mean, self.y_std, ys = _standardize(y)
@@ -165,18 +184,20 @@ class Surrogate:
         self.noise_var = noise_var
         K = _matern52(X, X, length_scales, signal_var)[0]
         K[np.diag_indices_from(K)] += noise_var + jitter
-        self._chol = cho_factor(K, lower=True)
-        self._alpha = cho_solve(self._chol, ys)
+        self._chol, info = _cholesky(K, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError("kernel matrix not positive definite")
+        self._alpha = dpotrs(self._chol, ys, lower=1)[0]
 
     def posterior(self, x: np.ndarray):
         """Predictive mean and std arrays, in objective units, at the rows
         of `x`: unit-cube points, shaped (n, d), or one point, shaped (d,)."""
-        from scipy.linalg import cho_solve
+        from scipy.linalg.lapack import dpotrs
 
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         k = _matern52(x, self.X, self.length_scales, self.signal_var)[0]
         mu = k @ self._alpha
-        v = cho_solve(self._chol, k.T)
+        v = dpotrs(self._chol, k.T, lower=1)[0]
         var = self.signal_var + self.noise_var - np.sum(k * v.T, axis=1)
         var = np.maximum(var, 0.0)
         mu = mu * self.y_std + self.y_mean
@@ -188,29 +209,29 @@ def _neg_log_marginal_likelihood(log_params, X, y):
     """Negative log marginal likelihood and its gradient in log_params
     (log length scales, log signal, log noise): GPML eq. 5.9,
     d/dtheta = 1/2 tr((K^-1 - alpha alpha^T) dK/dtheta)."""
-    from scipy.linalg import cho_solve, cholesky
+    from scipy.linalg.lapack import dpotrs
 
     n, d = X.shape
     ls = np.exp(log_params[:d])
     sf = math.exp(log_params[d])
     noise = math.exp(log_params[d + 1])
     K0, slope, d2 = _matern52(X, X, ls, sf)
-    K = K0 + (noise + NOISE_FLOOR) * np.eye(n)
-    try:
-        L = cholesky(K, lower=True)
-    except np.linalg.LinAlgError:
+    eye = np.eye(n)
+    K = K0 + (noise + NOISE_FLOOR) * eye
+    L, info = _cholesky(K, clean=1)
+    if info > 0:
         return 1e25, np.zeros(d + 2)
-    alpha = cho_solve((L, True), y)
+    alpha = dpotrs(L, y, lower=1)[0]
     nll = (
         0.5 * float(y @ alpha)
-        + float(np.sum(np.log(np.diag(L))))
+        + float(np.log(L.diagonal()).sum())
         + 0.5 * y.size * math.log(2.0 * math.pi)
     )
-    W = cho_solve((L, True), np.eye(n)) - np.outer(alpha, alpha)
+    W = dpotrs(L, eye, lower=1)[0] - alpha[:, None] * alpha
     grad = np.empty(d + 2)
     grad[:d] = 0.5 * np.einsum("ab,abj->j", W * slope, d2)
-    grad[d] = 0.5 * float(np.sum(W * K0))
-    grad[d + 1] = 0.5 * noise * float(np.trace(W))
+    grad[d] = 0.5 * float((W * K0).sum())
+    grad[d + 1] = 0.5 * noise * float(W.trace())
     return nll, grad
 
 

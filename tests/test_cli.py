@@ -154,7 +154,8 @@ class TestBench:
             "Global_intensity,Sub_metering_1,Sub_metering_2,Sub_metering_3\n"
             + "".join(f"2023-01-01 {h:02d}:00:00+00:00,1.0,0.1,240.0,4.2,"
                       "0.0,1.0,2.0\n" for h in range(24)))
-        assert self.bench(tmp_path, "--data", str(path)) == 2
+        assert run_cli("bench", "--out", str(tmp_path), "--configs",
+                       "xgb-style", "--no-timing", "--data", str(path)) == 2
 
     def test_removed_goss_switch_in_params_is_usage_error(self, tmp_path):
         # `goss_inverse_weights` is no longer a hyperparameter.
@@ -223,7 +224,8 @@ class TestBench:
         path.write_text("Datetime,Global_active_power\n"
                         + "".join(f"2023-01-01 {h:02d}:00:00,1.0\n"
                                   for h in range(24)))
-        assert self.bench(tmp_path, "--data", str(path)) == 2
+        assert run_cli("bench", "--out", str(tmp_path), "--configs",
+                       "xgb-style", "--no-timing", "--data", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert "missing timestamp column 'datetime'" in err
@@ -334,7 +336,7 @@ class TestTune:
         assert run_cli("tune", "--out", str(out), "--n-hours", "600",
                        "--budget", "3", "--init", "2", "--k", "2",
                        "--delta", "60", "--params", str(path)) == 1
-        assert not (out / "trials.jsonl").exists()
+        assert not out.exists()
 
     def test_params_naming_a_searched_knob_is_usage_error(self, tmp_path,
                                                           capsys):
@@ -350,7 +352,7 @@ class TestTune:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --params sets 'max_depth', "
                               "'n_estimators', which tune searches")
-        assert not (out / "trials.jsonl").exists()
+        assert not out.exists()
 
     def test_params_fixing_an_unsearched_knob_is_applied(self, tmp_path):
         path = tmp_path / "params.json"
@@ -368,7 +370,16 @@ class TestTune:
         out = tmp_path / "out"
         for budget, init in (("3", "3"), ("3", "1")):
             assert self.tune(out, budget=budget, init=init) == 1
-            assert not (out / "trials.jsonl").exists()
+            assert not out.exists()
+
+    def test_early_error_leaves_no_output_directory(self, tmp_path):
+        # The directory is made just before trials.jsonl is opened.
+        params = tmp_path / "empty.json"
+        params.write_text("")
+        out = tmp_path / "out"
+        assert run_cli("tune", "--out", str(out), "--n-hours", "600",
+                       "--params", str(params)) == 2
+        assert not out.exists()
 
     def test_cv_layout_too_large_is_usage_error(self, tmp_path):
         # 30 folds of 168 rows cannot fit in 600 rows; no trial runs.
@@ -376,7 +387,7 @@ class TestTune:
         assert run_cli("tune", "--out", str(out), "--n-hours", "600",
                        "--k", "30", "--delta", "168", "--budget", "3",
                        "--init", "2", "--no-timing") == 1
-        assert not (out / "trials.jsonl").exists()
+        assert not out.exists()
 
 
 class TestPredict:
@@ -507,6 +518,13 @@ class TestPredict:
     def test_missing_model_file(self, tmp_path):
         assert run_cli("predict", "--model", str(tmp_path / "nope.json"),
                        "--data", str(tmp_path / "nope.csv")) == 2
+
+    def test_early_error_leaves_no_output_directory(self, tmp_path):
+        out = tmp_path / "pred"
+        assert run_cli("predict", "--out", str(out),
+                       "--model", str(tmp_path / "nope.json"),
+                       "--data", str(tmp_path / "nope.csv")) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ('{"format_version": 1, "trees": [', "is not valid JSON"),
@@ -645,7 +663,7 @@ class TestSeeds:
         assert run_cli(*command, "--out", str(out), "--n-hours", "400",
                        "--params", str(path)) == 1
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
-        assert not (out / "trials.jsonl").exists()
+        assert not out.exists()
 
     def test_seed_zero_is_accepted(self, tmp_path):
         assert run_cli("synth", "--out", str(tmp_path), "--n-hours", "50",
@@ -672,6 +690,22 @@ class TestDeclaredOptions:
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "ablation", "tune"])
+    def test_synthetic_flags_with_data_are_usage_error(self, tmp_path,
+                                                       capsys, command):
+        # They would shape synthetic data that --data replaces.
+        csv = tmp_path / "synthetic.csv"
+        assert run_cli("synth", "--out", str(tmp_path), "--n-hours",
+                       "400") == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(command, "--out", str(out), "--data", str(csv),
+                       "--noise-std", "7", "--n-hours", "5") == 1
+        assert capsys.readouterr().err == (
+            "usage error: --n-hours, --noise-std shape synthetic data and "
+            "cannot be given with --data\n")
         assert not out.exists()
 
 

@@ -410,27 +410,72 @@ class TestFitShortcuts:
     ], ids=[DEPTHWISE, LEAFWISE])
     def test_unit_hessian_counts_match_weighted_sums(self, params, n,
                                                      monkeypatch):
+        # The unit-hessian exact search scores only the positions that
+        # min_child_weight admits; the weighted search checks every one.
         X, y = shortcut_data(n)
         original = gbtree._TreeSearch.__init__
-        unit = []
+        original_split = gbtree._TreeSearch.best_split
+        for mcw in (0.0, 0.5, 2.5, 8.0):
+            unit, sizes = [], []
 
-        def spy(self, ctx, g, h, cols, params):
-            original(self, ctx, g, h, cols, params)
-            unit.append(self.h is None)
+            def spy(self, ctx, g, h, cols, params):
+                original(self, ctx, g, h, cols, params)
+                unit.append(self.h is None)
 
-        monkeypatch.setattr(gbtree._TreeSearch, "__init__", spy)
-        counted, _ = fit(X, y, params)
-        assert unit and all(unit)
+            def sized(self, node):
+                sizes.append(node.rows.size)
+                return original_split(self, node)
 
-        def weighted(self, ctx, g, h, cols, params):
-            original(self, ctx, g, h, cols, params)
-            self.h = np.ones(g.size)
+            monkeypatch.setattr(gbtree._TreeSearch, "__init__", spy)
+            monkeypatch.setattr(gbtree._TreeSearch, "best_split", sized)
+            fitted = replace(params, min_child_weight=mcw)
+            counted, _ = fit(X, y, fitted)
+            assert unit and all(unit)
+            # Some searched node is too small to leave mcw rows each side.
+            assert mcw < 8 or min(sizes) < 2 * mcw
 
-        monkeypatch.setattr(gbtree._TreeSearch, "__init__", weighted)
-        summed, _ = fit(X, y, params)
-        assert [t.to_dict() for t in counted.trees] == \
-            [t.to_dict() for t in summed.trees]
-        assert counted.gain_by_feature == summed.gain_by_feature
+            def weighted(self, ctx, g, h, cols, params):
+                original(self, ctx, g, h, cols, params)
+                self.h = np.ones(g.size)
+
+            monkeypatch.setattr(gbtree._TreeSearch, "__init__", weighted)
+            summed, _ = fit(X, y, fitted)
+            assert [t.to_dict() for t in counted.trees] == \
+                [t.to_dict() for t in summed.trees]
+            assert counted.gain_by_feature == summed.gain_by_feature
+
+    @pytest.mark.parametrize("n", [200, 1000], ids=["exact", "histogram"])
+    @pytest.mark.parametrize("params", [
+        HyperParams(n_estimators=5, subsample=0.8, seed=8),
+        HyperParams(n_estimators=5, growth=LEAFWISE, num_leaves=12,
+                    goss_a=0.3, goss_b=0.3, colsample_bytree=0.7, seed=8),
+    ], ids=[DEPTHWISE, LEAFWISE])
+    def test_unsearched_children_match_full_layout(self, params, n,
+                                                   monkeypatch):
+        # Children at the depth cap get rows and G, H only; giving them
+        # the full search layout must change no bit of the fit.
+        X, y = shortcut_data(n)
+        val = shortcut_data(80)
+        original = gbtree._TreeSearch.children
+
+        def fitted(depth, force):
+            layouts = []
+
+            def children(self, node, c, pos, searched=True):
+                kids = original(self, node, c, pos, searched or force)
+                if not searched:
+                    layouts.extend(k.orders is None and k.hist is None
+                                   for k in kids)
+                return kids
+
+            monkeypatch.setattr(gbtree._TreeSearch, "children", children)
+            model, log = fit(X, y, replace(params, max_depth=depth), val=val)
+            assert layouts and all(layouts) != force
+            return ([t.to_dict() for t in model.trees],
+                    model.gain_by_feature, log.train_loss, log.val_loss)
+
+        for depth in (2, 4):
+            assert fitted(depth, False) == fitted(depth, True)
 
     def test_exact_orders_are_stable_value_order(self):
         rng = np.random.default_rng(43)

@@ -5,8 +5,9 @@ import pytest
 
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.tuner import (
-    Dimension, ParamSpace, _neg_log_marginal_likelihood, expected_improvement,
-    gp_fit, incumbent_trace, optimize, random_search,
+    NOISE_FLOOR, Dimension, ParamSpace, Surrogate,
+    _neg_log_marginal_likelihood, _standardize, expected_improvement, gp_fit,
+    incumbent_trace, optimize, random_search,
 )
 
 
@@ -142,6 +143,86 @@ class TestGpSurrogate:
     def test_needs_two_points(self):
         with pytest.raises(DataError):
             gp_fit(np.array([[0.5]]), np.array([1.0]))
+
+
+def oracle_kernel(X1, X2, ls, sf):
+    """The Matern-5/2 kernel, its slope and d2 as first written."""
+    d = X1[:, None, :] / ls - X2[None, :, :] / ls
+    d2 = np.square(d, out=d)
+    r = np.sqrt(np.maximum(np.sum(d2, axis=-1), 0.0))
+    s5r = math.sqrt(5.0) * r
+    e = np.exp(-s5r)
+    K = sf * (1.0 + s5r + 5.0 / 3.0 * r * r) * e
+    slope = sf * 5.0 / 3.0 * (1.0 + s5r) * e
+    return K, slope, d2
+
+
+def oracle_likelihood(log_params, X, y):
+    """GPML eq. 5.9 through scipy.linalg's checked wrappers."""
+    from scipy.linalg import cho_solve, cholesky
+
+    n, d = X.shape
+    noise = math.exp(log_params[d + 1])
+    K0, slope, d2 = oracle_kernel(X, X, np.exp(log_params[:d]),
+                                  math.exp(log_params[d]))
+    L = cholesky(K0 + (noise + NOISE_FLOOR) * np.eye(n), lower=True)
+    alpha = cho_solve((L, True), y)
+    nll = (0.5 * float(y @ alpha) + float(np.sum(np.log(np.diag(L))))
+           + 0.5 * y.size * math.log(2.0 * math.pi))
+    W = cho_solve((L, True), np.eye(n)) - np.outer(alpha, alpha)
+    grad = np.concatenate([
+        0.5 * np.einsum("ab,abj->j", W * slope, d2),
+        [0.5 * float(np.sum(W * K0)), 0.5 * noise * float(np.trace(W))],
+    ])
+    return nll, grad
+
+
+def oracle_posterior(X, y, ls, sf, sn, x):
+    """Surrogate's mean and std through scipy's cho_factor and cho_solve."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    mean, std, ys = _standardize(y)
+    K = oracle_kernel(X, X, ls, sf)[0]
+    K[np.diag_indices_from(K)] += sn
+    chol = cho_factor(K, lower=True)
+    k = oracle_kernel(x, X, ls, sf)[0]
+    mu = k @ cho_solve(chol, ys)
+    var = sf + sn - np.sum(k * cho_solve(chol, k.T).T, axis=1)
+    return mu * std + mean, np.sqrt(np.maximum(var, 0.0)) * std
+
+
+class TestDirectLapack:
+    """The likelihood and the posterior call LAPACK directly; they must
+    give the bits that scipy.linalg's wrappers give."""
+
+    @pytest.mark.parametrize("n, d", [(5, 7), (12, 7), (30, 2)])
+    def test_bit_equal_to_scipy_wrappers(self, n, d):
+        rng = np.random.default_rng(7 * n + d)
+        X = rng.uniform(size=(n, d))
+        y = rng.normal(size=n)
+        x = rng.uniform(size=(50, d))
+        for _ in range(5):
+            theta = np.concatenate([
+                rng.uniform(math.log(0.05), math.log(2.0), size=d),
+                [rng.uniform(math.log(0.2), math.log(2.0))],
+                [rng.uniform(math.log(1e-6), math.log(1e-2))],
+            ])
+            nll, grad = _neg_log_marginal_likelihood(theta, X, y)
+            want_nll, want_grad = oracle_likelihood(theta, X, y)
+            assert nll == want_nll
+            assert np.array_equal(grad, want_grad)
+
+            ls, sf = np.exp(theta[:d]), math.exp(theta[d])
+            sn = math.exp(theta[d + 1]) + NOISE_FLOOR
+            mu, sigma = Surrogate(X, y, ls, sf, sn, 0.0).posterior(x)
+            want_mu, want_sigma = oracle_posterior(X, y, ls, sf, sn, x)
+            assert np.array_equal(mu, want_mu)
+            assert np.array_equal(sigma, want_sigma)
+
+    def test_non_finite_kernel_raises(self):
+        X = np.array([[0.1, np.nan], [0.5, 0.5], [0.9, 0.2]])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _neg_log_marginal_likelihood(np.zeros(4), X, np.arange(3.0))
 
 
 class TestLikelihoodGradient:
