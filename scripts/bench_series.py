@@ -29,6 +29,12 @@ holds:
 
 Traced runs (trace 1) are listed per workload with their per-layer
 metrics side by side.
+
+    python3 scripts/bench_series.py --trend BENCH_*.json
+
+prints, for each workload, the change-side median of every end-to-end
+metric in each BENCH_<n>.json, in file-number order, and exits 1 on a
+file that lacks one.
 """
 
 import argparse
@@ -42,6 +48,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 RUN_DIR = re.compile(
     r"^(?P<workload>\w+)-seed(?P<seed>\d+)-trace(?P<trace>[01])$")
+BENCH_FILE = re.compile(r"^BENCH_(?P<number>\d+)\.json$")
+
+
+def end_to_end_metrics():
+    """{name: (better, bound)} of BENCHMARK.json's end-to-end metrics."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def load_runs(runs_dir):
@@ -120,9 +133,7 @@ def side_by_side(parent, change):
 
 
 def build(runs_dir, parent_commit, host, description):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    end_to_end = {m["name"]: (m["better"], m["bound"])
-                  for m in spec["end_to_end"]}
+    end_to_end = end_to_end_metrics()
     runs = load_runs(runs_dir)
     doc = {"description": description, "parent_commit": parent_commit,
            "host": host, "workloads": {}, "traced": {}}
@@ -146,19 +157,72 @@ def build(runs_dir, parent_commit, host, description):
     return doc
 
 
+def trend(paths, metrics):
+    """{workload: {file name: [change-side median of each metric]}} of
+    BENCH_<n>.json files, in file-number order. Exits 1 on a file that
+    summarises no workload, or lacks a metric's median for one."""
+    def number(path):
+        m = BENCH_FILE.match(path.name)
+        if m is None:
+            raise SystemExit(f"{path}: not named BENCH_<n>.json")
+        return int(m["number"])
+
+    table = {}
+    for path in sorted(paths, key=number):
+        try:
+            workloads = json.loads(
+                path.read_text(encoding="utf-8"))["workloads"]
+            medians = {w: [float(entry["summary"][m]["change"]["median"])
+                           for m in metrics]
+                       for w, entry in workloads.items()}
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise SystemExit(f"{path}: no change-side medians "
+                             f"({type(exc).__name__}: {exc})")
+        if not medians:
+            raise SystemExit(f"{path}: no workloads")
+        for workload, row in medians.items():
+            table.setdefault(workload, {})[path.name] = row
+    return table
+
+
+def render_trend(table, metrics):
+    lines = []
+    for workload in sorted(table):
+        lines.append(workload)
+        lines.append(f"  {'file':14}" + "".join(f"{m:>13}" for m in metrics))
+        for name, row in table[workload].items():
+            lines.append(f"  {name:14}" + "".join(f"{v:13.4f}" for v in row))
+    return "\n".join(lines)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("runs", type=Path, help="directory holding parent/ "
-                   "and change/ run directories")
-    p.add_argument("--parent-commit", required=True)
-    p.add_argument("--host", required=True,
+    p.add_argument("runs", type=Path, nargs="?", help="directory holding "
+                   "parent/ and change/ run directories")
+    p.add_argument("--trend", type=Path, nargs="+", metavar="BENCH_JSON",
+                   help="print the change-side medians across these "
+                   "BENCH_<n>.json files instead")
+    p.add_argument("--parent-commit")
+    p.add_argument("--host",
                    help="hardware and software the runs were made on")
     p.add_argument("--description", default=(
         "perfbench result.json of the parent commit and of the change, run "
         "as alternating pairs, each side from its own checkout, one run at "
         "a time"))
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
+    if args.trend:
+        if args.runs is not None:
+            p.error("--trend takes no RUNS directory")
+        metrics = list(end_to_end_metrics())
+        print(render_trend(trend(args.trend, metrics), metrics))
+        return 0
+    missing = [name for name, value in (
+        ("RUNS", args.runs), ("--parent-commit", args.parent_commit),
+        ("--host", args.host), ("--out", args.out)) if value is None]
+    if missing:
+        p.error("the following arguments are required: "
+                + ", ".join(missing))
     doc = build(args.runs, args.parent_commit, args.host, args.description)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for workload, entry in doc["workloads"].items():

@@ -9,10 +9,17 @@ the routines scipy.linalg's cholesky, cho_factor and cho_solve call, less
 those wrappers' per-call checks and lookups, which cost more than the
 factorization of a kernel this small. Only K's finiteness is checked.
 
+The initial Latin-hypercube design and the scrambled Sobol candidates are
+numpy ports of scipy.stats.qmc's LatinHypercube and Sobol, and expected
+improvement takes the normal CDF from scipy.special.ndtr. All three give
+scipy.stats's bits, the designs depend on numpy's generators alone, and no
+module imports scipy.stats.
+
 Each function imports the scipy parts it uses when it runs, because every
-CLI command imports this module and only `tune` calls into it: importing
-scipy.optimize, scipy.linalg and scipy.stats costs ~1.1 s and ~70 MB on a
-2-vCPU host, five times what the rest of the package's imports cost.
+CLI command imports this module and only `tune` calls into it: on a 2-vCPU
+host, importing scipy.optimize and scipy.linalg.lapack takes ~0.45 s and
+raises peak resident memory from ~31 to ~77 MB, where importing
+cyclecast.cli takes ~0.15 s.
 """
 
 from __future__ import annotations
@@ -30,6 +37,15 @@ MAX_JITTER = 1e-2
 
 # Sobol candidates scored by expected improvement per iteration.
 N_CANDIDATES = 4096
+
+# Joe & Kuo (2008) primitive polynomials and initial direction numbers of
+# the first Sobol dimensions, as scipy.stats.qmc.Sobol ships them; the
+# first dimension's direction numbers are all 1.
+SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37)
+SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
+               (1, 3, 5, 13), (1, 1, 5, 5, 17))
+SOBOL_BITS = 30
+MAX_DIMS = len(SOBOL_POLY)
 
 LINEAR = "linear"
 LOG = "log"
@@ -290,7 +306,7 @@ def gp_fit(X, y, seed=0) -> Surrogate:
 def expected_improvement(mu, sigma, best):
     """EI array for minimization; max(best - mu, 0) in the zero-variance
     limit."""
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -301,10 +317,81 @@ def expected_improvement(mu, sigma, best):
         z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
     ei = np.where(
         sigma > 0,
-        improve * norm.cdf(z) + sigma * norm.pdf(z),
+        improve * ndtr(z)
+        + sigma * (np.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)),
         np.maximum(improve, 0.0),
     )
     return np.maximum(ei, 0.0)
+
+
+def _latin_hypercube(d, n, seed):
+    """scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n), bit for bit:
+    one jittered point per stratum and a shuffled stratum order per
+    dimension."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - u) / n
+
+
+def _sobol_directions(d):
+    """(d, SOBOL_BITS) uint32 Sobol direction numbers, most significant
+    bit first, by the Bratley-Fox recurrence on SOBOL_POLY and
+    SOBOL_VINIT."""
+    rows = []
+    for p, vinit in zip(SOBOL_POLY[:d], SOBOL_VINIT):
+        s = p.bit_length() - 1  # the polynomial's degree
+        # The first dimension's polynomial has degree 0, so its 1s stay.
+        m = [*vinit[:s], *[1] * (SOBOL_BITS - s)]
+        for j in range(s, SOBOL_BITS):
+            new = m[j - s]
+            for i in range(1, s + 1):
+                if p >> (s - i) & 1:
+                    new ^= m[j - i] << i
+            m[j] = new
+        rows.append(m)
+    shifts = np.arange(SOBOL_BITS - 1, -1, -1)
+    return (np.array(rows, dtype=np.int64) << shifts).astype(np.uint32)
+
+
+class _Sobol:
+    """scipy.stats.qmc.Sobol(d, scramble=True, seed=seed), bit for bit,
+    across successive `random` calls: the direction numbers scrambled by a
+    random lower-triangular GF(2) matrix plus a digital shift (Owen 1998),
+    drawn from the generator in scipy's order, and points in Gray-code
+    order, each the previous one XOR one scrambled direction number."""
+
+    def __init__(self, d, seed):
+        rng = np.random.default_rng(seed)
+        shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32)
+        ltm = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS),
+                                   dtype=np.uint32))
+        ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+        msb_first = np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+        vbits = _sobol_directions(d)[:, :, None] >> msb_first & 1
+        sbits = np.einsum("kpi,kji->kjp", ltm, vbits) & 1
+        self._sv = (sbits << msb_first).sum(axis=2, dtype=np.uint32)
+        # The last point drawn; before the first draw, the shift, which is
+        # the first point.
+        self._quasi = shift @ 2 ** np.arange(SOBOL_BITS, dtype=np.uint32)
+        self._count = 0
+
+    def random(self, n):
+        """The next n points, shaped (n, d)."""
+        first = max(self._count, 1)
+        i = np.arange(first, self._count + n)
+        # Point i is point i - 1 XOR direction number c, where c, the
+        # lowest zero bit of i - 1, is the lowest set bit of i.
+        low = np.frexp(i & -i)[1] - 1
+        points = np.bitwise_xor.accumulate(
+            np.vstack([self._quasi, self._sv[:, low].T]))
+        if self._count:
+            points = points[1:]
+        self._quasi = points[-1]
+        self._count += n
+        return points * 2.0 ** -SOBOL_BITS
 
 
 def _evaluate(objective, params, iteration):
@@ -340,9 +427,15 @@ def _best_params(trials):
 
 def check_budget(budget, init):
     """Raise ConfigError unless `optimize` can run `init` initial trials
-    (at least 2, which the first GP fit needs) and at least one more."""
+    (at least 2, which the first GP fit needs) and at least one more, and
+    its Sobol sequence holds N_CANDIDATES points for each of the rest."""
     if not budget > init >= 2:
         raise ConfigError("need budget > init >= 2")
+    if (budget - init) * N_CANDIDATES > 2 ** SOBOL_BITS:
+        raise ConfigError(
+            f"budget - init must be <= {2 ** SOBOL_BITS // N_CANDIDATES}: "
+            f"each guided trial draws {N_CANDIDATES} of the Sobol "
+            f"sequence's 2**{SOBOL_BITS} points")
 
 
 def optimize(space: ParamSpace, objective, budget, init, seed=42,
@@ -355,18 +448,19 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
     candidates with local refinements around the incumbent. Returns
     (best params dict, trial history).
     """
-    from scipy.stats import qmc
-
     check_budget(budget, init)
     rng = np.random.default_rng(seed)
     d = space.n_dims
+    if d > MAX_DIMS:
+        raise ConfigError(f"optimize searches at most {MAX_DIMS} dimensions, "
+                          f"not {d}")
 
     unit_points = [space.to_unit(p) for p in (initial_points or [])[:init]]
     n_lhs = init - len(unit_points)
     if n_lhs > 0:
-        lhs = qmc.LatinHypercube(d=d, seed=int(rng.integers(2 ** 31)))
-        unit_points.extend(lhs.random(n_lhs))
-    sobol = qmc.Sobol(d=d, scramble=True, seed=int(rng.integers(2 ** 31)))
+        unit_points.extend(
+            _latin_hypercube(d, n_lhs, int(rng.integers(2 ** 31))))
+    sobol = _Sobol(d, int(rng.integers(2 ** 31)))
 
     trials: list[Trial] = []
     for it in range(budget):

@@ -124,3 +124,49 @@ def test_unpaired_seed_is_an_error(tmp_path):
     put_run(runs, "change", "tune-seed1-trace0", dict.fromkeys(METRICS, 1.0))
     with pytest.raises(SystemExit, match="unpaired seeds"):
         bench_series.build(runs, "abc", "test", "")
+
+
+def put_bench(path, medians, **extra):
+    """A BENCH_<n>.json whose workloads have these change-side medians."""
+    workloads = {
+        w: {"seeds": [1, 2], "runs": {},
+            "summary": {m: {"parent": {"median": 0.0},
+                            "change": {"median": v}}
+                        for m, v in zip(METRICS, row)}}
+        for w, row in medians.items()}
+    path.write_text(json.dumps({"workloads": workloads, **extra}))
+
+
+def test_trend_in_file_number_order(tmp_path, capsys):
+    # BENCH_6 has the old layout: traced runs under `traced_tune`, no
+    # failed or attempted op counts.
+    put_bench(tmp_path / "BENCH_6.json", {"tune": [1, 2, 3, 4, 5]},
+              traced_tune={})
+    put_bench(tmp_path / "BENCH_10.json",
+              {"tune": [6, 7, 8, 9, 10], "score": [0.5] * 5}, traced={})
+    paths = [tmp_path / "BENCH_10.json", tmp_path / "BENCH_6.json"]
+    table = bench_series.trend(paths, METRICS)
+    assert table == {"tune": {"BENCH_6.json": [1, 2, 3, 4, 5],
+                              "BENCH_10.json": [6, 7, 8, 9, 10]},
+                     "score": {"BENCH_10.json": [0.5] * 5}}
+    assert list(table["tune"]) == ["BENCH_6.json", "BENCH_10.json"]
+    assert bench_series.main(["--trend", *map(str, paths)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "score"
+    assert lines[1].split() == ["file", *METRICS]
+    assert lines[3] == "tune"
+    assert [line.split()[0] for line in lines[5:]] == [
+        "BENCH_6.json", "BENCH_10.json"]
+    assert float(lines[6].split()[2]) == 7.0
+
+
+def test_trend_rejects_a_malformed_file(tmp_path):
+    path = tmp_path / "BENCH_3.json"
+    put_bench(path, {"tune": [1, 2, 3, 4]})  # no peak_rss_mb
+    with pytest.raises(SystemExit, match="BENCH_3.json: no change-side"):
+        bench_series.trend([path], METRICS)
+    path.write_text(json.dumps({"workloads": {}}))
+    with pytest.raises(SystemExit, match="no workloads"):
+        bench_series.trend([path], METRICS)
+    with pytest.raises(SystemExit, match="not named"):
+        bench_series.trend([tmp_path / "bench.json"], METRICS)

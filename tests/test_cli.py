@@ -816,3 +816,4 @@ class TestColdStart:
                           ("synth", "bench", "ablation", "predict")}
         assert tune[0] == 0
         assert "scipy.optimize" in tune[1]
+        assert "scipy.stats" not in tune[1]

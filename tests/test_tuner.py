@@ -1,13 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.tuner import (
-    NOISE_FLOOR, Dimension, ParamSpace, Surrogate,
-    _neg_log_marginal_likelihood, _standardize, expected_improvement, gp_fit,
-    incumbent_trace, optimize, random_search,
+    MAX_DIMS, N_CANDIDATES, NOISE_FLOOR, SOBOL_BITS, SOBOL_POLY, SOBOL_VINIT,
+    Dimension, ParamSpace, Surrogate, _latin_hypercube,
+    _neg_log_marginal_likelihood, _Sobol, _standardize, check_budget,
+    expected_improvement, gp_fit, incumbent_trace, optimize, random_search,
 )
 
 
@@ -87,10 +89,25 @@ class TestExpectedImprovement:
             0.5 * 0.3989422804014327, abs=1e-12)
 
     def test_closed_form_point(self):
-        # mu=0, sigma=1, best=1: EI = Phi(1) + pdf(1).
+        # EI = (best - mu) Phi(z) + sigma phi(z), z = (best - mu) / sigma,
+        # bit for bit as with scipy.stats.norm's Phi and phi; sigma = 0
+        # gives max(best - mu, 0).
         from scipy.stats import norm
-        want = norm.cdf(1.0) + norm.pdf(1.0)
-        assert expected_improvement(0.0, 1.0, 1.0) == pytest.approx(want)
+        assert expected_improvement(0.0, 1.0, 1.0) == (
+            norm.cdf(1.0) + norm.pdf(1.0))
+        best = 1.0
+        z = np.array([0.0, 1.0, -1.0, 0.3, -2.5, 8.5, -8.5, 12.0, -40.0])
+        sigma = np.array([0.5, 1.0, 2.0, 1e-3, 3.0])
+        mu = (best - z[:, None] * sigma).ravel()
+        sigma = np.tile(sigma, z.size)
+        mu = np.concatenate([mu, [0.5, 1.0, 1.5]])
+        sigma = np.concatenate([sigma, [0.0, 0.0, 0.0]])
+        improve = best - mu
+        zs = improve / np.where(sigma > 0, sigma, 1.0)
+        want = np.maximum(np.where(
+            sigma > 0, improve * norm.cdf(zs) + sigma * norm.pdf(zs),
+            np.maximum(improve, 0.0)), 0.0)
+        assert np.array_equal(expected_improvement(mu, sigma, best), want)
 
     def test_monotone_in_sigma(self):
         sigmas = np.linspace(0.01, 3.0, 30)
@@ -100,6 +117,49 @@ class TestExpectedImprovement:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             expected_improvement(0.0, -1.0, 0.0)
+
+
+class TestQuasiRandomDesigns:
+    """The tuner's Latin hypercube and scrambled Sobol sequence must give
+    the bits that scipy.stats.qmc gives for the same seed."""
+
+    SEEDS = (0, 7, 123456789, 2 ** 31 - 1)
+
+    @pytest.mark.parametrize("d", range(1, MAX_DIMS + 1))
+    def test_latin_hypercube_bit_equal_to_scipy(self, d):
+        from scipy.stats import qmc
+        for seed in self.SEEDS:
+            for n in (1, 2, 7, 40):
+                want = qmc.LatinHypercube(d=d, seed=seed).random(n)
+                assert np.array_equal(_latin_hypercube(d, n, seed), want)
+
+    @pytest.mark.parametrize("d", range(1, MAX_DIMS + 1))
+    def test_sobol_bit_equal_to_scipy(self, d):
+        from scipy.stats import qmc
+        for seed in self.SEEDS:
+            ours = _Sobol(d, seed)
+            theirs = qmc.Sobol(d=d, scramble=True, seed=seed)
+            for _ in range(4):
+                assert np.array_equal(ours.random(N_CANDIDATES),
+                                      theirs.random(N_CANDIDATES))
+
+    def test_sobol_draws_of_any_size_continue_the_sequence(self):
+        from scipy.stats import qmc
+        whole = qmc.Sobol(d=3, scramble=True, seed=5).random(64)
+        sobol = _Sobol(3, 5)
+        parts = [sobol.random(n) for n in (1, 1, 3, 11, 16, 32)]
+        assert np.array_equal(np.vstack(parts), whole)
+
+    def test_direction_numbers_are_scipys(self):
+        import scipy.stats
+        table = np.load(Path(scipy.stats.__file__).parent
+                        / "_sobol_direction_numbers.npz")
+        assert SOBOL_BITS == 30
+        assert len(SOBOL_POLY) == len(SOBOL_VINIT) == MAX_DIMS
+        assert np.array_equal(table["poly"][:MAX_DIMS], SOBOL_POLY)
+        for row, vinit in zip(table["vinit"], SOBOL_VINIT):
+            assert np.array_equal(row[:len(vinit)], vinit)
+            assert not row[len(vinit):].any()
 
 
 class TestGpSurrogate:
@@ -341,6 +401,30 @@ class TestOptimize:
             optimize(sphere_space(), sphere, budget=4, init=4)
         with pytest.raises(ConfigError):
             optimize(sphere_space(), sphere, budget=5, init=1)
+
+    def test_more_dimensions_than_the_sobol_table_rejected(self):
+        space = ParamSpace(dimensions=tuple(
+            Dimension(f"x{i}", 0.0, 1.0) for i in range(MAX_DIMS + 1)))
+        calls = []
+
+        def objective(p):
+            calls.append(p)
+            return sum(p.values())
+
+        with pytest.raises(ConfigError, match="at most 8 dimensions"):
+            optimize(space, objective, budget=5, init=3)
+        assert calls == []
+        _, trials = random_search(space, objective, budget=3)
+        assert len(trials) == 3
+
+    def test_sobol_point_limit(self):
+        guided = 2 ** SOBOL_BITS // N_CANDIDATES
+        check_budget(guided + 4, 4)
+        calls = []
+        with pytest.raises(ConfigError, match="Sobol"):
+            optimize(sphere_space(), calls.append, budget=guided + 5,
+                     init=4)
+        assert calls == []
 
     def test_on_trial_callback_streams_every_trial(self):
         seen = []
