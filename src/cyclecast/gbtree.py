@@ -6,20 +6,29 @@ hessians; leaf outputs are the closed-form optimum -G/(H+lambda).
 A fit ranks each column's values once: its rank keys order rows by value,
 ties by row index. A fit of more than MAX_BINS rows also bins each column
 once: one bin per value where a column has at most MAX_BINS distinct
-values, quantile bins otherwise. A node of more than MAX_BINS rows is
-searched by histogram (per-bin gradient and hessian sums from one bincount
-over all features; the larger child's histogram is its parent's minus the
-smaller child's). A node of at most MAX_BINS rows is searched exactly over
-every distinct value, its rows kept as one (n_cols, n_node_rows) array
-sorted per feature by rank key. Either way a node's search over all
-features is a handful of array operations rather than a loop over
-features, and `split_gain` scores it. Without GOSS weights every
-hessian is 1, so a hessian sum is a row count and no hessian is summed;
-an exact node then scores only the thresholds that leave min_child_weight
-rows on both sides. A child at the depth cap is never searched, so it
+values, quantile bins otherwise. A smaller fit keeps each column's stable
+value order instead, and a tree's root takes its rows' order per column
+from it, dropping the rows outside the tree's sample, as the presorted
+column blocks of XGBoost's exact greedy search do (Chen & Guestrin 2016).
+A node of more than MAX_BINS rows is searched by histogram (per-bin
+gradient and hessian sums from one bincount over all features; the larger
+child's histogram is its parent's minus the smaller child's). A node of at
+most MAX_BINS rows is searched exactly over every distinct value, its rows
+kept as one (n_cols, n_node_rows) array sorted per feature by rank key.
+Either way a node's search over all features is a handful of array
+operations rather than a loop over features, and `split_gain`'s formula
+scores it. Without GOSS weights every hessian is 1, so a hessian sum is a
+row count and no hessian is summed; an exact node then scores only the
+thresholds that leave min_child_weight rows on both sides, and slices its
+gain denominators H + lambda from one per-fit table of r + lambda for
+r = 0..MAX_BINS rows. A child at the depth cap is never searched, so it
 gets no search layout, only its rows and gradient and hessian sums.
 Growth records each sampled row's leaf value, so only rows outside the
-tree's sample walk the tree for the training update.
+tree's sample walk the tree for the training update. A tree walks a few
+rows one row at a time in Python, and more rows one node at a time, each
+node splitting its rows by one vector comparison: the first costs steps
+per row and level, the second numpy calls per node, so the choice reads
+the row and node counts alone.
 Supports depth-wise and leaf-wise growth, plain row subsampling or
 gradient-based one-side sampling (GOSS), per-tree column subsampling,
 shrinkage, and patience-based early stopping on a validation set.
@@ -156,16 +165,22 @@ def split_gain(G_L, H_L, G, H, reg_lambda, gamma):
     children must have H + lambda > 0: callers drop any other candidate
     before calling, so nothing is divided by zero.
     """
-    # 0.5 * (G_L*G_L/(H_L + lambda) + G_R*G_R/(H - H_L + lambda)
-    #        - G*G/(H + lambda)) - gamma, in that operation order, in place
-    # on two buffers.
+    return _gain(G_L, G, H_L + reg_lambda, H - H_L + reg_lambda,
+                 H + reg_lambda, gamma)
+
+
+def _gain(G_L, G, den_L, den_R, den, gamma):
+    """`split_gain` given its denominators: den_L = H_L + lambda, den_R =
+    H - H_L + lambda and den = H + lambda."""
+    # 0.5 * (G_L*G_L/den_L + G_R*G_R/den_R - G*G/den) - gamma, in that
+    # operation order, in place on two buffers.
     G_R = G - G_L
     gain = G_L * G_L
-    gain /= H_L + reg_lambda
+    gain /= den_L
     G_R *= G_R
-    G_R /= H - H_L + reg_lambda
+    G_R /= den_R
     gain += G_R
-    gain -= G * G / (H + reg_lambda)
+    gain -= G * G / den
     gain *= 0.5
     gain -= gamma
     return gain
@@ -227,6 +242,14 @@ def _entries_ok(values, types) -> bool:
         return False
 
 
+def _walks_by_row(n_rows, n_nodes):
+    """Whether `RegressionTree.predict` walks `n_rows` rows through a tree
+    of `n_nodes` nodes one row at a time rather than one node at a time.
+    A row costs a few Python steps per level; a node costs a few numpy
+    calls whatever its row count, so few rows in a large tree go by row."""
+    return n_rows <= 3 * n_nodes
+
+
 class RegressionTree:
     """Binary regression tree stored as parallel node arrays.
 
@@ -268,6 +291,26 @@ class RegressionTree:
         (n_features, n_rows): each row of XT is one feature. Given `rows`,
         an array of row indices, only those rows walk the tree and the
         result holds their values in that order."""
+        n_rows = XT.shape[1] if rows is None else rows.size
+        if _walks_by_row(n_rows, len(self.feature)):
+            return self._walk_rows(XT, rows)
+        return self._walk_nodes(XT, rows)
+
+    def _walk_rows(self, XT, rows):
+        """`predict` one row at a time, in Python floats."""
+        feature, threshold = self.feature, self.threshold
+        left, right, value = self.left, self.right, self.value
+        out = []
+        for x in (XT.T if rows is None else XT[:, rows].T).tolist():
+            node = 0
+            while (f := feature[node]) >= 0:
+                node = left[node] if x[f] < threshold[node] else right[node]
+            out.append(value[node])
+        return np.array(out, dtype=np.float64)
+
+    def _walk_nodes(self, XT, rows):
+        """`predict` one node at a time, each node splitting its rows by
+        one vector comparison."""
         out = np.empty(XT.shape[1])
         stack = [(0, np.arange(XT.shape[1]) if rows is None else rows)]
         while stack:
@@ -292,6 +335,10 @@ class RegressionTree:
         tree = cls()
         for k in TREE_KEYS:
             setattr(tree, k, list(d[k]))
+        # Held as floats, as add_internal holds them: the row walk compares
+        # Python floats, which would compare a large int exactly where the
+        # node walk's float64 comparison rounds it.
+        tree.threshold = list(map(float, tree.threshold))
         return tree
 
 
@@ -315,7 +362,8 @@ def _bin_columns(XT, order):
         if distinct.size <= MAX_BINS:
             upper = lower = distinct
         else:
-            upper = np.unique(s[quantile_rows])
+            q = s[quantile_rows]
+            upper = q[np.concatenate(([True], q[1:] != q[:-1]))]
             # A bin starts at the first value above the previous bin's edge.
             above = np.searchsorted(distinct, upper[:-1], side="right")
             lower = np.concatenate((distinct[:1], distinct[above]))
@@ -326,25 +374,31 @@ def _bin_columns(XT, order):
 
 
 class _SplitContext:
-    """Per-fit state: the columns, their rank keys and, if the fit bins,
-    their bins.
+    """Per-fit state: the columns, their rank keys, and either their
+    stable value order or, if the fit bins, their bins.
 
     rank[f, i] is row i's position in column f sorted by value, ties in
     row order. The keys of a column are unique, so any sort of them gives
-    the stable sort of its values.
+    the stable sort of its values. order[f] lists the rows in that order;
+    it is kept only by a fit of at most MAX_BINS rows, whose roots are
+    exact nodes. den[i] is i + lambda, the gain denominator of a unit-
+    hessian child of i rows.
     """
 
-    def __init__(self, X):
+    def __init__(self, X, reg_lambda):
         self.XT = np.ascontiguousarray(X.T)
         n_feat, n = self.XT.shape
         order = np.argsort(self.XT, axis=1, kind="stable")
         self.rank = np.empty((n_feat, n), dtype=np.int32)
         np.put_along_axis(self.rank, order, np.arange(n, dtype=np.int32),
                           axis=1)
-        self.codes = self.all_bins = None
+        self.den = np.arange(MAX_BINS + 1.0) + reg_lambda
+        self.order = self.codes = self.all_bins = None
         if n > MAX_BINS:
             self.codes, self.bin_low, self.bin_high = _bin_columns(self.XT,
                                                                    order)
+        else:
+            self.order = order
 
     def offset_bins(self, cols):
         """Per row, the bins of columns `cols` (ascending), each offset by
@@ -418,8 +472,25 @@ class _TreeSearch:
         self.cols = cols
         self.params = params
         self.leaf_values = np.empty(g.size)
+        # Entry (k, i) of a (k, rows) gather from ctx.XT or ctx.rank is
+        # entry cols[k] * n + i of the flat array: one `take` gathers it.
+        self.offsets = cols[:, None] * g.size
         if ctx.codes is not None:
             self.bins = ctx.offset_bins(cols)
+
+    def root(self, rows):
+        """The tree's root over `rows`, given in ascending order. In a fit
+        without bins, each column's rows are the fit's stable value order
+        less the rows outside `rows`."""
+        order = self.ctx.order
+        if order is None:
+            return self.node(rows)
+        orders = order[self.cols]
+        if rows.size < self.g.size:
+            sampled = np.zeros(self.g.size, dtype=bool)
+            sampled[rows] = True
+            orders = orders[sampled[orders]].reshape(self.cols.size, -1)
+        return _Node(orders[0], self.g, self.h, orders=orders)
 
     def node(self, rows, hist=None, searched=True):
         """The node over `rows`, given in ascending order. A node that is
@@ -432,7 +503,7 @@ class _TreeSearch:
         if not searched:
             rows = rows[self.ctx.rank[self.cols[0], rows].argsort()]
             return _Node(rows, self.g, self.h)
-        keys = self.ctx.rank[self.cols[:, None], rows]
+        keys = self.ctx.rank.take(rows + self.offsets)
         orders = rows[keys.argsort(axis=1)]
         return _Node(orders[0], self.g, self.h, orders=orders)
 
@@ -493,10 +564,13 @@ class _TreeSearch:
         hi = m - 1 - lo
         if hi <= lo:
             return None
-        vs = self.ctx.XT[self.cols[:, None], orders[:, lo:hi + 1]]
-        G_L = self.g[orders[:, :hi]].cumsum(axis=1)[:, lo:]
-        gains = split_gain(G_L, np.arange(lo + 1.0, hi + 1), node.G, node.H,
-                           p.reg_lambda, p.gamma)
+        vs = self.ctx.XT.take(orders[:, lo:hi + 1] + self.offsets)
+        G_L = self.g.take(orders[:, :hi]).cumsum(axis=1)[:, lo:]
+        # Position j leaves j + 1 rows on the left and m - j - 1 on the
+        # right; den[r] = r + lambda, and hi = m - 1 - lo.
+        den = self.ctx.den
+        gains = _gain(G_L, node.G, den[lo + 1:hi + 1], den[hi:lo:-1], den[m],
+                      p.gamma)
         gains[vs[:, :-1] == vs[:, 1:]] = -np.inf
         c, i = divmod(int(gains.argmax()), hi - lo)
         gain = float(gains[c, i])
@@ -517,7 +591,7 @@ class _TreeSearch:
             orders = node.orders
             if orders.shape[1] < 2:
                 return None
-            vs = self.ctx.XT[self.cols[:, None], orders]
+            vs = self.ctx.XT.take(orders + self.offsets)
             prefix = orders[:, :-1]
             found = self._pick(self.g[prefix].cumsum(axis=1),
                                self.h[prefix].cumsum(axis=1), G, H,
@@ -555,7 +629,7 @@ class _TreeSearch:
             # sorted. Every node row appears once per row of `orders`, so
             # the left rows select as many entries from each and reshape.
             orders = node.orders
-            sel = key[orders] <= cut
+            sel = key.take(orders) <= cut
             k = orders.shape[0]
             left = orders[sel].reshape(k, -1)
             right = orders[~sel].reshape(k, -1)
@@ -716,7 +790,7 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
             raise DataError("non-finite values in validation inputs")
 
     n, n_feat = X.shape
-    ctx = _SplitContext(X)
+    ctx = _SplitContext(X, params.reg_lambda)
     base_score = float(np.mean(y))
     pred = np.full(n, base_score)
     val_pred = XT_val = None
@@ -757,7 +831,7 @@ def fit(X, y, params: HyperParams, val=None, feature_names=None):
         gain_acc: dict[int, float] = {}
         search = _TreeSearch(ctx, g, h, cols, params)
         grow = _grow_leafwise if params.growth == LEAFWISE else _grow_depthwise
-        grow(tree, search, search.node(rows), params, gain_acc)
+        grow(tree, search, search.root(rows), params, gain_acc)
         trees.append(tree)
         for f, gsum in gain_acc.items():
             name = feature_names[f]

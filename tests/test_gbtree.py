@@ -478,6 +478,9 @@ class TestFitShortcuts:
             assert fitted(depth, False) == fitted(depth, True)
 
     def test_exact_orders_are_stable_value_order(self):
+        # Roots take each column's rows from the fit's stable value order;
+        # other nodes sort rank keys. Both must list each column's rows in
+        # stable value order, for every row and column sample.
         rng = np.random.default_rng(43)
         n = 240
         X = np.column_stack([
@@ -485,20 +488,25 @@ class TestFitShortcuts:
             rng.normal(size=n), np.zeros(n),
         ]).astype(float)
         X[::7, 1] = -0.0  # equal to 0.0, so tied with it
-        ctx = gbtree._SplitContext(X)
-        cols = np.array([0, 1, 3])
-        search = gbtree._TreeSearch(ctx, rng.normal(size=n), np.ones(n),
-                                    cols, HyperParams(max_depth=3))
-        rows = np.sort(rng.choice(n, size=200, replace=False))
-        nodes = [search.node(rows)]
-        found = search.best_split(nodes[0])
-        nodes += search.children(nodes[0], found[1], found[2])
-        for node in nodes:
-            node_rows = np.sort(node.rows)
-            for k, f in enumerate(cols):
-                expected = node_rows[np.argsort(X[node_rows, f],
-                                                kind="stable")]
-                assert np.array_equal(node.orders[k], expected)
+        ctx = gbtree._SplitContext(X, 1.0)
+        assert ctx.order is not None
+        every_row = np.arange(n)
+        sampled = np.sort(rng.choice(n, size=200, replace=False))
+        for cols in (np.arange(4), np.array([0, 1, 3])):
+            search = gbtree._TreeSearch(ctx, rng.normal(size=n), np.ones(n),
+                                        cols, HyperParams(max_depth=3))
+            for rows in (every_row, sampled):
+                root = search.root(rows)
+                assert np.array_equal(root.orders, search.node(rows).orders)
+                found = search.best_split(root)
+                nodes = [root, *search.children(root, found[1], found[2])]
+                for node in nodes:
+                    node_rows = np.sort(node.rows)
+                    for k, f in enumerate(cols):
+                        expected = node_rows[np.argsort(X[node_rows, f],
+                                                        kind="stable")]
+                        assert np.array_equal(node.orders[k], expected)
+                assert nodes[1].rows.size + nodes[2].rows.size == rows.size
 
 
 class TestFit:
@@ -806,7 +814,13 @@ def walk_rows(tree, X):
     return out
 
 
+WALKS = ("_walk_rows", "_walk_nodes")
+
+
 class TestTreeWalk:
+    """`predict` walks few rows one row at a time and many one node at a
+    time; either walk must give the reference walk's values."""
+
     def test_column_major_walk_matches_row_walk(self):
         rng = np.random.default_rng(21)
         # Few distinct values, so many rows equal a threshold exactly.
@@ -816,11 +830,31 @@ class TestTreeWalk:
         on_threshold = 0
         for _ in range(50):
             tree = random_tree(rng, 4, values)
-            assert np.array_equal(tree.predict(XT), walk_rows(tree, X))
+            for walk in WALKS:
+                assert np.array_equal(getattr(tree, walk)(XT, None),
+                                      walk_rows(tree, X))
             on_threshold += sum(
                 np.count_nonzero(X[:, f] == t)
                 for f, t in zip(tree.feature, tree.threshold) if f >= 0)
         assert on_threshold > 0
+
+    def test_predict_matches_row_walk_on_both_sides_of_the_rule(self):
+        rng = np.random.default_rng(22)
+        values = np.array([-1.5, 0.0, 0.25, 2.0, 3.0])
+        X = rng.choice(values, size=(300, 4))
+        sides = set()
+        for _ in range(30):
+            tree = random_tree(rng, 4, values)
+            n_nodes = len(tree.feature)
+            # The largest row count still walked by row.
+            cut = max(r for r in range(X.shape[0] + 1)
+                      if gbtree._walks_by_row(r, n_nodes))
+            assert not gbtree._walks_by_row(cut + 1, n_nodes)
+            for n in (0, 1, cut, cut + 1, X.shape[0]):
+                sides.add(gbtree._walks_by_row(n, n_nodes))
+                XT = np.ascontiguousarray(X[:n].T)
+                assert np.array_equal(tree.predict(XT), walk_rows(tree, X[:n]))
+        assert sides == {True, False}
 
     def test_value_at_threshold_goes_right(self):
         tree = gbtree.RegressionTree()
@@ -828,13 +862,27 @@ class TestTreeWalk:
         tree.left[root] = tree.add_leaf(-1.0)
         tree.right[root] = tree.add_leaf(1.0)
         XT = np.array([[9.0, 9.0, 9.0], [0.5, 0.4999, 0.5001]])
-        assert tree.predict(XT).tolist() == [1.0, -1.0, 1.0]
+        for walk in WALKS:
+            assert getattr(tree, walk)(XT, None).tolist() == [1.0, -1.0, 1.0]
+        # A saved threshold is compared as a float64: 2**53 + 1 rounds to
+        # 2**53, so a row at 2**53 goes right in both walks.
+        saved = gbtree.RegressionTree.from_dict(
+            {**tree.to_dict(), "threshold": [2 ** 53 + 1, 0.0, 0.0]})
+        XT = np.array([[0.0], [2.0 ** 53]])
+        for walk in WALKS:
+            assert getattr(saved, walk)(XT, None).tolist() == [1.0]
 
     def test_leaf_only_tree_and_no_rows(self):
         tree = gbtree.RegressionTree()
         tree.add_leaf(2.5)
-        assert tree.predict(np.zeros((3, 4))).tolist() == [2.5] * 4
         split = random_tree(np.random.default_rng(3), 2, [0.0, 1.0])
+        for walk in WALKS:
+            assert getattr(tree, walk)(np.zeros((3, 4)), None).tolist() == \
+                [2.5] * 4
+            assert getattr(tree, walk)(np.zeros((3, 4)), np.array([2])) \
+                .tolist() == [2.5]
+            assert getattr(split, walk)(np.zeros((2, 0)), None).size == 0
+        assert tree.predict(np.zeros((3, 4))).tolist() == [2.5] * 4
         assert split.predict(np.zeros((2, 0))).size == 0
 
     def test_row_subset_walks_only_those_rows(self):
@@ -843,9 +891,12 @@ class TestTreeWalk:
         X = rng.choice(values, size=(200, 3))
         XT = np.ascontiguousarray(X.T)
         tree = random_tree(rng, 3, values)
-        full = tree.predict(XT)
+        full = walk_rows(tree, X)
         for rows in (rng.permutation(200)[:70], np.array([5]),
                      np.arange(0), np.arange(200)):
+            for walk in WALKS:
+                assert np.array_equal(getattr(tree, walk)(XT, rows),
+                                      full[rows])
             assert np.array_equal(tree.predict(XT, rows), full[rows])
 
 
