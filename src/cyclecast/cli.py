@@ -486,11 +486,6 @@ def cmd_tune(args) -> int:
     def to_params(point: dict) -> HyperParams:
         return HyperParams.from_dict({**fitted(point), **fixed})
 
-    def objective(point: dict) -> float:
-        params = to_params(point)
-        return evaluation.cross_validate(
-            matrix, params, args.k, args.delta).cv_score
-
     defaults = HyperParams().to_dict()
     default_point = fitted({d.name: defaults[d.name]
                             for d in space.dimensions})
@@ -498,7 +493,15 @@ def cmd_tune(args) -> int:
 
     trials_path = out_dir / "trials.jsonl"
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(trials_path, "w", encoding="utf-8") as stream:
+    # The fold workers fork before trials.jsonl opens, so they hold no
+    # handle on it.
+    with evaluation.FoldWorkers(matrix, args.k, args.delta) as workers, \
+            open(trials_path, "w", encoding="utf-8") as stream:
+        def objective(point: dict) -> float:
+            return evaluation.cross_validate(
+                matrix, to_params(point), args.k, args.delta,
+                workers).cv_score
+
         def on_trial(trial):
             record = trial.to_dict()
             record["params"] = fitted(record["params"])

@@ -1,18 +1,22 @@
 """Metrics, the one split-and-fit path shared by hold-out evaluation and
-expanding-window cross-validation, period breakdowns, and
-residual-distribution statistics."""
+expanding-window cross-validation, forked workers that fit CV folds in
+parallel, period breakdowns, and residual-distribution statistics."""
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gbtree
 from .encoding import HOUR
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvariantError
 from .features import build_matrix
 
 MAPE_FLOOR = 1e-8
@@ -212,24 +216,237 @@ def holdout(frame, spec, params, test_fraction) -> dict:
     }
 
 
-def cross_validate(matrix, params, k, delta) -> CVResult:
+def cross_validate(matrix, params, k, delta, workers=None) -> CVResult:
     """Mean fold RMSE over expanding-window folds.
 
     Folds come from `cv_plan` (all features are backward-looking, so no
     validation row leaks into training features). Each fold fits with
     `fit_before` on the rows before its validation block and scores the
-    block.
+    block. With `workers`, a `FoldWorkers` entered for the same matrix, k
+    and delta, the folds are fitted in its processes; the result and any
+    exception raised are the same as without.
     """
-    offset = matrix.dropped_warmup
-    fold_rmses = []
-    for _, (va_s, va_e) in cv_plan(matrix, k, delta).splits:
-        cut, stop = va_s - offset, va_e - offset
-        model, _ = fit_before(matrix, cut, params)
-        pred = gbtree.predict(model, matrix.values[cut:stop])
-        fold_rmses.append(rmse(matrix.target[cut:stop], pred))
+    if workers is None:
+        fold_rmses = [_fold_rmse(matrix, params, cut, stop)
+                      for cut, stop in _fold_bounds(matrix, k, delta)]
+    else:
+        if workers.matrix is not matrix or (workers.k, workers.delta) != \
+                (k, delta):
+            raise InvariantError("fold workers hold another matrix or "
+                                 "fold plan")
+        fold_rmses = workers.fold_rmses(params)
 
     return CVResult(cv_score=float(np.mean(fold_rmses)),
                     fold_rmses=tuple(fold_rmses))
+
+
+def _fold_bounds(matrix, k, delta) -> list:
+    """(cut, stop) per fold: it fits on matrix rows [0, cut) and scores
+    rows [cut, stop)."""
+    offset = matrix.dropped_warmup
+    return [(va_s - offset, va_e - offset)
+            for _, (va_s, va_e) in cv_plan(matrix, k, delta).splits]
+
+
+def _fold_rmse(matrix, params, cut, stop) -> float:
+    model, _ = fit_before(matrix, cut, params)
+    pred = gbtree.predict(model, matrix.values[cut:stop])
+    return rmse(matrix.target[cut:stop], pred)
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def fold_groups(cuts, n) -> list:
+    """Fold indices in n groups, balanced by training rows.
+
+    Folds go longest training range first, each to the group with the
+    fewest training rows so far, so group 0 holds the longest fold. Each
+    group lists its folds in fold order.
+    """
+    groups, rows = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(cuts)), key=lambda i: -cuts[i]):
+        g = rows.index(min(rows))
+        groups[g].append(i)
+        rows[g] += cuts[i]
+    return [sorted(g) for g in groups]
+
+
+def _fit_group(matrix, params, bounds, group):
+    """(RMSEs, exception): the RMSEs of `group`'s folds in order, up to
+    the first fold that raises, and what it raised (None if none did)."""
+    rmses = []
+    try:
+        for i in group:
+            rmses.append(_fold_rmse(matrix, params, *bounds[i]))
+    except Exception as exc:  # carried to where fold order picks one
+        return rmses, exc
+    return rmses, None
+
+
+def _write_all(fd, data):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+@dataclass
+class _Worker:
+    pid: int
+    send: int   # write end of the pipe to the worker
+    receive: object  # buffered reader of the pipe from it
+
+
+class FoldWorkers:
+    """Forked processes that fit `cross_validate`'s folds beside this one.
+
+    Entering forks min(usable CPUs, k) - 1 workers, or none where
+    `os.fork` is missing. Each worker holds `matrix` and the fold plan
+    from the fork, and fits its own fixed group of folds (`fold_groups`)
+    for every `cross_validate(matrix, params, k, delta, workers)` call; it
+    reads the pickled params from its own pipe and writes back its fold
+    RMSEs, or the exception a fold raised. This process fits the group
+    that holds the longest fold. A worker ignores SIGINT and leaves by
+    `os._exit` when its pipe closes, so it never flushes this process's
+    buffers or runs its exit handlers. Leaving the block closes the pipes
+    and reaps every worker, killing them first if the block raised.
+
+    A worker that dies, or a result that cannot cross the pipe, raises
+    InvariantError naming the worker's exit status, and every later call
+    raises it again; so does every call after one that was interrupted
+    (by KeyboardInterrupt, say) before every worker answered.
+    """
+
+    def __init__(self, matrix, k, delta):
+        self.matrix, self.k, self.delta = matrix, k, delta
+        self._bounds = _fold_bounds(matrix, k, delta)
+        n = min(usable_cpus(), k) if hasattr(os, "fork") else 1
+        self._groups = fold_groups([cut for cut, _ in self._bounds], n)
+        self._workers = []
+        self._broken = None
+
+    def __enter__(self):
+        try:
+            for group in self._groups[1:]:
+                self._workers.append(self._fork(group))
+        except BaseException:
+            self._close(kill=True)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._close(kill=exc_type is not None)
+
+    def fold_rmses(self, params) -> list:
+        """Every fold's RMSE in fold order; if folds raised, what the
+        lowest-numbered one raised, as fitting them in order would."""
+        if self._broken is not None:
+            raise InvariantError(self._broken)
+        # Until every worker has answered, its pipe may hold a stale result.
+        self._broken = "an interrupted call left fold workers out of step"
+        payload = pickle.dumps(params)
+        for worker in self._workers:
+            try:
+                _write_all(worker.send, payload)
+            except BrokenPipeError:
+                self._fail(worker, "took no params")
+        outcomes = [_fit_group(self.matrix, params, self._bounds,
+                               self._groups[0])]
+        outcomes += [self._result(worker) for worker in self._workers]
+        self._broken = None
+        rmses = [None] * len(self._bounds)
+        first = None  # (fold, exception) of the lowest failing fold
+        for group, (values, exc) in zip(self._groups, outcomes):
+            for i, value in zip(group, values):
+                rmses[i] = value
+            if exc is not None and (first is None
+                                    or group[len(values)] < first[0]):
+                first = (group[len(values)], exc)
+        if first is not None:
+            raise first[1]
+        return rmses
+
+    def _result(self, worker):
+        try:
+            return pickle.load(worker.receive)
+        except Exception as err:  # EOF from a dead worker, or bad bytes
+            self._fail(worker, f"sent no result ({type(err).__name__}: "
+                               f"{err})")
+
+    def _fail(self, worker, what):
+        code = os.waitstatus_to_exitcode(self._close(kill=True)[worker.pid])
+        how = (f"exited with status {code}" if code >= 0
+               else f"was killed by signal {-code}")
+        self._broken = f"fold worker {worker.pid} {what}; it {how}"
+        raise InvariantError(self._broken)
+
+    def _fork(self, group) -> _Worker:
+        to_read, to_write = os.pipe()
+        from_read, from_write = os.pipe()
+        # SIGINT stays blocked until the child ignores it, so Ctrl-C can
+        # never raise in the child on its way out of fork.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pid = os.fork()
+            if pid == 0:
+                self._worker_main(group, mask, (to_read, from_write),
+                                  (to_write, from_read))
+        except BaseException:
+            for fd in (to_read, to_write, from_read, from_write):
+                os.close(fd)
+            raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(to_read)
+        os.close(from_write)
+        return _Worker(pid, to_write, os.fdopen(from_read, "rb"))
+
+    def _worker_main(self, group, mask, own, parents):
+        """The forked child: keep only its own pipe ends, serve, and leave
+        by os._exit (status 1 after an uncaught exception)."""
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for worker in self._workers:
+                os.close(worker.send)
+                worker.receive.close()
+            for fd in parents:
+                os.close(fd)
+            self._serve(group, *own)
+            status = 0
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+
+    def _serve(self, group, to_read, from_write):
+        """The worker's loop: params in, (RMSEs, exception) out, until its
+        input pipe closes. An exception that cannot be pickled ends the
+        worker with status 1."""
+        receive = os.fdopen(to_read, "rb")
+        while True:
+            try:
+                params = pickle.load(receive)
+            except EOFError:
+                return
+            outcome = _fit_group(self.matrix, params, self._bounds, group)
+            _write_all(from_write, pickle.dumps(outcome))
+
+    def _close(self, kill) -> dict:
+        """Close every pipe and reap every worker; pid -> wait status."""
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            os.close(worker.send)
+            worker.receive.close()
+            if kill:
+                os.kill(worker.pid, signal.SIGKILL)
+        return {w.pid: os.waitpid(w.pid, 0)[1] for w in workers}
 
 
 def period_breakdown(y, yhat, hours):

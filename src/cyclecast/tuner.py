@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CyclecastError, DataError
+from .errors import ConfigError, CyclecastError, DataError, InvariantError
 
 NOISE_FLOOR = 1e-6
 MAX_JITTER = 1e-2
@@ -396,13 +396,16 @@ class _Sobol:
 
 def _evaluate(objective, params, iteration):
     """Run one trial. A CyclecastError or a non-finite value marks it
-    failed, with the reason; any other exception propagates."""
+    failed, with the reason. An InvariantError, a fault of the program
+    rather than of the trial's point, and any other exception propagate."""
     t0 = time.perf_counter()
     error = None
     try:
         value = float(objective(params))
         if not math.isfinite(value):
             error = f"non-finite objective {value!r}"
+    except InvariantError:
+        raise
     except CyclecastError as exc:
         error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import cyclecast
 from cyclecast import cli, evaluation
 from cyclecast.cli import main, render_table, strip_timing
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
+from cyclecast.errors import DataError
 from cyclecast.features import FeatureSpec
 from cyclecast.gbtree import HyperParams, load_model, predict
 
@@ -388,6 +390,87 @@ class TestTune:
                        "--k", "30", "--delta", "168", "--budget", "3",
                        "--init", "2", "--no-timing") == 1
         assert not out.exists()
+
+
+class TestTuneWorkers:
+    """Failures in forked fold workers end `tune` as they do in-process,
+    and every `tune` leaves no child process behind."""
+
+    @pytest.fixture
+    def tune(self, monkeypatch, tmp_path):
+        """Runs tune on `cpus` usable CPUs (1: in-process) into out<cpus>
+        and returns its exit code."""
+        def run(cpus):
+            monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+            code = run_cli("tune", "--out", str(tmp_path / f"out{cpus}"),
+                           "--n-hours", "480", "--budget", "6", "--init",
+                           "4", "--k", "3", "--delta", "48",
+                           "--n-estimators-cap", "10", "--no-timing")
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            return code
+        return run
+
+    @pytest.fixture(autouse=True)
+    def hang_guard(self):
+        """Fails a test that runs 60 s: a hung read would never end."""
+        def hung(signum, frame):
+            pytest.fail("tune hung")  # not an Exception, so main lets it by
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 60)
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def first_fold_raises(self, monkeypatch, exc, when=lambda params: True):
+        """Make fold 0, which a worker fits, raise `exc` for the params
+        that pass `when`."""
+        real = evaluation.fit_before
+
+        def fit_before(matrix, cut, params):
+            # Fold 0 scores frame rows from 480 - 3 * 48 on.
+            if cut + matrix.dropped_warmup == 336 and when(params):
+                raise exc
+            return real(matrix, cut, params)
+
+        monkeypatch.setattr(evaluation, "fit_before", fit_before)
+
+    def test_cyclecast_error_in_worker_fails_the_trial(self, tune, tmp_path,
+                                                       monkeypatch):
+        self.first_fold_raises(monkeypatch, DataError("fold refused"),
+                               when=lambda params: params.max_depth % 2)
+        assert tune(1) == 0
+        assert tune(2) == 0
+        text = (tmp_path / "out1" / "trials.jsonl").read_text()
+        assert (tmp_path / "out2" / "trials.jsonl").read_text() == text
+        errors = [json.loads(line).get("error") for line in text.splitlines()]
+        assert "DataError: fold refused" in errors and None in errors
+
+    def test_runtime_error_in_worker_exits_3(self, tune, monkeypatch,
+                                             capsys):
+        lines = []
+        self.first_fold_raises(monkeypatch, RuntimeError("fold broke"))
+        for cpus in (1, 2):
+            assert tune(cpus) == 3
+            lines.append(capsys.readouterr().err.splitlines()[-1])
+        assert lines == ["internal error: RuntimeError: fold broke"] * 2
+
+    def test_killed_worker_is_internal_error(self, tune, monkeypatch,
+                                             capsys):
+        parent = os.getpid()
+        real = evaluation.fit_before
+
+        def fit_before(matrix, cut, params):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(matrix, cut, params)
+
+        monkeypatch.setattr(evaluation, "fit_before", fit_before)
+        assert tune(2) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: fold worker ")
+        assert err.rstrip().endswith("it was killed by signal 9")
 
 
 class TestPredict:

@@ -1,15 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from cyclecast import gbtree
+from cyclecast import evaluation, gbtree
+from cyclecast.cli import main
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
-from cyclecast.errors import ConfigError, DataError
+from cyclecast.errors import ConfigError, DataError, InvariantError
 from cyclecast.evaluation import (
-    EARLY_STOP_FRACTION, CVPlan, compute_metrics, cross_validate, cv_plan,
-    expanding_splits, fit_before, holdout, mae, mape_pct, period_breakdown,
-    r2, residual_stats, rmse,
+    EARLY_STOP_FRACTION, CVPlan, FoldWorkers, compute_metrics,
+    cross_validate, cv_plan, expanding_splits, fit_before, fold_groups,
+    holdout, mae, mape_pct, period_breakdown, r2, residual_stats, rmse,
 )
 from cyclecast.features import FeatureSpec, build_matrix
 from cyclecast.gbtree import HyperParams
@@ -110,7 +112,7 @@ class TestExpandingSplits:
             CVPlan(splits=(((0, 10), (10, 15)), ((0, 8), (15, 20))))
 
 
-class TestCrossValidate:
+class CVCase:
     def matrix(self, n=700):
         frame = generate_synthetic(SyntheticConfig(n_hours=n, seed=30))
         return build_matrix(frame, self.small_spec())
@@ -125,6 +127,8 @@ class TestCrossValidate:
         defaults.update(kw)
         return HyperParams(**defaults)
 
+
+class TestCrossValidate(CVCase):
     def test_score_is_mean_of_folds(self):
         res = cross_validate(self.matrix(), self.params(), k=3, delta=50)
         assert len(res.fold_rmses) == 3
@@ -171,6 +175,111 @@ class TestCrossValidate:
         model, _ = fit_before(matrix, cut, self.params())
         pred = gbtree.predict(model, matrix.values[cut:cut + 50])
         assert res.fold_rmses[0] == rmse(matrix.target[cut:cut + 50], pred)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFoldWorkers(CVCase):
+    """Folds fitted in forked workers give what the in-process loop
+    gives, bit for bit."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(n):
+            monkeypatch.setattr(evaluation, "usable_cpus", lambda: n)
+        return set_cpus
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_same_result_as_in_process(self, cpus, k):
+        # Four CPUs give k = 5 three workers, more than this host may have.
+        cpus(4)
+        matrix = self.matrix()
+        params = [self.params(), self.params(max_depth=5, subsample=0.7)]
+        expected = [cross_validate(matrix, p, k, 40) for p in params]
+        with FoldWorkers(matrix, k, 40) as workers:
+            for p, want in zip(params * 2, expected * 2):
+                assert cross_validate(matrix, p, k, 40, workers) == want
+        assert_no_children()
+
+    def test_longest_fold_stays_in_this_process(self):
+        assert fold_groups([168, 216, 264], 2) == [[2], [0, 1]]
+        assert fold_groups([168, 216, 264], 1) == [[0, 1, 2]]
+        assert fold_groups([10, 20, 30, 40, 50], 3) == [[4], [0, 3], [1, 2]]
+
+    def test_lowest_failing_fold_raises(self, cpus, monkeypatch):
+        # Every fold raises; in order, fold 0 raises first. Its worker
+        # answers after this process's own fold has raised.
+        def fit_before(matrix, cut, params):
+            raise DataError(f"fold at row {cut}")
+
+        monkeypatch.setattr(evaluation, "fit_before", fit_before)
+        matrix = self.matrix()
+        with pytest.raises(DataError) as serial:
+            cross_validate(matrix, self.params(), 3, 50)
+        cpus(2)
+        with FoldWorkers(matrix, 3, 50) as workers:
+            with pytest.raises(DataError) as forked:
+                cross_validate(matrix, self.params(), 3, 50, workers)
+            # The workers stay in step after an error.
+            with pytest.raises(DataError):
+                cross_validate(matrix, self.params(), 3, 50, workers)
+        assert str(forked.value) == str(serial.value)
+        assert_no_children()
+
+    def test_interrupted_call_leaves_workers_refusing(self, cpus,
+                                                      monkeypatch):
+        # This process's fold stops by a BaseException, as on Ctrl-C, while
+        # a worker's answer is still in its pipe; no later call may read it.
+        class Interrupt(BaseException):
+            pass
+
+        parent, real = os.getpid(), evaluation.fit_before
+
+        def fit_before(matrix, cut, params):
+            if os.getpid() == parent:
+                raise Interrupt
+            return real(matrix, cut, params)
+
+        matrix = self.matrix()
+        cpus(2)
+        with FoldWorkers(matrix, 3, 50) as workers:
+            monkeypatch.setattr(evaluation, "fit_before", fit_before)
+            with pytest.raises(Interrupt):
+                cross_validate(matrix, self.params(), 3, 50, workers)
+            monkeypatch.setattr(evaluation, "fit_before", real)
+            with pytest.raises(InvariantError, match="out of step"):
+                cross_validate(matrix, self.params(), 3, 50, workers)
+        assert_no_children()
+
+    def test_other_matrix_or_plan_is_refused(self, cpus):
+        cpus(2)
+        matrix = self.matrix()
+        with FoldWorkers(matrix, 3, 50) as workers:
+            for args in ((self.matrix(), 3, 50), (matrix, 2, 50),
+                         (matrix, 3, 40)):
+                with pytest.raises(InvariantError):
+                    cross_validate(args[0], self.params(), *args[1:],
+                                   workers)
+        assert_no_children()
+
+    def test_tune_outputs_do_not_depend_on_cpus(self, cpus, tmp_path):
+        outs = []
+        for n in (1, 3):
+            cpus(n)
+            out = tmp_path / f"cpus{n}"
+            assert main(["tune", "--out", str(out), "--n-hours", "480",
+                         "--budget", "5", "--init", "4", "--k", "3",
+                         "--delta", "48", "--n-estimators-cap", "10",
+                         "--no-timing"]) == 0
+            assert_no_children()
+            outs.append(out)
+        for name in ("tune_report.json", "trials.jsonl", "convergence.csv",
+                     "best_params.json"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes()
 
 
 class TestFitPath:
