@@ -271,9 +271,9 @@ def _loss_curves(log) -> dict:
 def cmd_synth(args) -> int:
     config = _synth_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     frame = generate_synthetic(config)
     path = Path(args.output) if args.output else out_dir / "synthetic.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(frame, path)
     report = {
         "experiment": "synth",
@@ -474,8 +474,9 @@ def cmd_tune(args) -> int:
     # What every trial fits besides the searched point; --params wins.
     fixed = {"growth": gbtree.DEPTHWISE, "patience": 20, "seed": args.seed,
              **overrides}
-    matrix = build_matrix(frame, spec)
-    evaluation.cv_plan(matrix, args.k, args.delta)  # a bad layout fails here
+    # A bad fold layout fails here; the workers fork when it is entered.
+    folds = evaluation.FoldWorkers(build_matrix(frame, spec), args.k,
+                                   args.delta)
     cap = args.n_estimators_cap
 
     def fitted(point: dict) -> dict:
@@ -495,12 +496,9 @@ def cmd_tune(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # The fold workers fork before trials.jsonl opens, so they hold no
     # handle on it.
-    with evaluation.FoldWorkers(matrix, args.k, args.delta) as workers, \
-            open(trials_path, "w", encoding="utf-8") as stream:
+    with folds, open(trials_path, "w", encoding="utf-8") as stream:
         def objective(point: dict) -> float:
-            return evaluation.cross_validate(
-                matrix, to_params(point), args.k, args.delta,
-                workers).cv_score
+            return evaluation.cross_validate(folds, to_params(point)).cv_score
 
         def on_trial(trial):
             record = trial.to_dict()

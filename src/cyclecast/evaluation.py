@@ -1,6 +1,7 @@
 """Metrics, the one split-and-fit path shared by hold-out evaluation and
-expanding-window cross-validation, forked workers that fit CV folds in
-parallel, period breakdowns, and residual-distribution statistics."""
+expanding-window cross-validation, the one CV fold runner (forked workers,
+or this process alone when it has none), period breakdowns, and
+residual-distribution statistics."""
 
 from __future__ import annotations
 
@@ -216,42 +217,14 @@ def holdout(frame, spec, params, test_fraction) -> dict:
     }
 
 
-def cross_validate(matrix, params, k, delta, workers=None) -> CVResult:
-    """Mean fold RMSE over expanding-window folds.
-
-    Folds come from `cv_plan` (all features are backward-looking, so no
-    validation row leaks into training features). Each fold fits with
-    `fit_before` on the rows before its validation block and scores the
-    block. With `workers`, a `FoldWorkers` entered for the same matrix, k
-    and delta, the folds are fitted in its processes; the result and any
-    exception raised are the same as without.
-    """
-    if workers is None:
-        fold_rmses = [_fold_rmse(matrix, params, cut, stop)
-                      for cut, stop in _fold_bounds(matrix, k, delta)]
-    else:
-        if workers.matrix is not matrix or (workers.k, workers.delta) != \
-                (k, delta):
-            raise InvariantError("fold workers hold another matrix or "
-                                 "fold plan")
-        fold_rmses = workers.fold_rmses(params)
-
+def cross_validate(folds, params) -> CVResult:
+    """Mean fold RMSE over the folds of `folds`, a `FoldWorkers`. Each
+    fold fits with `fit_before` on the rows before its validation block
+    and scores the block; all features are backward-looking, so no
+    validation row leaks into training features."""
+    fold_rmses = folds.fold_rmses(params)
     return CVResult(cv_score=float(np.mean(fold_rmses)),
                     fold_rmses=tuple(fold_rmses))
-
-
-def _fold_bounds(matrix, k, delta) -> list:
-    """(cut, stop) per fold: it fits on matrix rows [0, cut) and scores
-    rows [cut, stop)."""
-    offset = matrix.dropped_warmup
-    return [(va_s - offset, va_e - offset)
-            for _, (va_s, va_e) in cv_plan(matrix, k, delta).splits]
-
-
-def _fold_rmse(matrix, params, cut, stop) -> float:
-    model, _ = fit_before(matrix, cut, params)
-    pred = gbtree.predict(model, matrix.values[cut:stop])
-    return rmse(matrix.target[cut:stop], pred)
 
 
 def usable_cpus() -> int:
@@ -277,18 +250,6 @@ def fold_groups(cuts, n) -> list:
     return [sorted(g) for g in groups]
 
 
-def _fit_group(matrix, params, bounds, group):
-    """(RMSEs, exception): the RMSEs of `group`'s folds in order, up to
-    the first fold that raises, and what it raised (None if none did)."""
-    rmses = []
-    try:
-        for i in group:
-            rmses.append(_fold_rmse(matrix, params, *bounds[i]))
-    except Exception as exc:  # carried to where fold order picks one
-        return rmses, exc
-    return rmses, None
-
-
 def _write_all(fd, data):
     view = memoryview(data)
     while view:
@@ -303,15 +264,18 @@ class _Worker:
 
 
 class FoldWorkers:
-    """Forked processes that fit `cross_validate`'s folds beside this one.
+    """The expanding-window folds of `matrix` (`cv_plan`) and the
+    processes that fit them for `cross_validate(folds, params)`.
 
-    Entering forks min(usable CPUs, k) - 1 workers, or none where
-    `os.fork` is missing. Each worker holds `matrix` and the fold plan
-    from the fork, and fits its own fixed group of folds (`fold_groups`)
-    for every `cross_validate(matrix, params, k, delta, workers)` call; it
-    reads the pickled params from its own pipe and writes back its fold
-    RMSEs, or the exception a fold raised. This process fits the group
-    that holds the longest fold. A worker ignores SIGINT and leaves by
+    Construction lays out the folds, raising ConfigError for a layout
+    that does not fit, and forks nothing. Entering forks
+    min(usable CPUs, k) - 1 workers, or none where `os.fork` is missing.
+    Each worker holds `matrix` and the folds from the fork and fits its
+    own fixed group of folds (`fold_groups`) for every call; it reads the
+    pickled params from its own pipe and writes back its fold RMSEs, or
+    the exception a fold raised. This process fits the group that holds
+    the longest fold and every group without a worker, so with no workers
+    it fits every fold itself. A worker ignores SIGINT and leaves by
     `os._exit` when its pipe closes, so it never flushes this process's
     buffers or runs its exit handlers. Leaving the block closes the pipes
     and reaps every worker, killing them first if the block raised.
@@ -323,8 +287,12 @@ class FoldWorkers:
     """
 
     def __init__(self, matrix, k, delta):
-        self.matrix, self.k, self.delta = matrix, k, delta
-        self._bounds = _fold_bounds(matrix, k, delta)
+        self._matrix = matrix
+        # (cut, stop) per fold: it fits on matrix rows [0, cut) and
+        # scores rows [cut, stop).
+        plan, offset = cv_plan(matrix, k, delta), matrix.dropped_warmup
+        self._bounds = [(va_s - offset, va_e - offset)
+                        for _, (va_s, va_e) in plan.splits]
         n = min(usable_cpus(), k) if hasattr(os, "fork") else 1
         self._groups = fold_groups([cut for cut, _ in self._bounds], n)
         self._workers = []
@@ -355,8 +323,9 @@ class FoldWorkers:
                 _write_all(worker.send, payload)
             except BrokenPipeError:
                 self._fail(worker, "took no params")
-        outcomes = [_fit_group(self.matrix, params, self._bounds,
-                               self._groups[0])]
+        # Workers hold the last groups; this process fits the others.
+        own = self._groups[:len(self._groups) - len(self._workers)]
+        outcomes = [self._fit_group(params, group) for group in own]
         outcomes += [self._result(worker) for worker in self._workers]
         self._broken = None
         rmses = [None] * len(self._bounds)
@@ -370,6 +339,21 @@ class FoldWorkers:
         if first is not None:
             raise first[1]
         return rmses
+
+    def _fit_group(self, params, group):
+        """(RMSEs, exception): the RMSEs of `group`'s folds in order, up to
+        the first fold that raises, and what it raised (None if none
+        did)."""
+        rmses = []
+        try:
+            for i in group:
+                cut, stop = self._bounds[i]
+                model, _ = fit_before(self._matrix, cut, params)
+                pred = gbtree.predict(model, self._matrix.values[cut:stop])
+                rmses.append(rmse(self._matrix.target[cut:stop], pred))
+        except Exception as exc:  # carried to where fold order picks one
+            return rmses, exc
+        return rmses, None
 
     def _result(self, worker):
         try:
@@ -435,7 +419,7 @@ class FoldWorkers:
                 params = pickle.load(receive)
             except EOFError:
                 return
-            outcome = _fit_group(self.matrix, params, self._bounds, group)
+            outcome = self._fit_group(params, group)
             _write_all(from_write, pickle.dumps(outcome))
 
     def _close(self, kill) -> dict:

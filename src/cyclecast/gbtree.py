@@ -111,6 +111,8 @@ class HyperParams:
                 raise ConfigError("goss_a must be in (0, 1]")
             if self.goss_b < 0:
                 raise ConfigError("goss_b must be >= 0")
+            if self.goss_a < 1 and self.goss_b == 0:
+                raise ConfigError("goss b must be > 0 when a < 1")
             if self.goss_a + self.goss_b > 1 + 1e-12:
                 raise ConfigError("goss_a + goss_b must be <= 1")
         if self.growth not in (DEPTHWISE, LEAFWISE):

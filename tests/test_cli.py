@@ -34,6 +34,22 @@ class TestSynth:
         assert report["experiment"] == "synth"
         assert report["frame"]["rows"] == 8737
 
+    def test_output_parent_is_created(self, tmp_path):
+        out, path = tmp_path / "out", tmp_path / "new" / "dir" / "x.csv"
+        assert run_cli("synth", "--out", str(out), "--n-hours", "50",
+                       "--output", str(path)) == 0
+        assert len(path.read_text().splitlines()) == 51
+        assert not (out / "synthetic.csv").exists()
+        report = json.loads((out / "synth_report.json").read_text())
+        assert report["output"] == str(path)
+
+    def test_failed_write_leaves_no_output_directory(self, tmp_path):
+        # --output names a directory, so the CSV cannot be written.
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out", str(out), "--n-hours", "50",
+                       "--output", str(tmp_path)) == 3
+        assert not out.exists()
+
     def test_same_seed_byte_identical_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli("synth", "--out", str(a), "--n-hours", "200", "--seed", "5")
@@ -329,7 +345,8 @@ class TestTune:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("text", ['{"max_depth": 6.5}', '{"bogus": 1}',
-                                      '{"goss_a": 0.2}'])
+                                      '{"goss_a": 0.2}',
+                                      '{"goss_a": 0.5, "goss_b": 0.0}'])
     def test_bad_params_is_usage_error_before_any_trial(self, tmp_path,
                                                         text):
         path = tmp_path / "params.json"
@@ -392,6 +409,7 @@ class TestTune:
         assert not out.exists()
 
 
+@pytest.mark.usefixtures("hang_guard")
 class TestTuneWorkers:
     """Failures in forked fold workers end `tune` as they do in-process,
     and every `tune` leaves no child process behind."""
@@ -410,18 +428,6 @@ class TestTuneWorkers:
                 os.waitpid(-1, os.WNOHANG)
             return code
         return run
-
-    @pytest.fixture(autouse=True)
-    def hang_guard(self):
-        """Fails a test that runs 60 s: a hung read would never end."""
-        def hung(signum, frame):
-            pytest.fail("tune hung")  # not an Exception, so main lets it by
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.setitimer(signal.ITIMER_REAL, 60)
-        yield
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
     def first_fold_raises(self, monkeypatch, exc, when=lambda params: True):
         """Make fold 0, which a worker fits, raise `exc` for the params

@@ -128,15 +128,34 @@ class CVCase:
         return HyperParams(**defaults)
 
 
+def cv(matrix, params, k, delta):
+    """`cross_validate` over folds fitted in this process: the fold
+    runner outside its `with` block has no workers."""
+    return cross_validate(FoldWorkers(matrix, k, delta), params)
+
+
+def reference_fold_rmses(matrix, params, k, delta):
+    """Each fold's RMSE, fitted here one fold after another from the plan
+    over the frame rows `matrix` was built from."""
+    n = matrix.dropped_warmup + matrix.n_rows
+    rmses = []
+    for _, (va_s, va_e) in expanding_splits(n, k, delta).splits:
+        cut, stop = va_s - matrix.dropped_warmup, va_e - matrix.dropped_warmup
+        model, _ = fit_before(matrix, cut, params)
+        pred = gbtree.predict(model, matrix.values[cut:stop])
+        rmses.append(rmse(matrix.target[cut:stop], pred))
+    return rmses
+
+
 class TestCrossValidate(CVCase):
     def test_score_is_mean_of_folds(self):
-        res = cross_validate(self.matrix(), self.params(), k=3, delta=50)
+        res = cv(self.matrix(), self.params(), k=3, delta=50)
         assert len(res.fold_rmses) == 3
         assert res.cv_score == pytest.approx(np.mean(res.fold_rmses))
 
     def test_deterministic(self):
-        a = cross_validate(self.matrix(), self.params(), k=3, delta=40)
-        b = cross_validate(self.matrix(), self.params(), k=3, delta=40)
+        a = cv(self.matrix(), self.params(), k=3, delta=40)
+        b = cv(self.matrix(), self.params(), k=3, delta=40)
         assert a.fold_rmses == b.fold_rmses
 
     def test_noise_free_series_scores_near_zero(self):
@@ -148,8 +167,7 @@ class TestCrossValidate(CVCase):
                            lags=(168,), ewm_halflives=(), temporal=())
         params = HyperParams(n_estimators=3, max_depth=9, learning_rate=1.0,
                              reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
-        res = cross_validate(build_matrix(frame, spec), params, k=2,
-                             delta=100)
+        res = cv(build_matrix(frame, spec), params, k=2, delta=100)
         assert res.cv_score < 1e-9
 
     def test_fold_eats_warmup(self):
@@ -158,7 +176,7 @@ class TestCrossValidate(CVCase):
                            lags=(168,), ewm_halflives=(), temporal=())
         matrix = build_matrix(frame, spec)
         with pytest.raises(DataError):
-            cross_validate(matrix, self.params(), k=2, delta=116)
+            cv(matrix, self.params(), k=2, delta=116)
 
     def test_folds_span_warmup_and_matrix_rows(self):
         # Folds lie over all frame rows, warm-up included: the first
@@ -170,7 +188,7 @@ class TestCrossValidate(CVCase):
         assert plan.splits[-1][1] == (650, 700)
         # The first fold fits on the matrix rows before frame row 550 and
         # scores those of frame rows [550, 600).
-        res = cross_validate(matrix, self.params(), k=3, delta=50)
+        res = cv(matrix, self.params(), k=3, delta=50)
         cut = 550 - matrix.dropped_warmup
         model, _ = fit_before(matrix, cut, self.params())
         pred = gbtree.predict(model, matrix.values[cut:cut + 50])
@@ -182,9 +200,10 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("hang_guard")
 class TestFoldWorkers(CVCase):
-    """Folds fitted in forked workers give what the in-process loop
-    gives, bit for bit."""
+    """Folds fitted in forked workers give what fitting them one after
+    another in this process gives, bit for bit."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -195,14 +214,17 @@ class TestFoldWorkers(CVCase):
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_same_result_as_in_process(self, cpus, k):
         # Four CPUs give k = 5 three workers, more than this host may have.
-        cpus(4)
         matrix = self.matrix()
         params = [self.params(), self.params(max_depth=5, subsample=0.7)]
-        expected = [cross_validate(matrix, p, k, 40) for p in params]
-        with FoldWorkers(matrix, k, 40) as workers:
-            for p, want in zip(params * 2, expected * 2):
-                assert cross_validate(matrix, p, k, 40, workers) == want
-        assert_no_children()
+        expected = [reference_fold_rmses(matrix, p, k, 40) for p in params]
+        for n in (1, 2, 4):
+            cpus(n)
+            with FoldWorkers(matrix, k, 40) as folds:
+                for p, want in zip(params * 2, expected * 2):
+                    res = cross_validate(folds, p)
+                    assert res.fold_rmses == tuple(want)
+                    assert res.cv_score == float(np.mean(want))
+            assert_no_children()
 
     def test_longest_fold_stays_in_this_process(self):
         assert fold_groups([168, 216, 264], 2) == [[2], [0, 1]]
@@ -217,16 +239,16 @@ class TestFoldWorkers(CVCase):
 
         monkeypatch.setattr(evaluation, "fit_before", fit_before)
         matrix = self.matrix()
-        with pytest.raises(DataError) as serial:
-            cross_validate(matrix, self.params(), 3, 50)
+        first = f"fold at row {550 - matrix.dropped_warmup}"
         cpus(2)
-        with FoldWorkers(matrix, 3, 50) as workers:
-            with pytest.raises(DataError) as forked:
-                cross_validate(matrix, self.params(), 3, 50, workers)
+        with pytest.raises(DataError, match=f"^{first}$"):
+            cv(matrix, self.params(), 3, 50)
+        with FoldWorkers(matrix, 3, 50) as folds:
+            with pytest.raises(DataError, match=f"^{first}$"):
+                cross_validate(folds, self.params())
             # The workers stay in step after an error.
-            with pytest.raises(DataError):
-                cross_validate(matrix, self.params(), 3, 50, workers)
-        assert str(forked.value) == str(serial.value)
+            with pytest.raises(DataError, match=f"^{first}$"):
+                cross_validate(folds, self.params())
         assert_no_children()
 
     def test_interrupted_call_leaves_workers_refusing(self, cpus,
@@ -243,26 +265,14 @@ class TestFoldWorkers(CVCase):
                 raise Interrupt
             return real(matrix, cut, params)
 
-        matrix = self.matrix()
         cpus(2)
-        with FoldWorkers(matrix, 3, 50) as workers:
+        with FoldWorkers(self.matrix(), 3, 50) as folds:
             monkeypatch.setattr(evaluation, "fit_before", fit_before)
             with pytest.raises(Interrupt):
-                cross_validate(matrix, self.params(), 3, 50, workers)
+                cross_validate(folds, self.params())
             monkeypatch.setattr(evaluation, "fit_before", real)
             with pytest.raises(InvariantError, match="out of step"):
-                cross_validate(matrix, self.params(), 3, 50, workers)
-        assert_no_children()
-
-    def test_other_matrix_or_plan_is_refused(self, cpus):
-        cpus(2)
-        matrix = self.matrix()
-        with FoldWorkers(matrix, 3, 50) as workers:
-            for args in ((self.matrix(), 3, 50), (matrix, 2, 50),
-                         (matrix, 3, 40)):
-                with pytest.raises(InvariantError):
-                    cross_validate(args[0], self.params(), *args[1:],
-                                   workers)
+                cross_validate(folds, self.params())
         assert_no_children()
 
     def test_tune_outputs_do_not_depend_on_cpus(self, cpus, tmp_path):
@@ -331,8 +341,7 @@ class TestFitPath:
             assert not set(val_rows) & set(rows(X_scored))
 
     def test_cross_validate(self, frame, calls):
-        cross_validate(build_matrix(frame, self.spec), self.params, k=3,
-                       delta=50)
+        cv(build_matrix(frame, self.spec), self.params, k=3, delta=50)
         self.check(frame, *calls)
 
     def test_holdout(self, frame, calls):

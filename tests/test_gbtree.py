@@ -948,6 +948,11 @@ class TestHyperParamsValidation:
             HyperParams(goss_a=0.8, goss_b=0.4)
         with pytest.raises(ConfigError):
             HyperParams(goss_a=0.2)
+        # goss_sample would reject every fit of these params.
+        with pytest.raises(ConfigError,
+                           match="goss b must be > 0 when a < 1"):
+            HyperParams(goss_a=0.5, goss_b=0.0)
+        assert HyperParams(goss_a=1.0, goss_b=0.0).goss_b == 0.0
 
     def test_ranges(self):
         with pytest.raises(ConfigError):
