@@ -665,6 +665,11 @@ def main(argv=None) -> int:
         _discard_stdout()
         return EXIT_OK
     except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # A path the user named cannot be read or written.
+            print(f"data error: cannot use {exc.filename}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_DATA
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,16 +1,15 @@
 """Metrics, the one split-and-fit path shared by hold-out evaluation and
-expanding-window cross-validation, the one CV fold runner (forked workers,
-or this process alone when it has none), period breakdowns, and
-residual-distribution statistics."""
+expanding-window cross-validation, the one CV fold runner (worker
+processes started by multiprocessing's "fork" method, or this process
+alone when it has none), period breakdowns, and residual-distribution
+statistics."""
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
 import signal
 import time
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,19 +114,6 @@ class CVPlan:
 
     splits: tuple  # ((train_start, train_end), (val_start, val_end)) per fold
 
-    def __post_init__(self):
-        prev_end = 0
-        last_val_end = None
-        for (tr_s, tr_e), (va_s, va_e) in self.splits:
-            if not (tr_s == 0 and tr_s < tr_e <= va_s < va_e):
-                raise ConfigError("malformed CV fold ranges")
-            if tr_e < prev_end:
-                raise ConfigError("training ranges must expand")
-            if last_val_end is not None and va_s != last_val_end:
-                raise ConfigError("validation blocks must be contiguous")
-            prev_end = tr_e
-            last_val_end = va_e
-
 
 def expanding_splits(n, k, delta) -> CVPlan:
     """Trailing equal-width validation blocks with expanding train ranges."""
@@ -144,12 +130,6 @@ def expanding_splits(n, k, delta) -> CVPlan:
         va_s = first_val + i * delta
         splits.append(((0, va_s), (va_s, va_s + delta)))
     return CVPlan(splits=tuple(splits))
-
-
-def cv_plan(matrix, k, delta) -> CVPlan:
-    """Expanding-window folds over the frame rows `matrix` was built from,
-    warm-up included."""
-    return expanding_splits(matrix.dropped_warmup + matrix.n_rows, k, delta)
 
 
 def train_rows(n, test_fraction) -> int:
@@ -250,35 +230,25 @@ def fold_groups(cuts, n) -> list:
     return [sorted(g) for g in groups]
 
 
-def _write_all(fd, data):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-@dataclass
-class _Worker:
-    pid: int
-    send: int   # write end of the pipe to the worker
-    receive: object  # buffered reader of the pipe from it
-
-
 class FoldWorkers:
-    """The expanding-window folds of `matrix` (`cv_plan`) and the
-    processes that fit them for `cross_validate(folds, params)`.
+    """The expanding-window folds of `matrix` and the processes that fit
+    them for `cross_validate(folds, params)`.
 
-    Construction lays out the folds, raising ConfigError for a layout
-    that does not fit, and forks nothing. Entering forks
-    min(usable CPUs, k) - 1 workers, or none where `os.fork` is missing.
-    Each worker holds `matrix` and the folds from the fork and fits its
-    own fixed group of folds (`fold_groups`) for every call; it reads the
-    pickled params from its own pipe and writes back its fold RMSEs, or
-    the exception a fold raised. This process fits the group that holds
-    the longest fold and every group without a worker, so with no workers
-    it fits every fold itself. A worker ignores SIGINT and leaves by
-    `os._exit` when its pipe closes, so it never flushes this process's
-    buffers or runs its exit handlers. Leaving the block closes the pipes
-    and reaps every worker, killing them first if the block raised.
+    Construction lays the folds out over the frame rows `matrix` was built
+    from, warm-up included (`expanding_splits`), raising ConfigError for a
+    layout that does not fit, and starts nothing. Entering starts
+    min(usable CPUs, k) - 1 workers as multiprocessing "fork" processes,
+    or none on a platform without fork. Each worker holds `matrix` and the
+    folds from the fork and fits its own fixed group of folds
+    (`fold_groups`) for every call; it receives the params over its own
+    `Pipe` and sends back its fold RMSEs, or the exception a fold raised.
+    This process fits the group that holds the longest fold and every
+    group without a worker, so with no workers it fits every fold itself.
+    A worker ignores SIGINT and ends when its pipe closes, without running
+    this process's exit handlers; multiprocessing flushes this process's
+    standard streams before each start, so a worker never writes output
+    that this process buffered. Leaving the block closes the pipes and
+    reaps every worker, killing them first if the block raised.
 
     A worker that dies, or a result that cannot cross the pipe, raises
     InvariantError naming the worker's exit status, and every later call
@@ -290,18 +260,19 @@ class FoldWorkers:
         self._matrix = matrix
         # (cut, stop) per fold: it fits on matrix rows [0, cut) and
         # scores rows [cut, stop).
-        plan, offset = cv_plan(matrix, k, delta), matrix.dropped_warmup
+        offset = matrix.dropped_warmup
+        plan = expanding_splits(offset + matrix.n_rows, k, delta)
         self._bounds = [(va_s - offset, va_e - offset)
                         for _, (va_s, va_e) in plan.splits]
         n = min(usable_cpus(), k) if hasattr(os, "fork") else 1
         self._groups = fold_groups([cut for cut, _ in self._bounds], n)
-        self._workers = []
+        self._workers = []  # (process, this process's end of its pipe)
         self._broken = None
 
     def __enter__(self):
         try:
             for group in self._groups[1:]:
-                self._workers.append(self._fork(group))
+                self._workers.append(self._start(group))
         except BaseException:
             self._close(kill=True)
             raise
@@ -317,16 +288,15 @@ class FoldWorkers:
             raise InvariantError(self._broken)
         # Until every worker has answered, its pipe may hold a stale result.
         self._broken = "an interrupted call left fold workers out of step"
-        payload = pickle.dumps(params)
-        for worker in self._workers:
+        for process, conn in self._workers:
             try:
-                _write_all(worker.send, payload)
+                conn.send(params)
             except BrokenPipeError:
-                self._fail(worker, "took no params")
+                self._fail(process, "took no params")
         # Workers hold the last groups; this process fits the others.
         own = self._groups[:len(self._groups) - len(self._workers)]
         outcomes = [self._fit_group(params, group) for group in own]
-        outcomes += [self._result(worker) for worker in self._workers]
+        outcomes += [self._result(*worker) for worker in self._workers]
         self._broken = None
         rmses = [None] * len(self._bounds)
         first = None  # (fold, exception) of the lowest failing fold
@@ -355,82 +325,69 @@ class FoldWorkers:
             return rmses, exc
         return rmses, None
 
-    def _result(self, worker):
+    def _result(self, process, conn):
         try:
-            return pickle.load(worker.receive)
+            return conn.recv()
         except Exception as err:  # EOF from a dead worker, or bad bytes
-            self._fail(worker, f"sent no result ({type(err).__name__}: "
-                               f"{err})")
+            self._fail(process, f"sent no result ({err!r})")
 
-    def _fail(self, worker, what):
-        code = os.waitstatus_to_exitcode(self._close(kill=True)[worker.pid])
+    def _fail(self, process, what):
+        self._close(kill=True)
+        code = process.exitcode
         how = (f"exited with status {code}" if code >= 0
                else f"was killed by signal {-code}")
-        self._broken = f"fold worker {worker.pid} {what}; it {how}"
+        self._broken = f"fold worker {process.pid} {what}; it {how}"
         raise InvariantError(self._broken)
 
-    def _fork(self, group) -> _Worker:
-        to_read, to_write = os.pipe()
-        from_read, from_write = os.pipe()
+    def _start(self, group):
+        """Start the worker that fits `group`: (its process, this
+        process's end of its pipe)."""
+        # About 10 ms and 0.66 MB, so only a run that starts a worker
+        # imports it.
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        conn, child_conn = context.Pipe()
         # SIGINT stays blocked until the child ignores it, so Ctrl-C can
         # never raise in the child on its way out of fork.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            pid = os.fork()
-            if pid == 0:
-                self._worker_main(group, mask, (to_read, from_write),
-                                  (to_write, from_read))
+            process = context.Process(target=self._serve, daemon=True,
+                                      args=(group, mask, child_conn, conn))
+            process.start()
         except BaseException:
-            for fd in (to_read, to_write, from_read, from_write):
-                os.close(fd)
+            conn.close()
             raise
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        os.close(to_read)
-        os.close(from_write)
-        return _Worker(pid, to_write, os.fdopen(from_read, "rb"))
+            child_conn.close()
+        return process, conn
 
-    def _worker_main(self, group, mask, own, parents):
-        """The forked child: keep only its own pipe ends, serve, and leave
-        by os._exit (status 1 after an uncaught exception)."""
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            for worker in self._workers:
-                os.close(worker.send)
-                worker.receive.close()
-            for fd in parents:
-                os.close(fd)
-            self._serve(group, *own)
-            status = 0
-        except BaseException:
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(status)
-
-    def _serve(self, group, to_read, from_write):
-        """The worker's loop: params in, (RMSEs, exception) out, until its
-        input pipe closes. An exception that cannot be pickled ends the
-        worker with status 1."""
-        receive = os.fdopen(to_read, "rb")
+    def _serve(self, group, mask, conn, parent_end):
+        """The worker: keep only its own end of its own pipe, then take
+        params and send back (RMSEs, exception) until the pipe closes. An
+        exception that cannot be pickled ends the worker with status 1."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for _, sibling in self._workers:
+            sibling.close()
+        parent_end.close()
         while True:
             try:
-                params = pickle.load(receive)
+                params = conn.recv()
             except EOFError:
                 return
-            outcome = self._fit_group(params, group)
-            _write_all(from_write, pickle.dumps(outcome))
+            conn.send(self._fit_group(params, group))
 
-    def _close(self, kill) -> dict:
-        """Close every pipe and reap every worker; pid -> wait status."""
+    def _close(self, kill):
+        """Close every pipe and reap every worker."""
         workers, self._workers = self._workers, []
-        for worker in workers:
-            os.close(worker.send)
-            worker.receive.close()
+        for process, conn in workers:
+            conn.close()
             if kill:
-                os.kill(worker.pid, signal.SIGKILL)
-        return {w.pid: os.waitpid(w.pid, 0)[1] for w in workers}
+                process.kill()
+        for process, _ in workers:
+            process.join()
 
 
 def period_breakdown(y, yhat, hours):

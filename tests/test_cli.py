@@ -43,11 +43,14 @@ class TestSynth:
         report = json.loads((out / "synth_report.json").read_text())
         assert report["output"] == str(path)
 
-    def test_failed_write_leaves_no_output_directory(self, tmp_path):
+    def test_failed_write_leaves_no_output_directory(self, tmp_path,
+                                                     capsys):
         # --output names a directory, so the CSV cannot be written.
         out = tmp_path / "out"
         assert run_cli("synth", "--out", str(out), "--n-hours", "50",
-                       "--output", str(tmp_path)) == 3
+                       "--output", str(tmp_path)) == 2
+        assert capsys.readouterr().err == \
+            f"data error: cannot use {tmp_path}: Is a directory\n"
         assert not out.exists()
 
     def test_same_seed_byte_identical_csv(self, tmp_path):
@@ -729,6 +732,48 @@ class TestModelChecks:
                        str(data), "--out", str(tmp_path / "pred")) == 0
 
 
+class TestUnusablePath:
+    """A path the user names that cannot be read or written exits 2 with
+    one line and no traceback, and leaves no --out behind."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n-hours", "30"],
+        ["bench", "--n-hours", "300", "--configs", "xgb-style",
+         "--encodings", "sinusoidal"],
+        ["tune", "--n-hours", "300", "--budget", "3", "--init", "2",
+         "--k", "2", "--delta", "48", "--n-estimators-cap", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_out_is_a_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            f"data error: cannot use {out}: File exists\n"
+        assert out.read_text() == "kept\n"
+
+    def test_data_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("bench", "--out", str(out), "--data",
+                       str(tmp_path)) == 2
+        assert capsys.readouterr().err == \
+            f"data error: cannot use {tmp_path}: Is a directory\n"
+        assert not out.exists()
+
+    def test_os_error_without_a_path_stays_internal(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def refuse(*args, **kwargs):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        assert run_cli("synth", "--out", str(tmp_path / "out"),
+                       "--n-hours", "30") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.splitlines()[-1] == ("internal error: BlockingIOError: "
+                                        "[Errno 11] Resource temporarily "
+                                        "unavailable")
+
+
 class TestSeeds:
     @pytest.mark.parametrize("command", ["synth", "bench", "ablation",
                                          "tune"])
@@ -858,14 +903,16 @@ class TestPlumbing:
         assert capsys.readouterr().err == ""
 
 
-# Runs in a fresh interpreter: pytest's own process already holds scipy.
+# Runs in a fresh interpreter: pytest's own process already holds scipy
+# and multiprocessing. Only tune may import either; it starts fold workers
+# with multiprocessing when it has more than one usable CPU.
 COLD_START = """
 import json, sys
 from pathlib import Path
 
 from cyclecast import cli
 
-SCIPY = ("scipy.optimize", "scipy.linalg", "scipy.stats")
+LAZY = ("scipy.optimize", "scipy.linalg", "scipy.stats", "multiprocessing")
 out = Path(sys.argv[1])
 csv = str(out / "synthetic.csv")
 model = str(out / "model_xgb-style_sinusoidal.json")
@@ -878,11 +925,11 @@ steps = [
     ("tune", ["--data", csv, "--budget", "3", "--init", "2", "--k", "2",
               "--delta", "48", "--n-estimators-cap", "5"]),
 ]
-report = {"import": [m for m in SCIPY if m in sys.modules],
+report = {"import": [m for m in LAZY if m in sys.modules],
           "tuner": "cyclecast.tuner" in sys.modules}
 for command, argv in steps:
     code = cli.main([command, "--out", str(out), "--no-timing", *argv])
-    report[command] = [code, [m for m in SCIPY if m in sys.modules]]
+    report[command] = [code, [m for m in LAZY if m in sys.modules]]
 print(json.dumps(report))
 """
 

@@ -1,5 +1,7 @@
+import errno
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from cyclecast.cli import main
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.errors import ConfigError, DataError, InvariantError
 from cyclecast.evaluation import (
-    EARLY_STOP_FRACTION, CVPlan, FoldWorkers, compute_metrics,
-    cross_validate, cv_plan, expanding_splits, fit_before, fold_groups,
-    holdout, mae, mape_pct, period_breakdown, r2, residual_stats, rmse,
+    EARLY_STOP_FRACTION, FoldWorkers, compute_metrics, cross_validate,
+    expanding_splits, fit_before, fold_groups, holdout, mae, mape_pct,
+    period_breakdown, r2, residual_stats, rmse,
 )
 from cyclecast.features import FeatureSpec, build_matrix
 from cyclecast.gbtree import HyperParams
@@ -105,12 +107,6 @@ class TestExpandingSplits:
         with pytest.raises(ConfigError):
             expanding_splits(100, 4, 0)
 
-    def test_plan_invariants_enforced(self):
-        with pytest.raises(ConfigError):
-            CVPlan(splits=(((0, 10), (5, 15)),))
-        with pytest.raises(ConfigError):
-            CVPlan(splits=(((0, 10), (10, 15)), ((0, 8), (15, 20))))
-
 
 class CVCase:
     def matrix(self, n=700):
@@ -183,7 +179,7 @@ class TestCrossValidate(CVCase):
         # validation block starts at frame row 700 - 3 * 50 = 550.
         matrix = self.matrix()
         assert matrix.dropped_warmup + matrix.n_rows == 700
-        plan = cv_plan(matrix, 3, 50)
+        plan = expanding_splits(700, 3, 50)
         assert plan.splits[0] == ((0, 550), (550, 600))
         assert plan.splits[-1][1] == (650, 700)
         # The first fold fits on the matrix rows before frame row 550 and
@@ -273,6 +269,44 @@ class TestFoldWorkers(CVCase):
             monkeypatch.setattr(evaluation, "fit_before", real)
             with pytest.raises(InvariantError, match="out of step"):
                 cross_validate(folds, self.params())
+        assert_no_children()
+
+    def test_dead_worker_took_no_params(self, cpus):
+        # The worker is dead, and not yet reaped, before the call sends to
+        # it.
+        cpus(2)
+        with FoldWorkers(self.matrix(), 3, 50) as folds:
+            cross_validate(folds, self.params())
+            [(worker, _)] = folds._workers
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
+            with pytest.raises(InvariantError, match="took no params; it "
+                               "was killed by signal 9"):
+                cross_validate(folds, self.params())
+        assert_no_children()
+
+    def test_failed_fork_kills_started_workers(self, cpus, monkeypatch):
+        # k = 3 on four CPUs starts two workers; the second fork fails.
+        real_fork, real_kill = os.fork, os.kill
+        pids, kills = [], []
+
+        def fork():
+            if pids:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            pids.append(real_fork())
+            return pids[-1]
+
+        def kill(pid, sig):
+            kills.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "kill", kill)
+        cpus(4)
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            with FoldWorkers(self.matrix(), 3, 50):
+                pass
+        assert kills == [(pids[0], signal.SIGKILL)]
         assert_no_children()
 
     def test_tune_outputs_do_not_depend_on_cpus(self, cpus, tmp_path):
