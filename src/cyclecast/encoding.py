@@ -69,8 +69,6 @@ def encode_sinusoidal(t, period):
 
 def cyclic_distance(t1, t2, period):
     """Euclidean distance between two sinusoidally encoded phases."""
-    _check_phase(t1, period)
-    _check_phase(t2, period)
     s1, c1 = encode_sinusoidal(t1, period)
     s2, c2 = encode_sinusoidal(t2, period)
     return math.hypot(s1 - s2, c1 - c2)

@@ -10,7 +10,7 @@ import math
 import os
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -425,13 +425,7 @@ class ResidualStats:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def residual_stats(residuals) -> ResidualStats:

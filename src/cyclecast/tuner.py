@@ -9,10 +9,10 @@ the routines scipy.linalg's cholesky, cho_factor and cho_solve call, less
 those wrappers' per-call checks and lookups, which cost more than the
 factorization of a kernel this small. Only K's finiteness is checked.
 
-The initial Latin-hypercube design and the scrambled Sobol candidates are
-numpy ports of scipy.stats.qmc's LatinHypercube and Sobol, and expected
-improvement takes the normal CDF from scipy.special.ndtr. All three give
-scipy.stats's bits, the designs depend on numpy's generators alone, and no
+One Latin-hypercube generator, a numpy port of scipy.stats.qmc's
+LatinHypercube that gives its bits for an int seed, lays out both the
+initial design and the candidates that expected improvement is scored on.
+Expected improvement takes the normal CDF from scipy.special.ndtr, and no
 module imports scipy.stats.
 
 Each function imports the scipy parts it uses when it runs, because every
@@ -35,17 +35,9 @@ from .errors import ConfigError, CyclecastError, DataError, InvariantError
 NOISE_FLOOR = 1e-6
 MAX_JITTER = 1e-2
 
-# Sobol candidates scored by expected improvement per iteration.
+# Latin-hypercube candidates scored by expected improvement per guided
+# trial, a fresh design each time.
 N_CANDIDATES = 4096
-
-# Joe & Kuo (2008) primitive polynomials and initial direction numbers of
-# the first Sobol dimensions, as scipy.stats.qmc.Sobol ships them; the
-# first dimension's direction numbers are all 1.
-SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37)
-SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
-               (1, 3, 5, 13), (1, 1, 5, 5, 17))
-SOBOL_BITS = 30
-MAX_DIMS = len(SOBOL_POLY)
 
 LINEAR = "linear"
 LOG = "log"
@@ -175,16 +167,16 @@ def _standardize(y):
     return mean, std, (y - mean) / std
 
 
-def _cholesky(K, clean):
+def _cholesky(K):
     """(L, info) from LAPACK dpotrf: the lower Cholesky factor of K, and
-    info > 0 when K is not positive definite. `clean` zeroes L's upper
-    triangle. Like scipy.linalg.cholesky, a non-finite K raises
-    ValueError."""
+    info > 0 when K is not positive definite. L's upper triangle holds K's,
+    which no caller reads. Like scipy.linalg.cholesky, a non-finite K
+    raises ValueError."""
     from scipy.linalg.lapack import dpotrf
 
     if not np.isfinite(K).all():
         raise ValueError("kernel matrix must not contain infs or NaNs")
-    return dpotrf(K, lower=1, clean=clean)
+    return dpotrf(K, lower=1, clean=0)
 
 
 class Surrogate:
@@ -200,7 +192,7 @@ class Surrogate:
         self.noise_var = noise_var
         K = _matern52(X, X, length_scales, signal_var)[0]
         K[np.diag_indices_from(K)] += noise_var + jitter
-        self._chol, info = _cholesky(K, clean=0)
+        self._chol, info = _cholesky(K)
         if info > 0:
             raise np.linalg.LinAlgError("kernel matrix not positive definite")
         self._alpha = dpotrs(self._chol, ys, lower=1)[0]
@@ -234,7 +226,7 @@ def _neg_log_marginal_likelihood(log_params, X, y):
     K0, slope, d2 = _matern52(X, X, ls, sf)
     eye = np.eye(n)
     K = K0 + (noise + NOISE_FLOOR) * eye
-    L, info = _cholesky(K, clean=1)
+    L, info = _cholesky(K)
     if info > 0:
         return 1e25, np.zeros(d + 2)
     alpha = dpotrs(L, y, lower=1)[0]
@@ -325,73 +317,16 @@ def expected_improvement(mu, sigma, best):
 
 
 def _latin_hypercube(d, n, seed):
-    """scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n), bit for bit:
-    one jittered point per stratum and a shuffled stratum order per
-    dimension."""
+    """n points in the unit cube, one jittered point per 1/n stratum of each
+    dimension, in a shuffled stratum order per dimension. An int seed gives
+    scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n) bit for bit; a
+    Generator is drawn from, so successive calls give fresh designs."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(n, d))
     perms = np.tile(np.arange(1, n + 1), (d, 1))
     for row in perms:
         rng.shuffle(row)
     return (perms.T - u) / n
-
-
-def _sobol_directions(d):
-    """(d, SOBOL_BITS) uint32 Sobol direction numbers, most significant
-    bit first, by the Bratley-Fox recurrence on SOBOL_POLY and
-    SOBOL_VINIT."""
-    rows = []
-    for p, vinit in zip(SOBOL_POLY[:d], SOBOL_VINIT):
-        s = p.bit_length() - 1  # the polynomial's degree
-        # The first dimension's polynomial has degree 0, so its 1s stay.
-        m = [*vinit[:s], *[1] * (SOBOL_BITS - s)]
-        for j in range(s, SOBOL_BITS):
-            new = m[j - s]
-            for i in range(1, s + 1):
-                if p >> (s - i) & 1:
-                    new ^= m[j - i] << i
-            m[j] = new
-        rows.append(m)
-    shifts = np.arange(SOBOL_BITS - 1, -1, -1)
-    return (np.array(rows, dtype=np.int64) << shifts).astype(np.uint32)
-
-
-class _Sobol:
-    """scipy.stats.qmc.Sobol(d, scramble=True, seed=seed), bit for bit,
-    across successive `random` calls: the direction numbers scrambled by a
-    random lower-triangular GF(2) matrix plus a digital shift (Owen 1998),
-    drawn from the generator in scipy's order, and points in Gray-code
-    order, each the previous one XOR one scrambled direction number."""
-
-    def __init__(self, d, seed):
-        rng = np.random.default_rng(seed)
-        shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32)
-        ltm = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS),
-                                   dtype=np.uint32))
-        ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
-        msb_first = np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
-        vbits = _sobol_directions(d)[:, :, None] >> msb_first & 1
-        sbits = np.einsum("kpi,kji->kjp", ltm, vbits) & 1
-        self._sv = (sbits << msb_first).sum(axis=2, dtype=np.uint32)
-        # The last point drawn; before the first draw, the shift, which is
-        # the first point.
-        self._quasi = shift @ 2 ** np.arange(SOBOL_BITS, dtype=np.uint32)
-        self._count = 0
-
-    def random(self, n):
-        """The next n points, shaped (n, d)."""
-        first = max(self._count, 1)
-        i = np.arange(first, self._count + n)
-        # Point i is point i - 1 XOR direction number c, where c, the
-        # lowest zero bit of i - 1, is the lowest set bit of i.
-        low = np.frexp(i & -i)[1] - 1
-        points = np.bitwise_xor.accumulate(
-            np.vstack([self._quasi, self._sv[:, low].T]))
-        if self._count:
-            points = points[1:]
-        self._quasi = points[-1]
-        self._count += n
-        return points * 2.0 ** -SOBOL_BITS
 
 
 def _evaluate(objective, params, iteration):
@@ -430,15 +365,9 @@ def _best_params(trials):
 
 def check_budget(budget, init):
     """Raise ConfigError unless `optimize` can run `init` initial trials
-    (at least 2, which the first GP fit needs) and at least one more, and
-    its Sobol sequence holds N_CANDIDATES points for each of the rest."""
+    (at least 2, which the first GP fit needs) and at least one more."""
     if not budget > init >= 2:
         raise ConfigError("need budget > init >= 2")
-    if (budget - init) * N_CANDIDATES > 2 ** SOBOL_BITS:
-        raise ConfigError(
-            f"budget - init must be <= {2 ** SOBOL_BITS // N_CANDIDATES}: "
-            f"each guided trial draws {N_CANDIDATES} of the Sobol "
-            f"sequence's 2**{SOBOL_BITS} points")
 
 
 def optimize(space: ParamSpace, objective, budget, init, seed=42,
@@ -447,23 +376,22 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
 
     Starts from Latin-hypercube samples (plus any caller-provided
     `initial_points`, which count against the init budget), then
-    iterates fit-surrogate / maximize-EI over seeded quasi-random
-    candidates with local refinements around the incumbent. Returns
-    (best params dict, trial history).
+    iterates fit-surrogate / maximize-EI over a fresh seeded Latin
+    hypercube of N_CANDIDATES points per trial, with local refinements
+    around the incumbent. Returns (best params dict, trial history).
     """
     check_budget(budget, init)
     rng = np.random.default_rng(seed)
     d = space.n_dims
-    if d > MAX_DIMS:
-        raise ConfigError(f"optimize searches at most {MAX_DIMS} dimensions, "
-                          f"not {d}")
 
     unit_points = [space.to_unit(p) for p in (initial_points or [])[:init]]
     n_lhs = init - len(unit_points)
     if n_lhs > 0:
         unit_points.extend(
             _latin_hypercube(d, n_lhs, int(rng.integers(2 ** 31))))
-    sobol = _Sobol(d, int(rng.integers(2 ** 31)))
+    # The candidates' own stream, so that the main stream draws the GP
+    # seeds and local perturbations whatever a design consumes.
+    gen = np.random.default_rng(int(rng.integers(2 ** 31)))
 
     trials: list[Trial] = []
     for it in range(budget):
@@ -477,7 +405,7 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
             surrogate = gp_fit(X_obs, y_obs,
                                seed=int(rng.integers(2 ** 31)))
             best_u = X_obs[int(np.argmin(y_obs))]
-            cands = sobol.random(N_CANDIDATES)
+            cands = _latin_hypercube(d, N_CANDIDATES, gen)
             local = np.clip(
                 best_u + rng.normal(0.0, 0.05, size=(64, d)), 0.0, 1.0
             )
