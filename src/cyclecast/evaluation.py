@@ -355,8 +355,9 @@ class FoldWorkers:
             process = context.Process(target=self._serve, daemon=True,
                                       args=(group, mask, child_conn, conn))
             process.start()
-        except BaseException:
+        except BaseException as exc:
             conn.close()
+            _close_unforked_pipes(exc)
             raise
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -388,6 +389,24 @@ class FoldWorkers:
                 process.kill()
         for process, _ in workers:
             process.join()
+
+
+def _close_unforked_pipes(exc):
+    """Close the two pipes that multiprocessing's fork Popen._launch opens
+    before os.fork(), if `exc` left _launch before the fork returned:
+    _launch closes them only once the child exists. They are found, by
+    name, in the _launch frame of `exc`'s traceback."""
+    from multiprocessing import popen_fork
+
+    tb = exc.__traceback__
+    while tb is not None:
+        frame = tb.tb_frame
+        if (frame.f_code is popen_fork.Popen._launch.__code__
+                and not hasattr(frame.f_locals["self"], "pid")):
+            for name in ("parent_r", "child_w", "child_r", "parent_w"):
+                if name in frame.f_locals:
+                    os.close(frame.f_locals[name])
+        tb = tb.tb_next
 
 
 def period_breakdown(y, yhat, hours):

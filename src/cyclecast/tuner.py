@@ -3,23 +3,22 @@ and expected-improvement acquisition, plus a random-search baseline.
 
 The surrogate is a Matern-5/2 ARD kernel on unit-cube-normalized inputs
 with hyperparameters set by multi-start marginal-likelihood maximization,
-using the likelihood's closed-form gradient. The likelihood and the
-posterior call LAPACK's dpotrf and dpotrs (scipy.linalg.lapack) directly:
-the routines scipy.linalg's cholesky, cho_factor and cho_solve call, less
-those wrappers' per-call checks and lookups, which cost more than the
-factorization of a kernel this small. Only K's finiteness is checked.
+using the likelihood's closed-form gradient (GPML sec. 5.4). Each fit
+factors K with numpy.linalg.cholesky and inverts the factor once: the
+likelihood's gradient needs K^-1 = Li^T Li anyway, and the posterior
+variance is a sum of squares of Li k^T. A small projected BFGS maximizes
+the likelihood over a box of log-parameters, and each fit after the first
+in a search starts from the one before. Expected improvement takes the
+normal CDF from math.erfc.
 
-One Latin-hypercube generator, a numpy port of scipy.stats.qmc's
-LatinHypercube that gives its bits for an int seed, lays out both the
-initial design and the candidates that expected improvement is scored on.
-Expected improvement takes the normal CDF from scipy.special.ndtr, and no
-module imports scipy.stats.
+One Latin-hypercube generator, a numpy port of SciPy's
+stats.qmc.LatinHypercube that gives its bits for an int seed, lays out
+both the initial design and the candidates that expected improvement is
+scored on.
 
-Each function imports the scipy parts it uses when it runs, because every
-CLI command imports this module and only `tune` calls into it: on a 2-vCPU
-host, importing scipy.optimize and scipy.linalg.lapack takes ~0.45 s and
-raises peak resident memory from ~31 to ~77 MB, where importing
-cyclecast.cli takes ~0.15 s.
+So the module needs numpy alone. On a 2-vCPU host with Python 3.11 and
+numpy 2.4, importing cyclecast.cli takes about 0.09 s and peaks at 31 MB
+resident, and a small `tune` run (480 hours, budget 6) at 42 MB.
 """
 
 from __future__ import annotations
@@ -168,23 +167,24 @@ def _standardize(y):
 
 
 def _cholesky(K):
-    """(L, info) from LAPACK dpotrf: the lower Cholesky factor of K, and
-    info > 0 when K is not positive definite. L's upper triangle holds K's,
-    which no caller reads. Like scipy.linalg.cholesky, a non-finite K
-    raises ValueError."""
-    from scipy.linalg.lapack import dpotrf
-
+    """The lower Cholesky factor of K, or None when K is not positive
+    definite. A non-finite K raises ValueError."""
     if not np.isfinite(K).all():
         raise ValueError("kernel matrix must not contain infs or NaNs")
-    return dpotrf(K, lower=1, clean=0)
+    try:
+        return np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        return None
 
 
 class Surrogate:
     """GP posterior over observed trials (inputs in the unit cube)."""
 
-    def __init__(self, X, y, length_scales, signal_var, noise_var, jitter):
-        from scipy.linalg.lapack import dpotrs
+    # The likelihood's log-parameters that gp_fit chose, which the next
+    # fit starts from; None for a posterior built directly.
+    log_params = None
 
+    def __init__(self, X, y, length_scales, signal_var, noise_var, jitter):
         self.X = X
         self.y_mean, self.y_std, ys = _standardize(y)
         self.length_scales = length_scales
@@ -192,21 +192,22 @@ class Surrogate:
         self.noise_var = noise_var
         K = _matern52(X, X, length_scales, signal_var)[0]
         K[np.diag_indices_from(K)] += noise_var + jitter
-        self._chol, info = _cholesky(K)
-        if info > 0:
+        L = _cholesky(K)
+        if L is None:
             raise np.linalg.LinAlgError("kernel matrix not positive definite")
-        self._alpha = dpotrs(self._chol, ys, lower=1)[0]
+        self._inv_chol = np.linalg.inv(L)
+        self._alpha = self._inv_chol.T @ (self._inv_chol @ ys)
 
     def posterior(self, x: np.ndarray):
         """Predictive mean and std arrays, in objective units, at the rows
         of `x`: unit-cube points, shaped (n, d), or one point, shaped (d,)."""
-        from scipy.linalg.lapack import dpotrs
-
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         k = _matern52(x, self.X, self.length_scales, self.signal_var)[0]
         mu = k @ self._alpha
-        v = dpotrs(self._chol, k.T, lower=1)[0]
-        var = self.signal_var + self.noise_var - np.sum(k * v.T, axis=1)
+        # var = k(x, x) - k K^-1 k^T, with K^-1 = Li^T Li: the sum of
+        # squares of Li k^T loses fewer bits than k @ K^-1 would.
+        v = self._inv_chol @ k.T
+        var = self.signal_var + self.noise_var - np.einsum("ij,ij->j", v, v)
         var = np.maximum(var, 0.0)
         mu = mu * self.y_std + self.y_mean
         sigma = np.sqrt(var) * self.y_std
@@ -217,25 +218,24 @@ def _neg_log_marginal_likelihood(log_params, X, y):
     """Negative log marginal likelihood and its gradient in log_params
     (log length scales, log signal, log noise): GPML eq. 5.9,
     d/dtheta = 1/2 tr((K^-1 - alpha alpha^T) dK/dtheta)."""
-    from scipy.linalg.lapack import dpotrs
-
     n, d = X.shape
     ls = np.exp(log_params[:d])
     sf = math.exp(log_params[d])
     noise = math.exp(log_params[d + 1])
     K0, slope, d2 = _matern52(X, X, ls, sf)
-    eye = np.eye(n)
-    K = K0 + (noise + NOISE_FLOOR) * eye
-    L, info = _cholesky(K)
-    if info > 0:
+    K = K0 + (noise + NOISE_FLOOR) * np.eye(n)
+    L = _cholesky(K)
+    if L is None:
         return 1e25, np.zeros(d + 2)
-    alpha = dpotrs(L, y, lower=1)[0]
+    Li = np.linalg.inv(L)
+    K_inv = Li.T @ Li
+    alpha = K_inv @ y
     nll = (
         0.5 * float(y @ alpha)
         + float(np.log(L.diagonal()).sum())
         + 0.5 * y.size * math.log(2.0 * math.pi)
     )
-    W = dpotrs(L, eye, lower=1)[0] - alpha[:, None] * alpha
+    W = K_inv - alpha[:, None] * alpha
     grad = np.empty(d + 2)
     grad[:d] = 0.5 * np.einsum("ab,abj->j", W * slope, d2)
     grad[d] = 0.5 * float((W * K0).sum())
@@ -243,10 +243,105 @@ def _neg_log_marginal_likelihood(log_params, X, y):
     return nll, grad
 
 
-def gp_fit(X, y, seed=0) -> Surrogate:
-    """Fit GP kernel hyperparameters by multi-start likelihood maximization."""
-    from scipy import optimize as sp_optimize
+# Where L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) stops by default in SciPy:
+# every projected-gradient coordinate within PGTOL of 0, or a step that
+# lowers the value by at most FTOL of its size (factr 1e7 times the
+# float64 epsilon).
+PGTOL = 1e-5
+FTOL = 1e7 * np.finfo(float).eps
+MAX_ITER = 1000
+MAX_TRIALS = 30  # function calls per line search
+ARMIJO = 1e-4
+WOLFE = 0.9
 
+
+def _minimize_box(fun, x, lower, upper):
+    """(x, value, why it stopped) at a local minimum of `fun`, which
+    returns the value and its gradient, over the box [lower, upper], from
+    the start `x`. It stops on "pgtol" or "ftol" (see PGTOL), on "line
+    search" when no step passes the Armijo test, or on "iterations".
+
+    Projected BFGS (Nocedal & Wright 2006, ch. 6 and sec. 16.7): a
+    coordinate at a bound that the gradient pushes outward is held, and
+    the BFGS step moves the others, the free coordinates. The inverse
+    Hessian estimate H covers only those, and restarts as the scaled
+    identity (s^T y / y^T y) I whenever the held set changes. The first
+    line search starts at length min(1, 1/|p|), every later one at 1.
+    """
+    x = np.clip(x, lower, upper)
+    f, g = fun(x)
+    held = None
+    scale = 1.0
+    for it in range(MAX_ITER):
+        if np.abs(np.clip(x - g, lower, upper) - x).max() <= PGTOL:
+            return x, f, "pgtol"
+        at_low, at_high = x <= lower, x >= upper
+        now_held = (at_low & (g > 0)) | (at_high & (g < 0))
+        if held is None or (now_held != held).any():
+            held, free = now_held, ~now_held
+            H = scale * np.eye(int(free.sum()))
+        p = np.zeros_like(x)
+        p[free] = -H @ g[free]
+        p[(at_low & (p < 0)) | (at_high & (p > 0))] = 0.0
+        if g @ p >= 0.0:  # the box turned p uphill: descend the gradient
+            H = scale * np.eye(int(free.sum()))
+            p[free] = -scale * g[free]
+        step = min(1.0, 1.0 / float(np.linalg.norm(p))) if it == 0 else 1.0
+        found = _line_search(fun, x, f, g, p, step, lower, upper)
+        if found is None:
+            return x, f, "line search"
+        x_new, f_new, g_new = found
+        s = (x_new - x)[free]
+        dg = (g_new - g)[free]
+        sy = float(s @ dg)
+        if sy > 1e-10 * float(dg @ dg):
+            scale = sy / float(dg @ dg)
+            Hy = H @ dg
+            H += ((sy + float(dg @ Hy)) / sy ** 2) * np.outer(s, s) \
+                - (np.outer(Hy, s) + np.outer(s, Hy)) / sy
+        decrease = f - f_new
+        size = max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= FTOL * size:
+            return x, f, "ftol"
+    return x, f, "iterations"
+
+
+def _line_search(fun, x, f, g, p, step, lower, upper):
+    """(x, value, gradient) at a point of the projected path
+    clip(x + t p) that passes the Armijo test, from t = `step`, or None if
+    MAX_TRIALS calls find none. A failed test shrinks t to the minimum of
+    the quadratic through the two values and the slope at x, kept within
+    [0.1, 0.5] t. A passed test doubles t while the slope along p is still
+    steeper than WOLFE times the slope at x, so that the BFGS update sees
+    curvature where the likelihood is concave, and keeps the last point
+    that passed."""
+    slope = float(g @ p)
+    found = None
+    for _ in range(MAX_TRIALS):
+        x_new = np.clip(x + step * p, lower, upper)
+        f_new, g_new = fun(x_new)
+        drop = float(g @ (x_new - x))
+        if f_new > f + ARMIJO * drop:
+            if found is not None:
+                break
+            # f_new - f - drop > 0, since drop < 0 and the test failed.
+            step *= min(max(-drop / (2.0 * (f_new - f - drop)), 0.1), 0.5)
+            continue
+        found = x_new, f_new, g_new
+        inside = (x_new > lower) & (x_new < upper)
+        if float(g_new[inside] @ p[inside]) >= WOLFE * slope:
+            break
+        step *= 2.0
+    return found
+
+
+def gp_fit(X, y, seed=0, start=None) -> Surrogate:
+    """Fit GP kernel hyperparameters by multi-start likelihood maximization.
+
+    The starts are a fixed point and three random ones, or, given the
+    log-parameters `start` of an earlier fit (Surrogate.log_params),
+    `start` and one random point."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] < 2:
@@ -258,48 +353,50 @@ def gp_fit(X, y, seed=0) -> Surrogate:
     ys = _standardize(y)[2]
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(d + 2)]
-    starts[0][d + 1] = math.log(1e-4)
-    for _ in range(3):
+    if start is None:
+        starts = [np.zeros(d + 2)]
+        starts[0][d + 1] = math.log(1e-4)
+    else:
+        starts = [np.asarray(start, dtype=np.float64)]
+    for _ in range(3 if start is None else 1):
         s = np.concatenate([
             rng.uniform(math.log(0.05), math.log(2.0), size=d),
             [rng.uniform(math.log(0.2), math.log(2.0))],
             [rng.uniform(math.log(1e-6), math.log(1e-2))],
         ])
         starts.append(s)
-    bounds = [(math.log(1e-2), math.log(1e2))] * d
-    bounds += [(math.log(1e-3), math.log(1e3))]
-    bounds += [(math.log(1e-8), math.log(1.0))]
+    lower = np.array([math.log(1e-2)] * d + [math.log(1e-3), math.log(1e-8)])
+    upper = np.array([math.log(1e2)] * d + [math.log(1e3), 0.0])
 
-    best = None
+    best_x, best_f = None, math.inf
     for s in starts:
-        res = sp_optimize.minimize(
-            _neg_log_marginal_likelihood, s, args=(X, ys),
-            method="L-BFGS-B", jac=True, bounds=bounds,
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    ls = np.exp(best.x[:d])
-    sf = math.exp(best.x[d])
-    sn = math.exp(best.x[d + 1]) + NOISE_FLOOR
+        x, f, _ = _minimize_box(
+            lambda theta: _neg_log_marginal_likelihood(theta, X, ys),
+            s, lower, upper)
+        if best_x is None or f < best_f:
+            best_x, best_f = x, f
+    ls = np.exp(best_x[:d])
+    sf = math.exp(best_x[d])
+    sn = math.exp(best_x[d + 1]) + NOISE_FLOOR
 
     jitter = 0.0
     while True:
         try:
-            return Surrogate(X, y, ls, sf, sn, jitter)
+            surrogate = Surrogate(X, y, ls, sf, sn, jitter)
         except np.linalg.LinAlgError:
             jitter = 1e-8 if jitter == 0.0 else jitter * 2.0
             if jitter > MAX_JITTER:
                 raise DataError(
                     "kernel matrix singular even after jitter escalation"
                 )
+        else:
+            surrogate.log_params = best_x
+            return surrogate
 
 
 def expected_improvement(mu, sigma, best):
     """EI array for minimization; max(best - mu, 0) in the zero-variance
     limit."""
-    from scipy.special import ndtr
-
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma < 0):
@@ -307,9 +404,12 @@ def expected_improvement(mu, sigma, best):
     improve = best - mu
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
+    # Phi(z) = erfc(-z / sqrt 2) / 2, one math.erfc call per point.
+    cdf = 0.5 * np.fromiter(map(math.erfc, (z / -math.sqrt(2.0)).ravel()),
+                            dtype=np.float64, count=z.size).reshape(z.shape)
     ei = np.where(
         sigma > 0,
-        improve * ndtr(z)
+        improve * cdf
         + sigma * (np.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)),
         np.maximum(improve, 0.0),
     )
@@ -319,8 +419,8 @@ def expected_improvement(mu, sigma, best):
 def _latin_hypercube(d, n, seed):
     """n points in the unit cube, one jittered point per 1/n stratum of each
     dimension, in a shuffled stratum order per dimension. An int seed gives
-    scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n) bit for bit; a
-    Generator is drawn from, so successive calls give fresh designs."""
+    SciPy's stats.qmc.LatinHypercube(d, seed=seed).random(n) bit for bit;
+    a Generator is drawn from, so successive calls give fresh designs."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(n, d))
     perms = np.tile(np.arange(1, n + 1), (d, 1))
@@ -393,6 +493,7 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
     # seeds and local perturbations whatever a design consumes.
     gen = np.random.default_rng(int(rng.integers(2 ** 31)))
 
+    theta = None  # the last GP fit's log-parameters, the next one's start
     trials: list[Trial] = []
     for it in range(budget):
         ok = [t for t in trials if not t.failed]
@@ -403,7 +504,8 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
             X_obs = np.array([space.to_unit(t.params) for t in ok])
             y_obs = np.array([t.objective for t in ok])
             surrogate = gp_fit(X_obs, y_obs,
-                               seed=int(rng.integers(2 ** 31)))
+                               seed=int(rng.integers(2 ** 31)), start=theta)
+            theta = surrogate.log_params
             best_u = X_obs[int(np.argmin(y_obs))]
             cands = _latin_hypercube(d, N_CANDIDATES, gen)
             local = np.clip(

@@ -904,15 +904,20 @@ class TestPlumbing:
 
 
 # Runs in a fresh interpreter: pytest's own process already holds scipy
-# and multiprocessing. Only tune may import either; it starts fold workers
-# with multiprocessing when it has more than one usable CPU.
+# and multiprocessing. scipy is blocked, so that importing any part of it
+# raises ImportError. Only tune may import multiprocessing; it starts fold
+# workers with it when it has more than one usable CPU.
 COLD_START = """
 import json, sys
 from pathlib import Path
 
+sys.modules["scipy"] = None
 from cyclecast import cli
 
-LAZY = ("scipy.optimize", "scipy.linalg", "scipy.stats", "multiprocessing")
+def loaded():
+    return sorted(m for m in sys.modules if m == "multiprocessing"
+                  or m.split(".")[0] == "scipy" and sys.modules[m] is not None)
+
 out = Path(sys.argv[1])
 csv = str(out / "synthetic.csv")
 model = str(out / "model_xgb-style_sinusoidal.json")
@@ -925,17 +930,16 @@ steps = [
     ("tune", ["--data", csv, "--budget", "3", "--init", "2", "--k", "2",
               "--delta", "48", "--n-estimators-cap", "5"]),
 ]
-report = {"import": [m for m in LAZY if m in sys.modules],
-          "tuner": "cyclecast.tuner" in sys.modules}
+report = {"import": loaded(), "tuner": "cyclecast.tuner" in sys.modules}
 for command, argv in steps:
     code = cli.main([command, "--out", str(out), "--no-timing", *argv])
-    report[command] = [code, [m for m in LAZY if m in sys.modules]]
+    report[command] = [code, loaded()]
 print(json.dumps(report))
 """
 
 
 class TestColdStart:
-    def test_only_tune_imports_scipy(self, tmp_path):
+    def test_no_command_imports_scipy(self, tmp_path):
         (tmp_path / "params.json").write_text('{"n_estimators": 10}')
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(cyclecast.__file__).parent.parent),
@@ -951,5 +955,4 @@ class TestColdStart:
         assert report == {c: [0, []] for c in
                           ("synth", "bench", "ablation", "predict")}
         assert tune[0] == 0
-        assert "scipy.optimize" in tune[1]
-        assert "scipy.stats" not in tune[1]
+        assert tune[1] in ([], ["multiprocessing"])

@@ -300,14 +300,23 @@ class TestFoldWorkers(CVCase):
             kills.append((pid, sig))
             real_kill(pid, sig)
 
+        def open_fds():
+            return (len(os.listdir("/proc/self/fd"))
+                    if os.path.isdir("/proc/self/fd") else None)
+
+        matrix = self.matrix()
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(os, "kill", kill)
         cpus(4)
+        before = open_fds()
         with pytest.raises(BlockingIOError, match="fork refused"):
-            with FoldWorkers(self.matrix(), 3, 50):
+            with FoldWorkers(matrix, 3, 50):
                 pass
         assert kills == [(pids[0], signal.SIGKILL)]
         assert_no_children()
+        # Neither the runner's pipes nor the two that multiprocessing
+        # opens before the refused fork stay open.
+        assert open_fds() == before
 
     def test_tune_outputs_do_not_depend_on_cpus(self, cpus, tmp_path):
         outs = []

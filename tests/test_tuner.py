@@ -5,10 +5,10 @@ import pytest
 
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.tuner import (
-    N_CANDIDATES, NOISE_FLOOR, Dimension, ParamSpace, Surrogate,
-    _latin_hypercube, _neg_log_marginal_likelihood, _standardize,
-    check_budget, expected_improvement, gp_fit, incumbent_trace, optimize,
-    random_search,
+    N_CANDIDATES, NOISE_FLOOR, PGTOL, Dimension, ParamSpace, Surrogate,
+    _latin_hypercube, _minimize_box, _neg_log_marginal_likelihood,
+    _standardize, check_budget, expected_improvement, gp_fit,
+    incumbent_trace, optimize, random_search,
 )
 
 
@@ -89,11 +89,23 @@ class TestExpectedImprovement:
 
     def test_closed_form_point(self):
         # EI = (best - mu) Phi(z) + sigma phi(z), z = (best - mu) / sigma,
-        # bit for bit as with scipy.stats.norm's Phi and phi; sigma = 0
-        # gives max(best - mu, 0).
+        # against scipy.stats.norm's Phi and phi; sigma = 0 gives
+        # max(best - mu, 0). Phi comes from math.erfc, so the two differ in
+        # the last bits: on the grid at most 9.1e-13 relative, at z = -8.5,
+        # where (best - mu) Phi(z) and sigma phi(z) nearly cancel, and at
+        # most 3.5e-13 over 200 seeds of the random draws below. Zeros
+        # match.
         from scipy.stats import norm
-        assert expected_improvement(0.0, 1.0, 1.0) == (
-            norm.cdf(1.0) + norm.pdf(1.0))
+
+        def want(mu, sigma, best):
+            improve = best - mu
+            zs = improve / np.where(sigma > 0, sigma, 1.0)
+            return np.maximum(np.where(
+                sigma > 0, improve * norm.cdf(zs) + sigma * norm.pdf(zs),
+                np.maximum(improve, 0.0)), 0.0)
+
+        assert expected_improvement(0.0, 1.0, 1.0) == pytest.approx(
+            norm.cdf(1.0) + norm.pdf(1.0), rel=1e-15)
         best = 1.0
         z = np.array([0.0, 1.0, -1.0, 0.3, -2.5, 8.5, -8.5, 12.0, -40.0])
         sigma = np.array([0.5, 1.0, 2.0, 1e-3, 3.0])
@@ -101,12 +113,18 @@ class TestExpectedImprovement:
         sigma = np.tile(sigma, z.size)
         mu = np.concatenate([mu, [0.5, 1.0, 1.5]])
         sigma = np.concatenate([sigma, [0.0, 0.0, 0.0]])
-        improve = best - mu
-        zs = improve / np.where(sigma > 0, sigma, 1.0)
-        want = np.maximum(np.where(
-            sigma > 0, improve * norm.cdf(zs) + sigma * norm.pdf(zs),
-            np.maximum(improve, 0.0)), 0.0)
-        assert np.array_equal(expected_improvement(mu, sigma, best), want)
+        cases = [(mu, sigma, best)]
+        # z uniform on [-6, 6], sigma log-uniform on [e^-7, e^2].
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            sigma = np.exp(rng.uniform(-7.0, 2.0, size=100))
+            best = rng.normal()
+            cases.append((best - rng.uniform(-6.0, 6.0, size=100) * sigma,
+                          sigma, best))
+        for mu, sigma, best in cases:
+            np.testing.assert_allclose(expected_improvement(mu, sigma, best),
+                                       want(mu, sigma, best),
+                                       rtol=1e-11, atol=0.0)
 
     def test_monotone_in_sigma(self):
         sigmas = np.linspace(0.01, 3.0, 30)
@@ -186,6 +204,21 @@ class TestGpSurrogate:
         with pytest.raises(DataError):
             gp_fit(np.array([[0.5]]), np.array([1.0]))
 
+    def test_warm_start_never_loses_its_start(self):
+        # A fit from an earlier fit's optimum keeps a likelihood at least
+        # as high on the same data, and records where it ended.
+        rng = np.random.default_rng(42)
+        X = rng.uniform(size=(10, 3))
+        y = np.cos(4 * X[:, 0]) + X[:, 1]
+        ys = _standardize(y)[2]
+        cold = gp_fit(X, y, seed=0)
+        assert cold.log_params.shape == (5,)
+        warm = gp_fit(X, y, seed=1, start=cold.log_params)
+        assert _neg_log_marginal_likelihood(warm.log_params, X, ys)[0] <= \
+            _neg_log_marginal_likelihood(cold.log_params, X, ys)[0]
+        assert np.array_equal(warm.length_scales,
+                              np.exp(warm.log_params[:3]))
+
 
 def oracle_kernel(X1, X2, ls, sf):
     """The Matern-5/2 kernel, its slope and d2 as first written."""
@@ -234,32 +267,57 @@ def oracle_posterior(X, y, ls, sf, sn, x):
 
 
 class TestDirectLapack:
-    """The likelihood and the posterior call LAPACK directly; they must
-    give the bits that scipy.linalg's wrappers give."""
+    """The likelihood and the posterior factor K with numpy.linalg's
+    cholesky and take one inverse of the factor; they must agree with
+    scipy.linalg's cholesky and cho_solve within relative tolerances set
+    at about ten times the worst error over 200 seeds. The worst errors
+    all come from (30, 2), whose kernels are the worst conditioned: nll
+    1.1e-11, gradient 1.4e-10 and mu 8.6e-11 (each over its largest
+    entry), sigma 1.7e-9 (per point) and EI 9.3e-11 (over its largest
+    entry); the other two shapes stay below 2e-13."""
+
+    TOL = {"nll": 1e-10, "grad": 2e-9, "mu": 1e-9, "sigma": 2e-8,
+           "ei": 1e-9}
 
     @pytest.mark.parametrize("n, d", [(5, 7), (12, 7), (30, 2)])
-    def test_bit_equal_to_scipy_wrappers(self, n, d):
-        rng = np.random.default_rng(7 * n + d)
-        X = rng.uniform(size=(n, d))
-        y = rng.normal(size=n)
-        x = rng.uniform(size=(50, d))
-        for _ in range(5):
-            theta = np.concatenate([
-                rng.uniform(math.log(0.05), math.log(2.0), size=d),
-                [rng.uniform(math.log(0.2), math.log(2.0))],
-                [rng.uniform(math.log(1e-6), math.log(1e-2))],
-            ])
-            nll, grad = _neg_log_marginal_likelihood(theta, X, y)
-            want_nll, want_grad = oracle_likelihood(theta, X, y)
-            assert nll == want_nll
-            assert np.array_equal(grad, want_grad)
+    def test_within_tolerance_of_scipy_wrappers(self, n, d):
+        from scipy.stats import norm
 
-            ls, sf = np.exp(theta[:d]), math.exp(theta[d])
-            sn = math.exp(theta[d + 1]) + NOISE_FLOOR
-            mu, sigma = Surrogate(X, y, ls, sf, sn, 0.0).posterior(x)
-            want_mu, want_sigma = oracle_posterior(X, y, ls, sf, sn, x)
-            assert np.array_equal(mu, want_mu)
-            assert np.array_equal(sigma, want_sigma)
+        worst = dict.fromkeys(self.TOL, 0.0)
+        for seed in range(20):
+            rng = np.random.default_rng([seed, n, d])
+            X = rng.uniform(size=(n, d))
+            y = rng.normal(size=n)
+            x = rng.uniform(size=(50, d))
+            for _ in range(5):
+                theta = np.concatenate([
+                    rng.uniform(math.log(0.05), math.log(2.0), size=d),
+                    [rng.uniform(math.log(0.2), math.log(2.0))],
+                    [rng.uniform(math.log(1e-6), math.log(1e-2))],
+                ])
+                nll, grad = _neg_log_marginal_likelihood(theta, X, y)
+                want_nll, want_grad = oracle_likelihood(theta, X, y)
+                ls, sf = np.exp(theta[:d]), math.exp(theta[d])
+                sn = math.exp(theta[d + 1]) + NOISE_FLOOR
+                mu, sigma = Surrogate(X, y, ls, sf, sn, 0.0).posterior(x)
+                want_mu, want_sigma = oracle_posterior(X, y, ls, sf, sn, x)
+                best = float(np.median(y))
+                ei = expected_improvement(mu, sigma, best)
+                z = (best - want_mu) / want_sigma
+                want_ei = (best - want_mu) * norm.cdf(z) \
+                    + want_sigma * norm.pdf(z)
+                errors = {
+                    "nll": abs(nll - want_nll) / abs(want_nll),
+                    "grad": np.abs(grad - want_grad).max()
+                    / np.abs(want_grad).max(),
+                    "mu": np.abs(mu - want_mu).max() / np.abs(want_mu).max(),
+                    "sigma": (np.abs(sigma - want_sigma) / want_sigma).max(),
+                    "ei": np.abs(ei - want_ei).max() / want_ei.max(),
+                }
+                for key, err in errors.items():
+                    worst[key] = max(worst[key], float(err))
+        for key, tol in self.TOL.items():
+            assert worst[key] <= tol, (key, worst[key])
 
     def test_non_finite_kernel_raises(self):
         X = np.array([[0.1, np.nan], [0.5, 0.5], [0.9, 0.2]])
@@ -303,6 +361,79 @@ class TestLikelihoodGradient:
         assert math.isfinite(nll)
         assert grad.shape == (d + 2,)
         assert np.all(grad == 0.0)
+
+
+class TestMinimizeBox:
+    """The projected BFGS that fits the GP, against scipy's L-BFGS-B run
+    from the same starts on seeded likelihoods: n = 4, 12 and 30 noise
+    targets in d = 2 and 7, four starts each in the middle half of the
+    box. The likelihood is not convex, so a run of either may end in a
+    different local minimum; the bounds were set from seeds 0-79, in
+    blocks of ten. The best of four starts was worse than L-BFGS-B's by
+    at most 0.284 relative, and better by up to 0.307; per block of ten
+    seeds, the mean gap of the best of four lay in [-0.007, 0.0055] and
+    the median gap over single runs in [1.8e-9, 1.4e-7]."""
+
+    @staticmethod
+    def problems(seeds):
+        for seed in seeds:
+            for n in (4, 12, 30):
+                for d in (2, 7):
+                    rng = np.random.default_rng([seed, n, d])
+                    X = rng.uniform(size=(n, d))
+                    y = _standardize(rng.normal(size=n))[2]
+                    lower = np.array([math.log(1e-2)] * d
+                                     + [math.log(1e-3), math.log(1e-8)])
+                    upper = np.array([math.log(1e2)] * d
+                                     + [math.log(1e3), 0.0])
+                    starts = rng.uniform(lower / 2, upper / 2,
+                                         size=(4, d + 2))
+                    yield (lambda t, X=X, y=y:
+                           _neg_log_marginal_likelihood(t, X, y),
+                           starts, lower, upper)
+
+    def test_stops_where_lbfgsb_would(self):
+        for fun, starts, lower, upper in self.problems(range(10)):
+            for s in starts:
+                x, f, why = _minimize_box(fun, s, lower, upper)
+                assert why in ("pgtol", "ftol")
+                assert np.all((lower <= x) & (x <= upper))
+                value, g = fun(x)
+                assert f == value
+                if why == "pgtol":
+                    assert np.abs(np.clip(x - g, lower, upper) - x).max() \
+                        <= PGTOL
+
+    def test_near_lbfgsb_from_the_same_starts(self):
+        from scipy.optimize import minimize
+
+        gaps, best_gaps = [], []
+        for fun, starts, lower, upper in self.problems(range(10)):
+            ours, theirs = [], []
+            for s in starts:
+                ours.append(_minimize_box(fun, s, lower, upper)[1])
+                theirs.append(minimize(fun, s, jac=True, method="L-BFGS-B",
+                                       bounds=list(zip(lower, upper))).fun)
+                gaps.append((ours[-1] - theirs[-1])
+                            / max(1.0, abs(theirs[-1])))
+            best_gaps.append((min(ours) - min(theirs))
+                             / max(1.0, abs(min(theirs))))
+        assert max(best_gaps) <= 0.5
+        assert np.mean(best_gaps) <= 0.02
+        assert abs(np.median(gaps)) <= 1e-6
+
+    def test_starts_inside_the_box(self):
+        # A quadratic whose minimum lies outside the box, at (2, -3): the
+        # start is clipped in, and the run ends on the nearest corner.
+        def fun(t):
+            c = np.array([2.0, -3.0])
+            return float(((t - c) ** 2).sum()), 2.0 * (t - c)
+
+        lower, upper = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        x, f, why = _minimize_box(fun, np.array([5.0, 5.0]), lower, upper)
+        assert why == "pgtol"
+        assert np.array_equal(x, [1.0, -1.0])
+        assert f == 5.0
 
 
 class TestOptimize:
