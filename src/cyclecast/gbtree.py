@@ -32,6 +32,13 @@ the row and node counts alone.
 Supports depth-wise and leaf-wise growth, plain row subsampling or
 gradient-based one-side sampling (GOSS), per-tree column subsampling,
 shrinkage, and patience-based early stopping on a validation set.
+Leaf-wise growth searches no child of the split that reaches num_leaves.
+GOSS ranks rows by descending |g| with one sort of -|g|; only when two
+keys tie (0.0 == -0.0 among them) does it sort again by (key, row index).
+`save_model` writes a model one tree at a time, each piece by the C JSON
+encoder, to the bytes `json.dump` gives for the whole document.
+Hot paths gather with `take` and `compress` rather than fancy and boolean
+indexing, which cost more per call for the same result.
 """
 
 from __future__ import annotations
@@ -210,8 +217,14 @@ def goss_sample(g, a, b, rng):
 
     n_top = math.ceil(a * n)
     n_rand = min(math.ceil(b * n), n - n_top)
-    # lexsort keys: primary descending |g|, ties broken by row index.
-    order = np.lexsort((np.arange(n), -np.abs(g)))
+    # Rows by descending |g|, ties by row index. Without ties any sort of
+    # the keys gives that order; with ties (0.0 == -0.0 among them) a
+    # two-key lexsort does.
+    key = -np.abs(g)
+    order = key.argsort()
+    ranked = key.take(order)
+    if not (ranked[:-1] < ranked[1:]).all():
+        order = np.lexsort((np.arange(n), key))
     top = order[:n_top]
     rest = order[n_top:]
     sampled = rest[rng.choice(rest.size, size=n_rand, replace=False)]
@@ -313,21 +326,24 @@ class RegressionTree:
     def _walk_nodes(self, XT, rows):
         """`predict` one node at a time, each node splitting its rows by
         one vector comparison."""
+        feature, threshold = self.feature, self.threshold
+        left_of, right_of, value = self.left, self.right, self.value
         out = np.empty(XT.shape[1])
         stack = [(0, np.arange(XT.shape[1]) if rows is None else rows)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, at = stack.pop()
-            f = self.feature[node]
+            node, at = pop()
+            f = feature[node]
             if f < 0:
-                out[at] = self.value[node]
+                out[at] = value[node]
                 continue
-            mask = XT[f][at] < self.threshold[node]
+            mask = XT[f].take(at) < threshold[node]
             left, right = at.compress(mask), at.compress(~mask)
             if left.size:
-                stack.append((self.left[node], left))
+                push((left_of[node], left))
             if right.size:
-                stack.append((self.right[node], right))
-        return out if rows is None else out[rows]
+                push((right_of[node], right))
+        return out if rows is None else out.take(rows)
 
     def to_dict(self) -> dict:
         return {k: list(getattr(self, k)) for k in TREE_KEYS}
@@ -435,8 +451,8 @@ class _Node:
 
     def __init__(self, rows, g, h, orders=None, hist=None):
         self.rows = rows
-        self.G = g[rows].sum()
-        self.H = float(rows.size) if h is None else h[rows].sum()
+        self.G = g.take(rows).sum()
+        self.H = float(rows.size) if h is None else h.take(rows).sum()
         self.orders = orders
         self.hist = hist
 
@@ -487,11 +503,12 @@ class _TreeSearch:
         order = self.ctx.order
         if order is None:
             return self.node(rows)
-        orders = order[self.cols]
+        orders = order.take(self.cols, axis=0)
         if rows.size < self.g.size:
             sampled = np.zeros(self.g.size, dtype=bool)
             sampled[rows] = True
-            orders = orders[sampled[orders]].reshape(self.cols.size, -1)
+            orders = orders.compress(sampled.take(orders).ravel()).reshape(
+                self.cols.size, -1)
         return _Node(orders[0], self.g, self.h, orders=orders)
 
     def node(self, rows, hist=None, searched=True):
@@ -503,19 +520,20 @@ class _TreeSearch:
                 hist = self.histogram(rows)
             return _Node(rows, self.g, self.h, hist=hist)
         if not searched:
-            rows = rows[self.ctx.rank[self.cols[0], rows].argsort()]
+            rows = rows.take(self.ctx.rank[self.cols[0]].take(rows).argsort())
             return _Node(rows, self.g, self.h)
         keys = self.ctx.rank.take(rows + self.offsets)
-        orders = rows[keys.argsort(axis=1)]
+        orders = rows.take(keys.argsort(axis=1))
         return _Node(orders[0], self.g, self.h, orders=orders)
 
     def histogram(self, rows):
         k = self.cols.size
-        idx = self.bins[rows].ravel()
+        idx = self.bins.take(rows, axis=0).ravel()
         size = k * MAX_BINS
-        sums = [np.bincount(idx, np.repeat(self.g[rows], k), size)]
+        sums = [np.bincount(idx, np.repeat(self.g.take(rows), k), size)]
         if self.h is not None:
-            sums.append(np.bincount(idx, np.repeat(self.h[rows], k), size))
+            sums.append(np.bincount(idx, np.repeat(self.h.take(rows), k),
+                                    size))
         sums.append(np.bincount(idx, minlength=size))
         return np.stack(sums).reshape(len(sums), k, MAX_BINS)
 
@@ -523,7 +541,7 @@ class _TreeSearch:
         """The node's leaf weight, also written to its rows' leaf values.
         A leaf split later is overwritten by its children."""
         weight = leaf_weight(node.G, node.H, self.params.reg_lambda)
-        self.leaf_values[node.rows] = weight
+        self.leaf_values.put(node.rows, weight)
         return weight
 
     def _pick(self, G_L, H_L, G, H, candidate):
@@ -540,8 +558,8 @@ class _TreeSearch:
         cells = np.flatnonzero(valid)
         if cells.size == 0:
             return None
-        gains = split_gain(G_L.ravel()[cells], H_L.ravel()[cells], G, H,
-                           p.reg_lambda, p.gamma)
+        gains = split_gain(G_L.ravel().take(cells), H_L.ravel().take(cells),
+                           G, H, p.reg_lambda, p.gamma)
         # argmax returns the first maximum, and flatnonzero lists cells
         # in row-major order.
         best = gains.argmax()
@@ -595,24 +613,24 @@ class _TreeSearch:
                 return None
             vs = self.ctx.XT.take(orders + self.offsets)
             prefix = orders[:, :-1]
-            found = self._pick(self.g[prefix].cumsum(axis=1),
-                               self.h[prefix].cumsum(axis=1), G, H,
+            found = self._pick(self.g.take(prefix).cumsum(axis=1),
+                               self.h.take(prefix).cumsum(axis=1), G, H,
                                vs[:, :-1] < vs[:, 1:])
             if found is None:
                 return None
             c, i, gain = found
             return gain, c, i, _threshold(vs[c, i], vs[c, i + 1])
         G_b, n_b = node.hist[0], node.hist[-1]
-        n_L = np.cumsum(n_b, axis=1)
-        H_L = n_L if self.h is None else np.cumsum(node.hist[1], axis=1)
+        n_L = n_b.cumsum(axis=1)
+        H_L = n_L if self.h is None else node.hist[1].cumsum(axis=1)
         # A split after bin b needs node rows in b and above it.
         candidate = (n_b > 0) & (n_L < node.rows.size)
-        found = self._pick(np.cumsum(G_b, axis=1), H_L, G, H, candidate)
+        found = self._pick(G_b.cumsum(axis=1), H_L, G, H, candidate)
         if found is None:
             return None
         c, b, gain = found
         f = self.cols[c]
-        nxt = b + 1 + int(np.argmax(n_b[c, b + 1:] > 0))
+        nxt = b + 1 + int((n_b[c, b + 1:] > 0).argmax())
         return gain, c, b, _threshold(self.ctx.bin_high[f, b],
                                       self.ctx.bin_low[f, nxt])
 
@@ -624,22 +642,22 @@ class _TreeSearch:
             cut = key[node.orders[c, pos]]
             if not searched:
                 rows = node.rows  # orders[0], the order a child would sum
-                sel = key[rows] <= cut
-                return (_Node(rows[sel], self.g, self.h),
-                        _Node(rows[~sel], self.g, self.h))
+                sel = key.take(rows) <= cut
+                return (_Node(rows.compress(sel), self.g, self.h),
+                        _Node(rows.compress(~sel), self.g, self.h))
             # A stable partition by rank key keeps each row of `orders`
             # sorted. Every node row appears once per row of `orders`, so
             # the left rows select as many entries from each and reshape.
             orders = node.orders
-            sel = key.take(orders) <= cut
+            sel = (key.take(orders) <= cut).ravel()
             k = orders.shape[0]
-            left = orders[sel].reshape(k, -1)
-            right = orders[~sel].reshape(k, -1)
+            left = orders.compress(sel).reshape(k, -1)
+            right = orders.compress(~sel).reshape(k, -1)
             return (_Node(left[0], self.g, self.h, orders=left),
                     _Node(right[0], self.g, self.h, orders=right))
         rows = node.rows
-        go_left = self.ctx.codes[self.cols[c], rows] <= pos
-        left, right = rows[go_left], rows[~go_left]
+        go_left = self.ctx.codes[self.cols[c]].take(rows) <= pos
+        left, right = rows.compress(go_left), rows.compress(~go_left)
         if not searched or max(left.size, right.size) <= MAX_BINS:
             return (self.node(left, searched=searched),
                     self.node(right, searched=searched))
@@ -697,8 +715,9 @@ def _grow_leafwise(tree, search, root, params, gain_acc):
     n_leaves = 1
     while heap and n_leaves < params.num_leaves:
         _, _, idx, node, depth, (gain, c, pos, thr) = heapq.heappop(heap)
-        left, right = search.children(node, c, pos,
-                                      depth + 1 < params.max_depth)
+        searched = (depth + 1 < params.max_depth
+                    and n_leaves + 1 < params.num_leaves)
+        left, right = search.children(node, c, pos, searched)
         f = int(search.cols[c])
         tree.feature[idx] = f
         tree.threshold[idx] = thr
@@ -706,8 +725,10 @@ def _grow_leafwise(tree, search, root, params, gain_acc):
         tree.right[idx] = tree.add_leaf(search.leaf(right))
         gain_acc[f] = gain_acc.get(f, 0.0) + gain
         n_leaves += 1
-        push(tree.left[idx], left, depth + 1)
-        push(tree.right[idx], right, depth + 1)
+        # Children of the split that reaches num_leaves are never popped.
+        if n_leaves < params.num_leaves:
+            push(tree.left[idx], left, depth + 1)
+            push(tree.right[idx], right, depth + 1)
 
 
 @dataclass
@@ -938,8 +959,14 @@ _MODEL_VALUES = {
 
 
 def save_model(model: GbtModel, path, extra: dict | None = None) -> None:
-    """Serialize a fitted model to versioned JSON."""
-    doc = {
+    """Serialize a fitted model to versioned JSON.
+
+    The file holds the bytes `json.dump` writes for the whole document,
+    but is written one tree at a time: `json.dumps` runs the C encoder on
+    each piece, where `json.dump` encodes in Python, and no string of the
+    whole document is ever held.
+    """
+    head = {
         "format_version": MODEL_FORMAT_VERSION,
         "params": model.params.to_dict(),
         "base_score": model.base_score,
@@ -947,17 +974,24 @@ def save_model(model: GbtModel, path, extra: dict | None = None) -> None:
         "feature_names": list(model.feature_names),
         "gain_by_feature": model.gain_by_feature,
         "no_splits": model.no_splits,
-        "trees": [t.to_dict() for t in model.trees],
     }
-    if extra:
-        doc["extra"] = extra
     # Write beside the target and rename, so a failed write leaves the old
     # file (or none) rather than a truncated one.
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(head)[:-1])  # all but the closing brace
+            fh.write(', "trees": [')
+            for i, tree in enumerate(model.trees):
+                if i:
+                    fh.write(", ")
+                fh.write(json.dumps(tree.to_dict()))
+            fh.write("]")
+            if extra:
+                fh.write(', "extra": ')
+                fh.write(json.dumps(extra))
+            fh.write("}")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

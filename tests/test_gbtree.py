@@ -452,8 +452,9 @@ class TestFitShortcuts:
     ], ids=[DEPTHWISE, LEAFWISE])
     def test_unsearched_children_match_full_layout(self, params, n,
                                                    monkeypatch):
-        # Children at the depth cap get rows and G, H only; giving them
-        # the full search layout must change no bit of the fit.
+        # Children at the depth cap, or of the split that reaches
+        # num_leaves, get rows and G, H only; giving them the full search
+        # layout must change no bit of the fit.
         X, y = shortcut_data(n)
         val = shortcut_data(80)
         original = gbtree._TreeSearch.children
@@ -581,6 +582,28 @@ class TestFit:
         for tree in model.trees:
             assert tree.n_leaves <= 8
 
+    @pytest.mark.parametrize("num_leaves", [2, 5])
+    def test_leafwise_searches_no_node_after_the_cap(self, num_leaves,
+                                                     monkeypatch):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(500, 3))
+        y = X[:, 0] + rng.normal(size=500)
+        params = HyperParams(n_estimators=3, max_depth=10, growth=LEAFWISE,
+                             num_leaves=num_leaves, reg_lambda=0.0,
+                             min_child_weight=0.0)
+        searched = []
+        original = gbtree._TreeSearch.best_split
+
+        def spy(self, node):
+            searched.append(node.rows.size)
+            return original(self, node)
+
+        monkeypatch.setattr(gbtree._TreeSearch, "best_split", spy)
+        model, _ = fit(X, y, params)
+        assert all(tree.n_leaves == num_leaves for tree in model.trees)
+        # The root, then both children of every split but the last.
+        assert len(searched) == len(model.trees) * (1 + 2 * (num_leaves - 2))
+
     def test_depthwise_respects_depth(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(400, 2))
@@ -653,6 +676,34 @@ class TestGoss:
         se = est.std(ddof=1) / math.sqrt(est.size)
         assert abs(est.mean() - true_sum) < 3 * se
 
+    @pytest.mark.parametrize("kind", ["tie-free", "tied", "signed-zeros"])
+    @pytest.mark.parametrize("a, b", [(0.2, 0.2), (0.1, 0.5), (0.5, 0.3)])
+    def test_matches_lexsort_formula(self, kind, a, b):
+        # The two-key lexsort that orders rows by descending |g|, ties by
+        # row index, is the oracle for the sort goss_sample takes.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            if kind == "tie-free":
+                g = rng.normal(size=997)
+            elif kind == "tied":
+                g = np.round(rng.normal(size=997) * 2) / 2
+            else:
+                g = rng.choice([0.0, -0.0, 0.5, -0.5, 2.0], size=300)
+            n = g.size
+            assert (np.unique(np.abs(g)).size == n) == (kind == "tie-free")
+            n_top = math.ceil(a * n)
+            n_rand = min(math.ceil(b * n), n - n_top)
+            order = np.lexsort((np.arange(n), -np.abs(g)))
+            rest = order[n_top:]
+            draw = np.random.default_rng(seed + 100)
+            sampled = rest[draw.choice(rest.size, size=n_rand, replace=False)]
+            expected = np.concatenate([np.sort(order[:n_top]),
+                                       np.sort(sampled)])
+            idx, w = goss_sample(g, a, b, seed + 100)
+            assert np.array_equal(idx, expected)
+            assert np.array_equal(w, np.concatenate(
+                [np.ones(n_top), np.full(n_rand, (1.0 - a) / b)]))
+
     def test_errors(self):
         g = np.ones(10)
         with pytest.raises(ConfigError):
@@ -710,15 +761,53 @@ class TestPredict:
         save_model(model, path)
         before = path.read_bytes()
 
-        def broken_dump(obj, fh):
-            fh.write('{"format_version": ')
-            raise OSError("disk full")
+        # The writer encodes the document piece by piece; the second piece
+        # fails, after the first reached the temporary file.
+        pieces = []
+        dumps = json.dumps
 
-        monkeypatch.setattr(json, "dump", broken_dump)
+        def broken_dumps(obj, *args, **kwargs):
+            pieces.append(obj)
+            if len(pieces) > 1:
+                raise OSError("disk full")
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", broken_dumps)
         with pytest.raises(OSError, match="disk full"):
             save_model(model, path)
+        assert len(pieces) == 2
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    @pytest.mark.parametrize("extra", [
+        None, {}, {"feature_spec": {"lags": [1, 24], "w": 0.5},
+                   "note": "\u00e9t\u00e9", "nan": float("nan")},
+    ], ids=["none", "empty", "nested"])
+    @pytest.mark.parametrize("growth", [DEPTHWISE, LEAFWISE])
+    def test_file_is_json_dump_of_the_document(self, tmp_path, growth, extra):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(300, 3))
+        y = X[:, 0] + rng.normal(size=300)
+        model, _ = fit(X, y, HyperParams(n_estimators=5, growth=growth,
+                                         num_leaves=6, goss_a=0.3,
+                                         goss_b=0.3))
+        doc = {
+            "format_version": gbtree.MODEL_FORMAT_VERSION,
+            "params": model.params.to_dict(),
+            "base_score": model.base_score,
+            "best_iteration": model.best_iteration,
+            "feature_names": list(model.feature_names),
+            "gain_by_feature": model.gain_by_feature,
+            "no_splits": model.no_splits,
+            "trees": [t.to_dict() for t in model.trees],
+        }
+        if extra:
+            doc["extra"] = extra
+        path = tmp_path / "model.json"
+        save_model(model, path, extra=extra)
+        with open(tmp_path / "oracle.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert path.read_bytes() == (tmp_path / "oracle.json").read_bytes()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
