@@ -33,8 +33,9 @@ Supports depth-wise and leaf-wise growth, plain row subsampling or
 gradient-based one-side sampling (GOSS), per-tree column subsampling,
 shrinkage, and patience-based early stopping on a validation set.
 Leaf-wise growth searches no child of the split that reaches num_leaves.
-GOSS ranks rows by descending |g| with one sort of -|g|; only when two
-keys tie (0.0 == -0.0 among them) does it sort again by (key, row index).
+GOSS ranks rows by descending |g| with one default sort of -|g|; only
+when two keys tie (0.0 == -0.0 among them) does it sort again, stably, so
+tied rows keep their row order.
 `save_model` writes a model one tree at a time, each piece by the C JSON
 encoder, to the bytes `json.dump` gives for the whole document.
 Hot paths gather with `take` and `compress` rather than fancy and boolean
@@ -218,13 +219,14 @@ def goss_sample(g, a, b, rng):
     n_top = math.ceil(a * n)
     n_rand = min(math.ceil(b * n), n - n_top)
     # Rows by descending |g|, ties by row index. Without ties any sort of
-    # the keys gives that order; with ties (0.0 == -0.0 among them) a
-    # two-key lexsort does.
+    # the keys gives that order, and the default sort is about 4.5 times
+    # faster than a stable one; with ties (0.0 == -0.0 among them) only a
+    # stable sort does.
     key = -np.abs(g)
     order = key.argsort()
     ranked = key.take(order)
     if not (ranked[:-1] < ranked[1:]).all():
-        order = np.lexsort((np.arange(n), key))
+        order = key.argsort(kind="stable")
     top = order[:n_top]
     rest = order[n_top:]
     sampled = rest[rng.choice(rest.size, size=n_rand, replace=False)]
