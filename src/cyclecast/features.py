@@ -2,7 +2,9 @@
 
 Backward-looking transforms leave an undefined (NaN) warm-up prefix; the
 assembled matrix drops those leading rows so every retained row is fully
-defined.
+defined. Each emitted column is written once into one C-contiguous
+features x rows block; the matrix's `values` is the rows x features view
+`block.T` of it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ GROUP_LAG = "LagFeatures"
 GROUP_OTHERS = "Others"
 GROUPS = (GROUP_SINUSOIDAL, GROUP_ROLLING, GROUP_LAG, GROUP_OTHERS)
 
+# Rows per block of `rolling_std` and `ewm_mean`, which bounds their
+# temporaries; every row's arithmetic is the same at any block size.
+BLOCK_ROWS = 1024
+
 
 def rolling_mean(series, w):
     """Trailing mean over the most recent w values; NaN before index w-1."""
@@ -37,14 +43,20 @@ def rolling_mean(series, w):
 
 
 def rolling_std(series, w):
-    """Trailing sample std (w-1 denominator); NaN before index w-1."""
+    """Trailing sample std (w-1 denominator); NaN before index w-1.
+
+    `std` runs over a fixed block of BLOCK_ROWS windows at a time, so its
+    temporary holds BLOCK_ROWS x w values, not w per row of the series."""
     series = np.asarray(series, dtype=np.float64)
     if w < 2:
         raise ConfigError(f"rolling_std window must be >= 2, got {w}")
     if w > series.size:
         raise DataError(f"window {w} exceeds series length {series.size}")
     out = np.full(series.size, np.nan)
-    out[w - 1:] = sliding_window_view(series, w).std(axis=1, ddof=1)
+    windows, tail = sliding_window_view(series, w), out[w - 1:]
+    for lo in range(0, len(windows), BLOCK_ROWS):
+        hi = lo + BLOCK_ROWS
+        tail[lo:hi] = windows[lo:hi].std(axis=1, ddof=1)
     return out
 
 
@@ -61,7 +73,10 @@ def lag(series, k):
 
 
 def ewm_mean(series, halflife):
-    """Exponentially weighted mean, e_0 = y_0, alpha = 1 - 2**(-1/halflife)."""
+    """Exponentially weighted mean, e_0 = y_0, alpha = 1 - 2**(-1/halflife).
+
+    The recurrence carries its state across fixed blocks of BLOCK_ROWS
+    values, each made as a list and copied into the preallocated result."""
     series = np.asarray(series, dtype=np.float64)
     if series.size == 0:
         raise DataError("ewm_mean of empty series")
@@ -69,15 +84,18 @@ def ewm_mean(series, halflife):
         raise ConfigError(f"halflife must be > 0, got {halflife}")
     alpha = 1.0 - 2.0 ** (-1.0 / halflife)
     decay = 1.0 - alpha
-    values = series.tolist()
+    out = np.empty(series.size)
     # The recurrence runs on Python floats: the same IEEE arithmetic as
     # numpy scalars, at a fraction of the cost per step.
-    e = values[0]
-    out = [e]
-    for v in values[1:]:
-        e = alpha * v + decay * e
-        out.append(e)
-    return np.array(out)
+    e = out[0] = float(series[0])
+    for lo in range(1, series.size, BLOCK_ROWS):
+        hi = lo + BLOCK_ROWS
+        block = []
+        for v in series[lo:hi].tolist():
+            e = alpha * v + decay * e
+            block.append(e)
+        out[lo:hi] = block
+    return out
 
 
 def _target_columns(spec):
@@ -245,7 +263,11 @@ def ablate(spec: FeatureSpec, group: str) -> FeatureSpec:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense design matrix with row-aligned target."""
+    """Dense design matrix with row-aligned target.
+
+    `values` is rows x features, a view of a C-contiguous features x rows
+    block, so `values.T` walks each feature without a copy.
+    """
 
     column_names: tuple
     values: np.ndarray
@@ -269,7 +291,9 @@ def build_matrix(frame, spec: FeatureSpec) -> FeatureMatrix:
     """Materialize the design matrix for a frame under a feature spec.
 
     Column order is temporal, rolling, lag, ewm; leading rows where any
-    backward-looking column is undefined are dropped.
+    backward-looking column is undefined are dropped. Columns are made one
+    temporal term or target transform at a time, and each is written once
+    into the block behind `values`.
     """
     names = spec.column_names()
     if not names:
@@ -281,18 +305,21 @@ def build_matrix(frame, spec: FeatureSpec) -> FeatureMatrix:
             f"{warmup}-row warm-up"
         )
     y = frame.target
+    slot = {name: i for i, name in enumerate(names)}
+    block = np.empty((len(names), len(frame) - warmup))
 
-    terms = [(encoding.FEATURES[n], s) for n, s in spec.temporal]
-    columns = encoding.expand_temporal(frame, terms)
-    emitted = set(names)
+    for fname, strategy in spec.temporal:
+        term = (encoding.FEATURES[fname], strategy)
+        for name, column in encoding.expand_temporal(frame, [term]).items():
+            if name in slot:
+                block[slot[name]] = column[warmup:]
     for name, transform, arg in _target_columns(spec):
-        if name in emitted:
-            columns[name] = transform(y, arg)
+        if name in slot:
+            block[slot[name]] = transform(y, arg)[warmup:]
 
-    values = np.column_stack([columns[n][warmup:] for n in names])
     return FeatureMatrix(
         column_names=tuple(names),
-        values=np.ascontiguousarray(values),
+        values=block.T,
         target=y[warmup:].copy(),
         dropped_warmup=warmup,
     )

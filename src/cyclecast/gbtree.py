@@ -898,7 +898,9 @@ def predict(model: GbtModel, X):
     """Ensemble prediction: base score plus shrunk tree outputs.
 
     `X` is a 2-D array or a FeatureMatrix, whose column names must then
-    match the model's.
+    match the model's. The trees walk X's columns as the rows of `X.T`,
+    which is copied into C order unless it is already, as for a whole
+    FeatureMatrix, whose `values` is the transpose of such a block.
     """
     feature_names = None
     if hasattr(X, "values") and hasattr(X, "column_names"):

@@ -1,15 +1,18 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from cyclecast import gbtree
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.features import (
-    FeatureSpec, ablate, build_matrix, ewm_mean, group_of, lag,
+    BLOCK_ROWS, FeatureSpec, ablate, build_matrix, ewm_mean, group_of, lag,
     rolling_mean, rolling_std, GROUPS,
 )
 
@@ -152,6 +155,82 @@ class TestEwmMean:
             ewm_mean([1.0], 0.0)
         with pytest.raises(DataError):
             ewm_mean([], 1.0)
+
+
+def one_shot_rolling_std(series, w):
+    """`rolling_std` as one `std` over every window at once."""
+    out = np.full(series.size, np.nan)
+    out[w - 1:] = sliding_window_view(series, w).std(axis=1, ddof=1)
+    return out
+
+
+def one_shot_ewm_mean(series, halflife):
+    """`ewm_mean` as one recurrence over the whole list of values."""
+    alpha = 1.0 - 2.0 ** (-1.0 / halflife)
+    decay = 1.0 - alpha
+    values = series.tolist()
+    e = values[0]
+    out = [e]
+    for v in values[1:]:
+        e = alpha * v + decay * e
+        out.append(e)
+    return np.array(out)
+
+
+def wide_series(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
+
+
+class TestBlockEdges:
+    """The blocked transforms equal their one-shot formulas bit for bit on
+    either side of a block edge."""
+
+    EDGE = 2 * BLOCK_ROWS
+
+    @pytest.mark.parametrize("w", [2, 24, 168])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rolling_std(self, w, offset):
+        # Lengths around a block multiple, and window counts around one.
+        for n in (self.EDGE + offset, self.EDGE + offset + w - 1):
+            series = wide_series(n, w + offset)
+            assert np.array_equal(rolling_std(series, w),
+                                  one_shot_rolling_std(series, w),
+                                  equal_nan=True), n
+
+    @pytest.mark.parametrize("halflife", [0.5, 12.0, 1000.0])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_ewm_mean(self, halflife, offset):
+        # The recurrence's blocks start after the first value.
+        series = wide_series(self.EDGE + offset, offset + 1)
+        assert np.array_equal(ewm_mean(series, halflife),
+                              one_shot_ewm_mean(series, halflife))
+
+
+class TestMemoryBound:
+    """`build_matrix` writes each column once into the block `values` views,
+    and `predict` walks that block in place."""
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_and_predict_peaks(self):
+        frame = generate_synthetic(SyntheticConfig(n_hours=20000, seed=3))
+        matrix, build_peak = self.peak(
+            lambda: build_matrix(frame, FeatureSpec()))
+        assert build_peak <= 1.5 * matrix.values.nbytes
+        assert matrix.values.T.flags.c_contiguous
+        model, _ = gbtree.fit(matrix.values[:2000], matrix.target[:2000],
+                              gbtree.HyperParams(n_estimators=5),
+                              feature_names=matrix.column_names)
+        _, predict_peak = self.peak(lambda: gbtree.predict(model, matrix))
+        assert predict_peak <= 0.5 * matrix.values.nbytes
 
 
 class TestFeatureSpec:
