@@ -462,6 +462,8 @@ def render_ablation_table(report: dict) -> str:
 
 def cmd_tune(args) -> int:
     tuner.check_budget(args.budget, args.init)
+    if args.n_estimators_cap < 1:
+        raise ConfigError("--n-estimators-cap must be >= 1")
     out_dir = Path(args.out)
     frame, source = _load_frame(args)
     spec = _load_spec(args)

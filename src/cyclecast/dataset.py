@@ -191,7 +191,8 @@ def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
     if not path.exists():
         raise DataError(f"no such file: {path}")
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports add.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

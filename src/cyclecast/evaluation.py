@@ -1,8 +1,7 @@
 """Metrics, the one split-and-fit path shared by hold-out evaluation and
 expanding-window cross-validation, the one CV fold runner (worker
-processes started by multiprocessing's "fork" method, or this process
-alone when it has none), period breakdowns, and residual-distribution
-statistics."""
+processes started by `os.fork`, or this process alone when it has none),
+period breakdowns, and residual-distribution statistics."""
 
 from __future__ import annotations
 
@@ -10,6 +9,7 @@ import math
 import os
 import signal
 import time
+import traceback
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -236,17 +236,21 @@ class FoldWorkers:
 
     Construction lays the folds out over the frame rows `matrix` was built
     from, warm-up included (`expanding_splits`), raising ConfigError for a
-    layout that does not fit, and starts nothing. Entering starts
-    min(usable CPUs, k) - 1 workers as multiprocessing "fork" processes,
-    or none on a platform without fork. Each worker holds `matrix` and the
-    folds from the fork and fits its own fixed group of folds
-    (`fold_groups`) for every call; it receives the params over its own
-    `Pipe` and sends back its fold RMSEs, or the exception a fold raised.
-    This process fits the group that holds the longest fold and every
-    group without a worker, so with no workers it fits every fold itself.
-    A worker ignores SIGINT and ends when its pipe closes, without running
-    this process's exit handlers; multiprocessing flushes this process's
-    standard streams before each start, so a worker never writes output
+    layout that does not fit, and starts nothing. Entering forks
+    min(usable CPUs, k) - 1 workers with `os.fork`, or none on a platform
+    without it. Each worker holds `matrix` and the folds from the fork and
+    fits its own fixed group of folds (`fold_groups`) for every call; it
+    receives the params over its own `multiprocessing.connection.Pipe` and
+    sends back its fold RMSEs, or the exception a fold raised. This
+    process fits the group that holds the longest fold and every group
+    without a worker, so with no workers it fits every fold itself.
+
+    A worker ignores SIGINT and serves until its pipe closes. It always
+    leaves by `os._exit`: with status 0 when the pipe closes, or with
+    status 1 after writing the traceback of anything else that raised
+    (such as a fold exception that cannot be pickled) straight to file
+    descriptor 2. So it runs none of this process's exit handlers and
+    never flushes the standard streams it inherited, which may hold output
     that this process buffered. Leaving the block closes the pipes and
     reaps every worker, killing them first if the block raised.
 
@@ -266,7 +270,7 @@ class FoldWorkers:
                         for _, (va_s, va_e) in plan.splits]
         n = min(usable_cpus(), k) if hasattr(os, "fork") else 1
         self._groups = fold_groups([cut for cut, _ in self._bounds], n)
-        self._workers = []  # (process, this process's end of its pipe)
+        self._workers = []  # (pid, this process's end of its pipe)
         self._broken = None
 
     def __enter__(self):
@@ -288,11 +292,11 @@ class FoldWorkers:
             raise InvariantError(self._broken)
         # Until every worker has answered, its pipe may hold a stale result.
         self._broken = "an interrupted call left fold workers out of step"
-        for process, conn in self._workers:
+        for pid, conn in self._workers:
             try:
                 conn.send(params)
             except BrokenPipeError:
-                self._fail(process, "took no params")
+                self._fail(pid, "took no params")
         # Workers hold the last groups; this process fits the others.
         own = self._groups[:len(self._groups) - len(self._workers)]
         outcomes = [self._fit_group(params, group) for group in own]
@@ -325,88 +329,70 @@ class FoldWorkers:
             return rmses, exc
         return rmses, None
 
-    def _result(self, process, conn):
+    def _result(self, pid, conn):
         try:
             return conn.recv()
         except Exception as err:  # EOF from a dead worker, or bad bytes
-            self._fail(process, f"sent no result ({err!r})")
+            self._fail(pid, f"sent no result ({err!r})")
 
-    def _fail(self, process, what):
-        self._close(kill=True)
-        code = process.exitcode
+    def _fail(self, pid, what):
+        code = self._close(kill=True)[pid]
         how = (f"exited with status {code}" if code >= 0
                else f"was killed by signal {-code}")
-        self._broken = f"fold worker {process.pid} {what}; it {how}"
+        self._broken = f"fold worker {pid} {what}; it {how}"
         raise InvariantError(self._broken)
 
     def _start(self, group):
-        """Start the worker that fits `group`: (its process, this
-        process's end of its pipe)."""
+        """Fork the worker that fits `group`: (its pid, this process's end
+        of its pipe). A refused fork leaves no end of the pipe open."""
         # About 10 ms and 0.66 MB, so only a run that starts a worker
         # imports it.
-        import multiprocessing
+        from multiprocessing.connection import Pipe
 
-        context = multiprocessing.get_context("fork")
-        conn, child_conn = context.Pipe()
+        conn, child_conn = Pipe()
         # SIGINT stays blocked until the child ignores it, so Ctrl-C can
         # never raise in the child on its way out of fork.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            process = context.Process(target=self._serve, daemon=True,
-                                      args=(group, mask, child_conn, conn))
-            process.start()
-        except BaseException as exc:
+            pid = os.fork()
+            if pid == 0:
+                self._serve(group, mask, child_conn, conn)  # never returns
+        except BaseException:
             conn.close()
-            _close_unforked_pipes(exc)
             raise
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             child_conn.close()
-        return process, conn
+        return pid, conn
 
     def _serve(self, group, mask, conn, parent_end):
         """The worker: keep only its own end of its own pipe, then take
-        params and send back (RMSEs, exception) until the pipe closes. An
-        exception that cannot be pickled ends the worker with status 1."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for _, sibling in self._workers:
-            sibling.close()
-        parent_end.close()
-        while True:
-            try:
-                params = conn.recv()
-            except EOFError:
-                return
-            conn.send(self._fit_group(params, group))
+        params and send back (RMSEs, exception) until the pipe closes."""
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for _, sibling in self._workers:
+                sibling.close()
+            parent_end.close()
+            while True:
+                conn.send(self._fit_group(conn.recv(), group))
+        except EOFError:  # the pipe closed
+            os._exit(0)
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(1)
 
     def _close(self, kill):
-        """Close every pipe and reap every worker."""
+        """Close every pipe and reap every worker: {pid: exit code, or
+        -N for a worker that signal N killed}."""
         workers, self._workers = self._workers, []
-        for process, conn in workers:
+        for pid, conn in workers:
             conn.close()
             if kill:
-                process.kill()
-        for process, _ in workers:
-            process.join()
-
-
-def _close_unforked_pipes(exc):
-    """Close the two pipes that multiprocessing's fork Popen._launch opens
-    before os.fork(), if `exc` left _launch before the fork returned:
-    _launch closes them only once the child exists. They are found, by
-    name, in the _launch frame of `exc`'s traceback."""
-    from multiprocessing import popen_fork
-
-    tb = exc.__traceback__
-    while tb is not None:
-        frame = tb.tb_frame
-        if (frame.f_code is popen_fork.Popen._launch.__code__
-                and not hasattr(frame.f_locals["self"], "pid")):
-            for name in ("parent_r", "child_w", "child_r", "parent_w"):
-                if name in frame.f_locals:
-                    os.close(frame.f_locals[name])
-        tb = tb.tb_next
+                os.kill(pid, signal.SIGKILL)
+        return {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                for pid, _ in workers}
 
 
 def period_breakdown(y, yhat, hours):

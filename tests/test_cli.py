@@ -1,9 +1,13 @@
+import contextlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +391,15 @@ class TestTune:
         best = json.loads((out / "best_params.json").read_text())
         assert best["reg_lambda"] == 2.5
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_tree_cap_below_one_is_usage_error(self, tmp_path, capsys, cap):
+        out = tmp_path / "out"
+        assert run_cli("tune", "--out", str(out), "--n-hours", "600",
+                       "--n-estimators-cap", cap) == 1
+        assert capsys.readouterr().err == \
+            "usage error: --n-estimators-cap must be >= 1\n"
+        assert not out.exists()
+
     def test_budget_must_exceed_init(self, tmp_path):
         # Both halves of the rule fail before any file is written.
         out = tmp_path / "out"
@@ -480,6 +493,59 @@ class TestTuneWorkers:
         err = capsys.readouterr().err
         assert err.startswith("internal error: fold worker ")
         assert err.rstrip().endswith("it was killed by signal 9")
+
+    def test_unpicklable_fold_error_is_internal_error(self, tune,
+                                                      monkeypatch, capfd):
+        # A worker cannot send an exception that holds a lock: it writes
+        # the pickling traceback to stderr and exits with status 1.
+        self.first_fold_raises(monkeypatch, RuntimeError(threading.Lock()))
+        assert tune(2) == 3
+        err = capfd.readouterr().err
+        assert "TypeError: cannot pickle" in err
+        assert re.fullmatch(r"internal error: fold worker \d+ sent no result "
+                            r"\(EOFError\(\)\); it exited with status 1",
+                            err.splitlines()[-1])
+
+    def test_ctrl_c_gives_one_traceback_and_leaves_no_worker(self, tmp_path):
+        # Ctrl-C signals the terminal's whole process group: tune and its
+        # worker. The worker ignores it; tune kills and reaps it.
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cyclecast.__file__).parent.parent),
+             os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", TUNE_ON_TWO_CPUS, "tune", "--out",
+             str(out), "--n-hours", "1176", "--budget", "30", "--k", "3",
+             "--delta", "168", "--no-timing"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True)
+        try:
+            trials = out / "trials.jsonl"
+            while not (trials.exists() and trials.read_text()):
+                assert proc.poll() is None, proc.stderr.read()
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == -signal.SIGINT
+            assert err.count("Traceback") == 1
+            assert err.splitlines()[-1] == "KeyboardInterrupt"
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+# Runs tune in a fresh interpreter as if it had two usable CPUs, so that
+# it starts one fold worker.
+TUNE_ON_TWO_CPUS = """
+import sys
+from cyclecast import evaluation
+from cyclecast.cli import main
+evaluation.usable_cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 class TestPredict:

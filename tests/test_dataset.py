@@ -173,6 +173,21 @@ class TestLoadCsv:
         assert len(frame) == 2
         assert frame.rejected_rows == ((1, "timestamp has a UTC offset"),)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Spreadsheet exports often start a UTF-8 file with a BOM, which
+        # would otherwise stick to the first header name.
+        plain = make_csv(tmp_path, [
+            row("2023-01-01 00:00:00", 1.5),
+            row("2023-01-01 01:00:00", "oops"),
+            row("2023-01-01 02:00:00", 3.5),
+        ])
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(plain), load_csv(marked)
+        assert np.array_equal(a.timestamps, b.timestamps)
+        assert a.target.tolist() == b.target.tolist() == [1.5, 3.5]
+        assert a.rejected_rows == b.rejected_rows != ()
+
     def test_year_scale_file(self, tmp_path):
         # Hourly 2023 file at the 8,737-row scale loads in full.
         frame = generate_synthetic(SyntheticConfig(n_hours=8737, seed=1))

@@ -271,15 +271,26 @@ class TestFoldWorkers(CVCase):
                 cross_validate(folds, self.params())
         assert_no_children()
 
+    def test_worker_ignores_sigint(self, cpus):
+        # Ctrl-C signals the whole process group; a worker must live on
+        # and answer, so that only this process is interrupted.
+        cpus(2)
+        with FoldWorkers(self.matrix(), 3, 50) as folds:
+            first = cross_validate(folds, self.params())
+            [(pid, _)] = folds._workers
+            os.kill(pid, signal.SIGINT)
+            assert cross_validate(folds, self.params()) == first
+        assert_no_children()
+
     def test_dead_worker_took_no_params(self, cpus):
         # The worker is dead, and not yet reaped, before the call sends to
         # it.
         cpus(2)
         with FoldWorkers(self.matrix(), 3, 50) as folds:
             cross_validate(folds, self.params())
-            [(worker, _)] = folds._workers
-            os.kill(worker.pid, signal.SIGKILL)
-            os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
+            [(pid, _)] = folds._workers
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
             with pytest.raises(InvariantError, match="took no params; it "
                                "was killed by signal 9"):
                 cross_validate(folds, self.params())
@@ -314,8 +325,8 @@ class TestFoldWorkers(CVCase):
                 pass
         assert kills == [(pids[0], signal.SIGKILL)]
         assert_no_children()
-        # Neither the runner's pipes nor the two that multiprocessing
-        # opens before the refused fork stay open.
+        # No end of the started worker's pipe or of the pipe opened for
+        # the refused fork stays open.
         assert open_fds() == before
 
     def test_tune_outputs_do_not_depend_on_cpus(self, cpus, tmp_path):
