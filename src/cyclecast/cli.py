@@ -16,6 +16,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -226,7 +227,7 @@ def _with_overrides(params: HyperParams, overrides: dict) -> HyperParams:
 
 def strip_timing(obj):
     """Remove wall-time fields recursively (for --no-timing determinism)."""
-    timing_keys = {"train_time_s", "wall_time", "mean_latency_us"}
+    timing_keys = {"train_time_s", "wall_time", "mean_latency_us", "timing"}
     if isinstance(obj, dict):
         return {k: strip_timing(v) for k, v in obj.items()
                 if k not in timing_keys}
@@ -496,12 +497,31 @@ def cmd_tune(args) -> int:
 
     trials_path = out_dir / "trials.jsonl"
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Wall seconds in fold batches and in GP fits' restarts.
+    timing = {"cv_s": 0.0, "gp_fit_s": 0.0}
+
+    def timed(key, fn, *args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            timing[key] += time.perf_counter() - t0
+
+    def evaluate(points):
+        """(CV score, or what failed it; seconds) per point, from one
+        batch of fold fits."""
+        results = timed("cv_s", folds.cv_results,
+                        [to_params(p) for p in points])
+        return [(r if isinstance(r, Exception) else r.cv_score, seconds)
+                for r, seconds in results]
+
+    workers = SimpleNamespace(
+        evaluate=evaluate,
+        map=lambda fn, args: timed("gp_fit_s", folds.map, fn, args))
+
     # The fold workers fork before trials.jsonl opens, so they hold no
     # handle on it.
     with folds, open(trials_path, "w", encoding="utf-8") as stream:
-        def objective(point: dict) -> float:
-            return evaluation.cross_validate(folds, to_params(point)).cv_score
-
         def on_trial(trial):
             record = trial.to_dict()
             record["params"] = fitted(record["params"])
@@ -511,10 +531,11 @@ def cmd_tune(args) -> int:
             stream.flush()
 
         best_point, trials = tuner.optimize(
-            space, objective, budget=args.budget, init=args.init,
+            space, None, budget=args.budget, init=args.init,
             seed=args.seed, initial_points=[default_point],
-            on_trial=on_trial,
+            on_trial=on_trial, workers=workers,
         )
+    timing["wait_s"] = folds.wait_s
 
     trace = tuner.incumbent_trace(trials)
     with open(out_dir / "convergence.csv", "w", newline="",
@@ -541,6 +562,7 @@ def cmd_tune(args) -> int:
         "best_point": fitted(best_point),
         "best_params": best_params.to_dict(),
         "n_failed_trials": sum(1 for t in trials if t.failed),
+        "timing": timing,
     }
     report = write_report(report, out_dir / "tune_report.json",
                           args.no_timing)

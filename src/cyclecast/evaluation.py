@@ -1,7 +1,9 @@
 """Metrics, the one split-and-fit path shared by hold-out evaluation and
-expanding-window cross-validation, the one CV fold runner (worker
-processes started by `os.fork`, or this process alone when it has none),
-period breakdowns, and residual-distribution statistics."""
+expanding-window cross-validation, the one runner for CV folds and other
+independent tasks (this process and worker processes started by
+`os.fork`, claiming tasks from a counter they share, or this process
+alone when it has none), period breakdowns, and residual-distribution
+statistics."""
 
 from __future__ import annotations
 
@@ -11,12 +13,13 @@ import signal
 import time
 import traceback
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from . import gbtree
 from .encoding import HOUR
-from .errors import ConfigError, DataError, InvariantError
+from .errors import ConfigError, CyclecastError, DataError, InvariantError
 from .features import build_matrix
 
 MAPE_FLOOR = 1e-8
@@ -201,10 +204,13 @@ def cross_validate(folds, params) -> CVResult:
     """Mean fold RMSE over the folds of `folds`, a `FoldWorkers`. Each
     fold fits with `fit_before` on the rows before its validation block
     and scores the block; all features are backward-looking, so no
-    validation row leaks into training features."""
-    fold_rmses = folds.fold_rmses(params)
-    return CVResult(cv_score=float(np.mean(fold_rmses)),
-                    fold_rmses=tuple(fold_rmses))
+    validation row leaks into training features. Raises what the
+    lowest-numbered failing fold raised, as fitting the folds in order
+    would."""
+    result, _ = folds.cv_results([params])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def usable_cpus() -> int:
@@ -215,35 +221,67 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def fold_groups(cuts, n) -> list:
-    """Fold indices in n groups, balanced by training rows.
+class _Counter:
+    """A task counter that forked processes share: the first 8 bytes of an
+    unlinked temporary file. A process holds a POSIX record lock on the
+    file while it moves the counter. The system drops the lock of a
+    process that dies, so a worker killed mid-claim stalls no one."""
 
-    Folds go longest training range first, each to the group with the
-    fewest training rows so far, so group 0 holds the longest fold. Each
-    group lists its folds in fold order.
-    """
-    groups, rows = [[] for _ in range(n)], [0] * n
-    for i in sorted(range(len(cuts)), key=lambda i: -cuts[i]):
-        g = rows.index(min(rows))
-        groups[g].append(i)
-        rows[g] += cuts[i]
-    return [sorted(g) for g in groups]
+    def __init__(self):
+        # Imported here: only a run that starts a worker needs them.
+        import fcntl
+        import tempfile
+
+        self._fcntl = fcntl
+        self._file = tempfile.TemporaryFile(buffering=0)
+        self._fd = self._file.fileno()
+
+    def reset(self):
+        os.pwrite(self._fd, bytes(8), 0)
+
+    def claim(self, n):
+        """The next of task numbers 0 .. n - 1, or None once all are
+        taken."""
+        self._fcntl.lockf(self._fd, self._fcntl.LOCK_EX)
+        try:
+            i = int.from_bytes(os.pread(self._fd, 8, 0), "little")
+            if i < n:
+                os.pwrite(self._fd, (i + 1).to_bytes(8, "little"), 0)
+        finally:
+            self._fcntl.lockf(self._fd, self._fcntl.LOCK_UN)
+        return i if i < n else None
+
+    def close(self):
+        self._file.close()
 
 
 class FoldWorkers:
     """The expanding-window folds of `matrix` and the processes that fit
-    them for `cross_validate(folds, params)`.
+    them: `cv_results` scores a list of params at once, and `map` runs
+    other independent calls on the same processes.
 
     Construction lays the folds out over the frame rows `matrix` was built
     from, warm-up included (`expanding_splits`), raising ConfigError for a
     layout that does not fit, and starts nothing. Entering forks
     min(usable CPUs, k) - 1 workers with `os.fork`, or none on a platform
-    without it. Each worker holds `matrix` and the folds from the fork and
-    fits its own fixed group of folds (`fold_groups`) for every call; it
-    receives the params over its own `multiprocessing.connection.Pipe` and
-    sends back its fold RMSEs, or the exception a fold raised. This
-    process fits the group that holds the longest fold and every group
-    without a worker, so with no workers it fits every fold itself.
+    without it. Each worker holds `matrix` and the folds from the fork.
+
+    Each call is one list of independent tasks. This process sends the
+    list to every worker over the worker's own
+    `multiprocessing.connection.Pipe`. Then it and the workers each claim
+    the next unclaimed task from a counter they share (`_Counter`) until
+    none is left, and each worker sends back the results of the tasks it
+    ran. Fold fits are listed longest training range first, so that the
+    last tasks claimed are the shortest (Graham's list scheduling). Every
+    task is deterministic and its result goes back into task order, so no
+    output depends on which process ran what. With no workers this
+    process runs every task, in order.
+
+    A task that raises hands its exception back as its result. With a
+    worker running, this process claims no task after one of its own has
+    raised anything but a CyclecastError, a fault that ends the run: the
+    workers take what is left, so a worker that dies or cannot send its
+    result is still reported.
 
     A worker ignores SIGINT and serves until its pipe closes. It always
     leaves by `os._exit`: with status 0 when the pipe closes, or with
@@ -251,8 +289,9 @@ class FoldWorkers:
     (such as a fold exception that cannot be pickled) straight to file
     descriptor 2. So it runs none of this process's exit handlers and
     never flushes the standard streams it inherited, which may hold output
-    that this process buffered. Leaving the block closes the pipes and
-    reaps every worker, killing them first if the block raised.
+    that this process buffered. Leaving the block closes the pipes and the
+    counter and reaps every worker, killing them first if the block raised
+    or a call was cut short.
 
     A worker that dies, or a result that cannot cross the pipe, raises
     InvariantError naming the worker's exit status, and every later call
@@ -268,66 +307,107 @@ class FoldWorkers:
         plan = expanding_splits(offset + matrix.n_rows, k, delta)
         self._bounds = [(va_s - offset, va_e - offset)
                         for _, (va_s, va_e) in plan.splits]
+        # Fold numbers, longest training range first.
+        self._order = sorted(range(k), key=lambda i: -self._bounds[i][0])
         n = min(usable_cpus(), k) if hasattr(os, "fork") else 1
-        self._groups = fold_groups([cut for cut, _ in self._bounds], n)
+        self._n_workers = n - 1
         self._workers = []  # (pid, this process's end of its pipe)
+        self._counter = None
         self._broken = None
+        self.wait_s = 0.0  # seconds spent waiting on workers' results
 
     def __enter__(self):
         try:
-            for group in self._groups[1:]:
-                self._workers.append(self._start(group))
+            if self._n_workers:
+                self._counter = _Counter()
+            for _ in range(self._n_workers):
+                self._workers.append(self._start())
         except BaseException:
             self._close(kill=True)
             raise
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._close(kill=exc_type is not None)
+        self._close(kill=exc_type is not None or self._broken is not None)
 
-    def fold_rmses(self, params) -> list:
-        """Every fold's RMSE in fold order; if folds raised, what the
-        lowest-numbered one raised, as fitting them in order would."""
+    def cv_results(self, params_list) -> list:
+        """For each params, in order: its CVResult, or what its
+        lowest-numbered failing fold raised, and the seconds from this
+        call's start until its last fold ended."""
+        t0 = time.perf_counter()
+        m = len(params_list)
+        results = self._run(None, [(params, i) for i in self._order
+                                   for params in params_list])
+        out = []
+        for j in range(m):
+            by_fold = dict(zip(self._order, results[j::m]))
+            folds = [by_fold[i] for i in sorted(by_fold)]
+            seconds = max(end for _, _, end in folds) - t0
+            errors = [exc for _, exc, _ in folds if exc is not None]
+            if errors:
+                out.append((errors[0], seconds))
+                continue
+            rmses = tuple(value for value, _, _ in folds)
+            out.append((CVResult(cv_score=float(np.mean(rmses)),
+                                 fold_rmses=rmses), seconds))
+        return out
+
+    def map(self, fn, args_list) -> list:
+        """[fn(*args) for args in args_list], each call a task; raises
+        what the first failing call raised. `fn` must pickle by name, as
+        a module-level function does."""
+        results = self._run(fn, list(args_list))
+        for _, exc, _ in results:
+            if exc is not None:
+                raise exc
+        return [value for value, _, _ in results]
+
+    def _run(self, fn, tasks) -> list:
+        """(value, exception, end) per task, in task order: what the task
+        returned or raised (the other is None) and `time.perf_counter()`
+        when it ended. A task is `fn(*args)`, or the RMSE of fold i for
+        params when `fn` is None and args are (params, i)."""
         if self._broken is not None:
             raise InvariantError(self._broken)
         # Until every worker has answered, its pipe may hold a stale result.
         self._broken = "an interrupted call left fold workers out of step"
+        results = [None] * len(tasks)
+        if self._workers:
+            self._counter.reset()
+            for pid, conn in self._workers:
+                try:
+                    conn.send((fn, tasks))
+                except BrokenPipeError:
+                    self._fail(pid, "took no params")
+            claims = iter(partial(self._counter.claim, len(tasks)), None)
+        else:
+            claims = range(len(tasks))
+        for i in claims:
+            results[i] = self._task(fn, tasks[i])
+            exc = results[i][1]
+            if (self._workers and exc is not None
+                    and not isinstance(exc, CyclecastError)):
+                break  # the workers take the rest; see the class docstring
+        t0 = time.perf_counter()
         for pid, conn in self._workers:
-            try:
-                conn.send(params)
-            except BrokenPipeError:
-                self._fail(pid, "took no params")
-        # Workers hold the last groups; this process fits the others.
-        own = self._groups[:len(self._groups) - len(self._workers)]
-        outcomes = [self._fit_group(params, group) for group in own]
-        outcomes += [self._result(*worker) for worker in self._workers]
+            for i, result in self._result(pid, conn):
+                results[i] = result
+        self.wait_s += time.perf_counter() - t0
         self._broken = None
-        rmses = [None] * len(self._bounds)
-        first = None  # (fold, exception) of the lowest failing fold
-        for group, (values, exc) in zip(self._groups, outcomes):
-            for i, value in zip(group, values):
-                rmses[i] = value
-            if exc is not None and (first is None
-                                    or group[len(values)] < first[0]):
-                first = (group[len(values)], exc)
-        if first is not None:
-            raise first[1]
-        return rmses
+        return results
 
-    def _fit_group(self, params, group):
-        """(RMSEs, exception): the RMSEs of `group`'s folds in order, up to
-        the first fold that raises, and what it raised (None if none
-        did)."""
-        rmses = []
+    def _task(self, fn, args):
         try:
-            for i in group:
-                cut, stop = self._bounds[i]
-                model, _ = fit_before(self._matrix, cut, params)
-                pred = gbtree.predict(model, self._matrix.values[cut:stop])
-                rmses.append(rmse(self._matrix.target[cut:stop], pred))
-        except Exception as exc:  # carried to where fold order picks one
-            return rmses, exc
-        return rmses, None
+            value = self._fold_rmse(*args) if fn is None else fn(*args)
+        except Exception as exc:  # carried back to the caller in task order
+            return None, exc, time.perf_counter()
+        return value, None, time.perf_counter()
+
+    def _fold_rmse(self, params, i):
+        cut, stop = self._bounds[i]
+        model, _ = fit_before(self._matrix, cut, params)
+        pred = gbtree.predict(model, self._matrix.values[cut:stop])
+        return rmse(self._matrix.target[cut:stop], pred)
 
     def _result(self, pid, conn):
         try:
@@ -342,9 +422,9 @@ class FoldWorkers:
         self._broken = f"fold worker {pid} {what}; it {how}"
         raise InvariantError(self._broken)
 
-    def _start(self, group):
-        """Fork the worker that fits `group`: (its pid, this process's end
-        of its pipe). A refused fork leaves no end of the pipe open."""
+    def _start(self):
+        """Fork a worker: (its pid, this process's end of its pipe). A
+        refused fork leaves no end of the pipe open."""
         # About 10 ms and 0.66 MB, so only a run that starts a worker
         # imports it.
         from multiprocessing.connection import Pipe
@@ -356,7 +436,7 @@ class FoldWorkers:
         try:
             pid = os.fork()
             if pid == 0:
-                self._serve(group, mask, child_conn, conn)  # never returns
+                self._serve(mask, child_conn, conn)  # never returns
         except BaseException:
             conn.close()
             raise
@@ -365,9 +445,11 @@ class FoldWorkers:
             child_conn.close()
         return pid, conn
 
-    def _serve(self, group, mask, conn, parent_end):
+    def _serve(self, mask, conn, parent_end):
         """The worker: keep only its own end of its own pipe, then take
-        params and send back (RMSEs, exception) until the pipe closes."""
+        task lists, claim and run tasks until none is left, and send back
+        (task number, result) for each one it ran, until the pipe
+        closes."""
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -375,7 +457,9 @@ class FoldWorkers:
                 sibling.close()
             parent_end.close()
             while True:
-                conn.send(self._fit_group(conn.recv(), group))
+                fn, tasks = conn.recv()
+                claims = iter(partial(self._counter.claim, len(tasks)), None)
+                conn.send([(i, self._task(fn, tasks[i])) for i in claims])
         except EOFError:  # the pipe closed
             os._exit(0)
         except BaseException:
@@ -384,13 +468,16 @@ class FoldWorkers:
             os._exit(1)
 
     def _close(self, kill):
-        """Close every pipe and reap every worker: {pid: exit code, or
-        -N for a worker that signal N killed}."""
+        """Close every pipe and the counter and reap every worker: {pid:
+        exit code, or -N for a worker that signal N killed}."""
         workers, self._workers = self._workers, []
         for pid, conn in workers:
             conn.close()
             if kill:
                 os.kill(pid, signal.SIGKILL)
+        if self._counter is not None:
+            self._counter.close()
+            self._counter = None
         return {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 for pid, _ in workers}
 

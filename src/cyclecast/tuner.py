@@ -16,7 +16,14 @@ stats.qmc.LatinHypercube that gives its bits for an int seed, lays out
 both the initial design and the candidates that expected improvement is
 scored on.
 
-So the module needs numpy alone. On a 2-vCPU host with Python 3.11 and
+The module starts no processes. `optimize` scores one point at a time
+and `gp_fit` runs its restarts one after another, unless the caller hands
+them a way to run independent work elsewhere: `optimize`'s `workers`
+scores the whole initial design as one batch, and `gp_fit`'s `mapper`
+maps the restarts. Results are used in the order of the points and the
+starts, so the search does not depend on how they ran.
+
+The module needs numpy alone. On a 2-vCPU host with Python 3.11 and
 numpy 2.4, importing cyclecast.cli takes about 0.09 s and peaks at 31 MB
 resident, and a small `tune` run (480 hours, budget 6) at 42 MB.
 """
@@ -118,6 +125,12 @@ class ParamSpace:
 
 @dataclass
 class Trial:
+    """One evaluated point. `wall_time` is the seconds from the start of
+    the evaluation call that scored it until its value was known. A trial
+    scored alone counts its own run; a trial of an initial design scored
+    as one batch (`optimize`'s `workers`) counts from the batch's start,
+    in `tune` until its last fold returned."""
+
     params: dict
     objective: float | None
     iteration: int
@@ -336,12 +349,28 @@ def _line_search(fun, x, f, g, p, step, lower, upper):
     return found
 
 
-def gp_fit(X, y, seed=0, start=None) -> Surrogate:
+def _restart(start, X, ys, lower, upper):
+    """(log-parameters, value) at the likelihood minimum that one start
+    of gp_fit reaches."""
+    x, f, _ = _minimize_box(
+        lambda theta: _neg_log_marginal_likelihood(theta, X, ys),
+        start, lower, upper)
+    return x, f
+
+
+def _serial_map(fn, args_list):
+    return [fn(*args) for args in args_list]
+
+
+def gp_fit(X, y, seed=0, start=None, mapper=None) -> Surrogate:
     """Fit GP kernel hyperparameters by multi-start likelihood maximization.
 
     The starts are a fixed point and three random ones, or, given the
     log-parameters `start` of an earlier fit (Surrogate.log_params),
-    `start` and one random point."""
+    `start` and one random point. Each start is an independent task:
+    `mapper(fn, args_list)`, by default a loop in this process, returns
+    [fn(*args) for args in args_list] in order, and the best start wins,
+    the earliest on a tie."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] < 2:
@@ -369,10 +398,8 @@ def gp_fit(X, y, seed=0, start=None) -> Surrogate:
     upper = np.array([math.log(1e2)] * d + [math.log(1e3), 0.0])
 
     best_x, best_f = None, math.inf
-    for s in starts:
-        x, f, _ = _minimize_box(
-            lambda theta: _neg_log_marginal_likelihood(theta, X, ys),
-            s, lower, upper)
+    for x, f in (mapper or _serial_map)(
+            _restart, [(s, X, ys, lower, upper) for s in starts]):
         if best_x is None or f < best_f:
             best_x, best_f = x, f
     ls = np.exp(best_x[:d])
@@ -429,25 +456,36 @@ def _latin_hypercube(d, n, seed):
     return (perms.T - u) / n
 
 
-def _evaluate(objective, params, iteration):
-    """Run one trial. A CyclecastError or a non-finite value marks it
-    failed, with the reason. An InvariantError, a fault of the program
-    rather than of the trial's point, and any other exception propagate."""
+def _timed(objective, params):
+    """(objective(params) as a float, or the CyclecastError it raised;
+    the seconds it took). Any other exception propagates."""
     t0 = time.perf_counter()
-    error = None
     try:
         value = float(objective(params))
-        if not math.isfinite(value):
-            error = f"non-finite objective {value!r}"
-    except InvariantError:
-        raise
     except CyclecastError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    wall = time.perf_counter() - t0
+        value = exc
+    return value, time.perf_counter() - t0
+
+
+def _trial(params, outcome, wall, iteration):
+    """The trial of one evaluation. An outcome that is a CyclecastError,
+    or a non-finite value, marks it failed, with the reason. An outcome
+    that is an InvariantError, a fault of the program rather than of the
+    trial's point, or any other exception raises."""
+    error = None
+    if isinstance(outcome, BaseException):
+        if (isinstance(outcome, InvariantError)
+                or not isinstance(outcome, CyclecastError)):
+            raise outcome
+        error = f"{type(outcome).__name__}: {outcome}"
+    else:
+        outcome = float(outcome)
+        if not math.isfinite(outcome):
+            error = f"non-finite objective {outcome!r}"
     failed = error is not None
     return Trial(
         params=params,
-        objective=None if failed else value,
+        objective=None if failed else outcome,
         iteration=iteration,
         wall_time=wall,
         failed=failed,
@@ -471,7 +509,7 @@ def check_budget(budget, init):
 
 
 def optimize(space: ParamSpace, objective, budget, init, seed=42,
-             initial_points=None, on_trial=None):
+             initial_points=None, on_trial=None, workers=None):
     """Sequential GP/EI minimization of `objective` over `space`.
 
     Starts from Latin-hypercube samples (plus any caller-provided
@@ -479,6 +517,16 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
     iterates fit-surrogate / maximize-EI over a fresh seeded Latin
     hypercube of N_CANDIDATES points per trial, with local refinements
     around the incumbent. Returns (best params dict, trial history).
+
+    By default this process calls `objective` on one point at a time and
+    runs each GP fit's restarts one after another. `workers` takes both
+    over, and `objective` is then not called: `workers.evaluate(points)`
+    returns, for each point in order, (its objective value or the
+    exception its evaluation raised, its wall seconds), and scores the
+    whole initial design in one call and each later trial alone;
+    `workers.map` is gp_fit's `mapper`. Trials are recorded, and passed
+    to `on_trial`, in iteration order either way, so a batch's trials
+    reach `on_trial` when the batch ends.
     """
     check_budget(budget, init)
     rng = np.random.default_rng(seed)
@@ -493,18 +541,35 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
     # seeds and local perturbations whatever a design consumes.
     gen = np.random.default_rng(int(rng.integers(2 ** 31)))
 
-    theta = None  # the last GP fit's log-parameters, the next one's start
+    design = [space.from_unit(np.asarray(u)) for u in unit_points]
+    if workers is None:
+        def evaluate(points):
+            return [_timed(objective, p) for p in points]
+        mapper, batches = None, [[params] for params in design]
+    else:
+        evaluate, mapper, batches = workers.evaluate, workers.map, [design]
+
     trials: list[Trial] = []
-    for it in range(budget):
+
+    def run(points):
+        for params, (outcome, wall) in zip(points, evaluate(points)):
+            trial = _trial(params, outcome, wall, len(trials))
+            trials.append(trial)
+            if on_trial is not None:
+                on_trial(trial)
+
+    for points in batches:
+        run(points)
+
+    theta = None  # the last GP fit's log-parameters, the next one's start
+    for _ in range(init, budget):
         ok = [t for t in trials if not t.failed]
-        if it < init:
-            u = unit_points[it]
-        elif len(ok) >= 2:
+        if len(ok) >= 2:
             # The GP sees the unit coordinates of the *rounded* points run.
             X_obs = np.array([space.to_unit(t.params) for t in ok])
             y_obs = np.array([t.objective for t in ok])
-            surrogate = gp_fit(X_obs, y_obs,
-                               seed=int(rng.integers(2 ** 31)), start=theta)
+            surrogate = gp_fit(X_obs, y_obs, seed=int(rng.integers(2 ** 31)),
+                               start=theta, mapper=mapper)
             theta = surrogate.log_params
             best_u = X_obs[int(np.argmin(y_obs))]
             cands = _latin_hypercube(d, N_CANDIDATES, gen)
@@ -517,10 +582,7 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
             u = cands[int(np.argmax(ei))]
         else:
             u = rng.uniform(size=d)
-        trial = _evaluate(objective, space.from_unit(np.asarray(u)), it)
-        trials.append(trial)
-        if on_trial is not None:
-            on_trial(trial)
+        run([space.from_unit(np.asarray(u))])
 
     return _best_params(trials), trials
 
@@ -533,7 +595,7 @@ def random_search(space: ParamSpace, objective, budget, seed=42):
     trials = []
     for it in range(budget):
         params = space.from_unit(rng.uniform(size=space.n_dims))
-        trials.append(_evaluate(objective, params, it))
+        trials.append(_trial(params, *_timed(objective, params), it))
     return _best_params(trials), trials
 
 

@@ -351,6 +351,25 @@ class TestTune:
                      "best_params.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_timing_is_reported_and_stripped(self, tmp_path):
+        timed, untimed = tmp_path / "timed", tmp_path / "untimed"
+        argv = ["tune", "--n-hours", "600", "--budget", "6", "--init", "3",
+                "--delta", "60", "--k", "2", "--n-estimators-cap", "20"]
+        assert run_cli(*argv, "--out", str(timed)) == 0
+        assert run_cli(*argv, "--out", str(untimed), "--no-timing") == 0
+        report = json.loads((timed / "tune_report.json").read_text())
+        timing = report["timing"]
+        assert list(timing) == ["cv_s", "gp_fit_s", "wait_s"]
+        assert timing["cv_s"] > 0 and timing["gp_fit_s"] > 0
+        assert timing["wait_s"] >= 0
+        # A batched initial trial's wall time runs from its batch's start.
+        trials = [json.loads(line) for line in
+                  (timed / "trials.jsonl").read_text().splitlines()]
+        assert all(0 < t["wall_time"] <= timing["cv_s"] for t in trials)
+        # --no-timing writes what stripping the timed report gives.
+        assert (untimed / "tune_report.json").read_text() == \
+            json.dumps(strip_timing(report), indent=2) + "\n"
+
     @pytest.mark.parametrize("text", ['{"max_depth": 6.5}', '{"bogus": 1}',
                                       '{"goss_a": 0.2}',
                                       '{"goss_a": 0.5, "goss_b": 0.0}'])

@@ -2,6 +2,8 @@ import errno
 import math
 import os
 import signal
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.errors import ConfigError, DataError, InvariantError
 from cyclecast.evaluation import (
     EARLY_STOP_FRACTION, FoldWorkers, compute_metrics, cross_validate,
-    expanding_splits, fit_before, fold_groups, holdout, mae, mape_pct,
+    expanding_splits, fit_before, holdout, mae, mape_pct,
     period_breakdown, r2, residual_stats, rmse,
 )
 from cyclecast.features import FeatureSpec, build_matrix
 from cyclecast.gbtree import HyperParams
+from cyclecast.tuner import gp_fit
 
 
 class TestPointMetrics:
@@ -191,6 +194,24 @@ class TestCrossValidate(CVCase):
         assert res.fold_rmses[0] == rmse(matrix.target[cut:cut + 50], pred)
 
 
+def pid_after(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def raise_value_error(i):
+    raise ValueError(i)
+
+
+def held_by_this_process():
+    """This process's open file descriptors and its mappings of deleted
+    files, such as an unlinked temporary file."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        deleted = [line.split()[-2] for line in fh
+                   if line.rstrip().endswith("(deleted)")]
+    return sorted(os.listdir("/proc/self/fd")), deleted
+
+
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -222,10 +243,120 @@ class TestFoldWorkers(CVCase):
                     assert res.cv_score == float(np.mean(want))
             assert_no_children()
 
-    def test_longest_fold_stays_in_this_process(self):
-        assert fold_groups([168, 216, 264], 2) == [[2], [0, 1]]
-        assert fold_groups([168, 216, 264], 1) == [[0, 1, 2]]
-        assert fold_groups([10, 20, 30, 40, 50], 3) == [[4], [0, 3], [1, 2]]
+    def test_counter_hands_out_each_task_once(self):
+        # Six processes, more than this host has CPUs, claim as fast as
+        # they can: a lost update would hand some task out twice.
+        n = 20000
+        counter = evaluation._Counter()
+        r, w = os.pipe()
+        pids = []
+        try:
+            for _ in range(5):
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        got = list(iter(partial(counter.claim, n), None))
+                        os.write(w, f"{len(got)} {sum(got)}\n".encode())
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            got = list(iter(partial(counter.claim, n), None))
+        finally:
+            os.close(w)
+            for pid in pids:
+                os.waitpid(pid, 0)
+            counter.close()
+        with os.fdopen(r) as fh:
+            tallies = [tuple(map(int, line.split())) for line in fh]
+        tallies.append((len(got), sum(got)))
+        assert len(tallies) == 6
+        assert sum(count for count, _ in tallies) == n
+        assert sum(total for _, total in tallies) == n * (n - 1) // 2
+
+    def test_batch_scores_each_params_as_alone(self, cpus):
+        matrix = self.matrix()
+        params = [self.params(), self.params(max_depth=5, subsample=0.7),
+                  self.params(learning_rate=0.1)]
+        expected = [reference_fold_rmses(matrix, p, 3, 40) for p in params]
+        for n in (1, 2, 4):
+            cpus(n)
+            with FoldWorkers(matrix, 3, 40) as folds:
+                t0 = time.perf_counter()
+                results = folds.cv_results(params)
+                elapsed = time.perf_counter() - t0
+            assert [r.fold_rmses for r, _ in results] == \
+                [tuple(want) for want in expected]
+            assert all(0 < seconds <= elapsed for _, seconds in results)
+            assert_no_children()
+
+    def test_map_runs_calls_on_every_process(self, cpus):
+        cpus(4)
+        with FoldWorkers(self.matrix(), 3, 50) as folds:
+            assert folds.map(pow, [(2, i) for i in range(20)]) == \
+                [2 ** i for i in range(20)]
+            pids = folds.map(pid_after, [(0.1,)] * 8)
+            assert set(pids) == {os.getpid()} | {
+                pid for pid, _ in folds._workers}
+            # The first failing call in argument order raises, and the
+            # workers stay in step after it.
+            with pytest.raises(ValueError, match="^2$"):
+                folds.map(raise_value_error, [(2,), (4,)])
+            assert folds.map(pow, [(3, 2)]) == [9]
+        assert_no_children()
+
+    def test_gp_fit_through_workers_is_bit_identical(self, cpus):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(size=(9, 7))
+        y = np.sin(3.0 * X.sum(axis=1)) + rng.normal(0.0, 0.05, 9)
+        cands = rng.uniform(size=(64, 7))
+        cold = gp_fit(X, y, seed=3)
+        warm = gp_fit(X, y, seed=4, start=cold.log_params)
+        cpus(4)
+        with FoldWorkers(self.matrix(), 3, 50) as folds:
+            cold_mapped = gp_fit(X, y, seed=3, mapper=folds.map)
+            warm_mapped = gp_fit(X, y, seed=4, start=cold_mapped.log_params,
+                                 mapper=folds.map)
+        assert_no_children()
+        for serial, mapped in ((cold, cold_mapped), (warm, warm_mapped)):
+            assert serial.log_params.tobytes() == mapped.log_params.tobytes()
+            for a, b in zip(serial.posterior(cands), mapped.posterior(cands)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc")
+    @pytest.mark.parametrize("end", ["normal", "worker death",
+                                     "refused fork"])
+    def test_nothing_left_behind(self, cpus, monkeypatch, end):
+        matrix = self.matrix()
+        before = held_by_this_process()
+        if end == "refused fork":
+            real_fork = os.fork
+            forks = []
+
+            def fork():
+                if forks:
+                    raise BlockingIOError(errno.EAGAIN, "fork refused")
+                forks.append(real_fork())
+                return forks[-1]
+
+            monkeypatch.setattr(os, "fork", fork)
+            cpus(4)
+            with pytest.raises(BlockingIOError):
+                with FoldWorkers(matrix, 3, 50):
+                    pass
+        else:
+            cpus(2)
+            with FoldWorkers(matrix, 3, 50) as folds:
+                cross_validate(folds, self.params())
+                # The pipe and the task counter's file are open.
+                assert len(held_by_this_process()[0]) == len(before[0]) + 2
+                if end == "worker death":
+                    [(pid, _)] = folds._workers
+                    os.kill(pid, signal.SIGKILL)
+                    with pytest.raises(InvariantError, match="signal 9"):
+                        cross_validate(folds, self.params())
+        assert held_by_this_process() == before
+        assert_no_children()
 
     def test_lowest_failing_fold_raises(self, cpus, monkeypatch):
         # Every fold raises; in order, fold 0 raises first. Its worker

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cyclecast.errors import ConfigError, DataError
+from cyclecast.errors import (
+    ConfigError, CyclecastError, DataError, InvariantError,
+)
 from cyclecast.tuner import (
     N_CANDIDATES, NOISE_FLOOR, PGTOL, Dimension, ParamSpace, Surrogate,
     _latin_hypercube, _minimize_box, _neg_log_marginal_likelihood,
@@ -538,6 +540,81 @@ class TestOptimize:
         optimize(sphere_space(), sphere, budget=10, init=3, seed=5,
                  on_trial=seen.append)
         assert [t.iteration for t in seen] == list(range(10))
+
+
+class Batch:
+    """`optimize`'s `workers` in this process: scores a list of points
+    with `objective`, carrying each CyclecastError back as an outcome."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.sizes = []  # points per evaluate call
+
+    def evaluate(self, points):
+        self.sizes.append(len(points))
+        outcomes = []
+        for p in points:
+            try:
+                outcomes.append((self.objective(p), 0.0))
+            except CyclecastError as exc:
+                outcomes.append((exc, 0.0))
+        return outcomes
+
+    @staticmethod
+    def map(fn, args_list):
+        return [fn(*args) for args in args_list]
+
+
+class TestBatchedDesign:
+    """A batch evaluator records the same trials as the scalar path."""
+
+    DESIGN = [{"x": 1.0, "y": 1.0}, {"x": 2.0, "y": -1.0},
+              {"x": -3.0, "y": 0.5}, {"x": 0.5, "y": 4.0}]
+
+    def objective(self, invariant_at=None):
+        def objective(p):
+            if p["x"] == 2.0:
+                raise DataError("refused")
+            if invariant_at is not None and p["x"] == invariant_at:
+                raise InvariantError("broken")
+            return sphere(p)
+        return objective
+
+    def run(self, objective, workers=None, seen=None):
+        """The trials `on_trial` saw, collected into `seen`."""
+        seen = [] if seen is None else seen
+        optimize(sphere_space(), objective, budget=9, init=4, seed=6,
+                 initial_points=self.DESIGN, on_trial=seen.append,
+                 workers=workers)
+        return seen
+
+    @staticmethod
+    def recorded(trials):
+        return [(t.iteration, t.params, t.objective, t.failed, t.error)
+                for t in trials]
+
+    def test_same_trials_as_scalar_path(self):
+        scalar = self.run(self.objective())
+        batch = Batch(self.objective())
+        batched = self.run(None, workers=batch)
+        assert batch.sizes == [4] + [1] * 5
+        assert self.recorded(batched) == self.recorded(scalar)
+        assert scalar[1].failed and scalar[1].error == "DataError: refused"
+        assert not any(t.failed for t in scalar[2:])
+
+    def test_invariant_error_after_a_failed_trial_propagates(self):
+        # The third initial trial raises InvariantError: on_trial has seen
+        # exactly the two before it, the second of them failed.
+        objective = self.objective(invariant_at=-3.0)
+        recorded = []
+        for workers in (None, Batch(objective)):
+            seen = []
+            with pytest.raises(InvariantError, match="broken"):
+                self.run(objective, workers, seen)
+            recorded.append(self.recorded(seen))
+        assert recorded[0] == recorded[1]
+        assert [r[0] for r in recorded[0]] == [0, 1]
+        assert recorded[0][1][3:] == (True, "DataError: refused")
 
 
 class TestRandomSearchBaseline:
