@@ -16,7 +16,6 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -497,7 +496,7 @@ def cmd_tune(args) -> int:
 
     trials_path = out_dir / "trials.jsonl"
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Wall seconds in fold batches and in GP fits' restarts.
+    # Wall seconds in fold fits and in GP fits' restarts.
     timing = {"cv_s": 0.0, "gp_fit_s": 0.0}
 
     def timed(key, fn, *args):
@@ -507,17 +506,29 @@ def cmd_tune(args) -> int:
         finally:
             timing[key] += time.perf_counter() - t0
 
-    def evaluate(points):
-        """(CV score, or what failed it; seconds) per point, from one
-        batch of fold fits."""
-        results = timed("cv_s", folds.cv_results,
-                        [to_params(p) for p in points])
-        return [(r if isinstance(r, Exception) else r.cv_score, seconds)
-                for r, seconds in results]
+    def score(point: dict) -> float:
+        return timed("cv_s", evaluation.cross_validate, folds,
+                     to_params(point)).cv_score
 
-    workers = SimpleNamespace(
-        evaluate=evaluate,
-        map=lambda fn, args: timed("gp_fit_s", folds.map, fn, args))
+    def score_design(points):
+        """(CV score, or the CyclecastError that failed it; seconds from
+        the batch's start) per point. The first point's cross_validate
+        fits the folds of every point as one list of tasks."""
+        t0 = time.perf_counter()
+        batch = [to_params(p) for p in points]
+        outcomes = []
+        for params in batch:
+            try:
+                value = evaluation.cross_validate(folds, params,
+                                                  batch).cv_score
+            except CyclecastError as exc:
+                value = exc
+            outcomes.append((value, time.perf_counter() - t0))
+        timing["cv_s"] += time.perf_counter() - t0
+        return outcomes
+
+    def mapper(fn, args_list):
+        return timed("gp_fit_s", folds.map, fn, args_list)
 
     # The fold workers fork before trials.jsonl opens, so they hold no
     # handle on it.
@@ -531,9 +542,9 @@ def cmd_tune(args) -> int:
             stream.flush()
 
         best_point, trials = tuner.optimize(
-            space, None, budget=args.budget, init=args.init,
+            space, score, budget=args.budget, init=args.init,
             seed=args.seed, initial_points=[default_point],
-            on_trial=on_trial, workers=workers,
+            on_trial=on_trial, evaluate=score_design, mapper=mapper,
         )
     timing["wait_s"] = folds.wait_s
 

@@ -200,14 +200,20 @@ def holdout(frame, spec, params, test_fraction) -> dict:
     }
 
 
-def cross_validate(folds, params) -> CVResult:
-    """Mean fold RMSE over the folds of `folds`, a `FoldWorkers`. Each
-    fold fits with `fit_before` on the rows before its validation block
-    and scores the block; all features are backward-looking, so no
-    validation row leaks into training features. Raises what the
-    lowest-numbered failing fold raised, as fitting the folds in order
-    would."""
-    result, _ = folds.cv_results([params])[0]
+def cross_validate(folds, params, batch=None) -> CVResult:
+    """Mean fold RMSE of `params` over the folds of `folds`, a
+    `FoldWorkers`. Each fold fits with `fit_before` on the rows before its
+    validation block and scores the block; all features are
+    backward-looking, so no validation row leaks into training features.
+    Raises what the lowest-numbered failing fold raised, as fitting the
+    folds in order would.
+
+    `batch`, a list of params that holds `params`, scores the whole list
+    as one list of tasks (`FoldWorkers.cv_results`), which keeps its
+    results: the calls for the other params of the same list, one after
+    another, fit nothing."""
+    batch = [params] if batch is None else batch
+    result = folds.cv_results(batch)[batch.index(params)]
     if isinstance(result, Exception):
         raise result
     return result
@@ -281,7 +287,10 @@ class FoldWorkers:
     worker running, this process claims no task after one of its own has
     raised anything but a CyclecastError, a fault that ends the run: the
     workers take what is left, so a worker that dies or cannot send its
-    result is still reported.
+    result is still reported. Which fault is reported thus depends on who
+    claimed what: when a single task raises an exception that cannot be
+    pickled, this process reports that exception if it ran the task, and
+    InvariantError for the dead worker if a worker did.
 
     A worker ignores SIGINT and serves until its pipe closes. It always
     leaves by `os._exit`: with status 0 when the pipe closes, or with
@@ -314,6 +323,7 @@ class FoldWorkers:
         self._workers = []  # (pid, this process's end of its pipe)
         self._counter = None
         self._broken = None
+        self._kept = None  # (the list cv_results last scored, its results)
         self.wait_s = 0.0  # seconds spent waiting on workers' results
 
     def __enter__(self):
@@ -332,9 +342,12 @@ class FoldWorkers:
 
     def cv_results(self, params_list) -> list:
         """For each params, in order: its CVResult, or what its
-        lowest-numbered failing fold raised, and the seconds from this
-        call's start until its last fold ended."""
-        t0 = time.perf_counter()
+        lowest-numbered failing fold raised. The results are kept until
+        the next call that runs tasks: called again with the same list
+        object, which must not have changed, this returns them and fits
+        nothing."""
+        if self._kept is not None and self._kept[0] is params_list:
+            return self._kept[1]
         m = len(params_list)
         results = self._run(None, [(params, i) for i in self._order
                                    for params in params_list])
@@ -342,14 +355,14 @@ class FoldWorkers:
         for j in range(m):
             by_fold = dict(zip(self._order, results[j::m]))
             folds = [by_fold[i] for i in sorted(by_fold)]
-            seconds = max(end for _, _, end in folds) - t0
-            errors = [exc for _, exc, _ in folds if exc is not None]
+            errors = [exc for _, exc in folds if exc is not None]
             if errors:
-                out.append((errors[0], seconds))
+                out.append(errors[0])
                 continue
-            rmses = tuple(value for value, _, _ in folds)
-            out.append((CVResult(cv_score=float(np.mean(rmses)),
-                                 fold_rmses=rmses), seconds))
+            rmses = tuple(value for value, _ in folds)
+            out.append(CVResult(cv_score=float(np.mean(rmses)),
+                                fold_rmses=rmses))
+        self._kept = params_list, out
         return out
 
     def map(self, fn, args_list) -> list:
@@ -357,16 +370,17 @@ class FoldWorkers:
         what the first failing call raised. `fn` must pickle by name, as
         a module-level function does."""
         results = self._run(fn, list(args_list))
-        for _, exc, _ in results:
+        for _, exc in results:
             if exc is not None:
                 raise exc
-        return [value for value, _, _ in results]
+        return [value for value, _ in results]
 
     def _run(self, fn, tasks) -> list:
-        """(value, exception, end) per task, in task order: what the task
-        returned or raised (the other is None) and `time.perf_counter()`
-        when it ended. A task is `fn(*args)`, or the RMSE of fold i for
-        params when `fn` is None and args are (params, i)."""
+        """(value, exception) per task, in task order: what the task
+        returned or raised; the other is None. A task is `fn(*args)`, or
+        the RMSE of fold i for params when `fn` is None and args are
+        (params, i)."""
+        self._kept = None
         if self._broken is not None:
             raise InvariantError(self._broken)
         # Until every worker has answered, its pipe may hold a stale result.
@@ -400,8 +414,8 @@ class FoldWorkers:
         try:
             value = self._fold_rmse(*args) if fn is None else fn(*args)
         except Exception as exc:  # carried back to the caller in task order
-            return None, exc, time.perf_counter()
-        return value, None, time.perf_counter()
+            return None, exc
+        return value, None
 
     def _fold_rmse(self, params, i):
         cut, stop = self._bounds[i]

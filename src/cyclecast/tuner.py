@@ -16,12 +16,12 @@ stats.qmc.LatinHypercube that gives its bits for an int seed, lays out
 both the initial design and the candidates that expected improvement is
 scored on.
 
-The module starts no processes. `optimize` scores one point at a time
-and `gp_fit` runs its restarts one after another, unless the caller hands
-them a way to run independent work elsewhere: `optimize`'s `workers`
-scores the whole initial design as one batch, and `gp_fit`'s `mapper`
-maps the restarts. Results are used in the order of the points and the
-starts, so the search does not depend on how they ran.
+The module starts no processes. `optimize` scores the initial design as
+one batch and each later point alone, and `gp_fit` runs its restarts one
+after another, in this process unless the caller hands them a way to run
+independent work elsewhere: `optimize`'s `evaluate` scores the batch, and
+the `mapper` of both maps the restarts. Results are used in the order of
+the points and the starts, so the search does not depend on how they ran.
 
 The module needs numpy alone. On a 2-vCPU host with Python 3.11 and
 numpy 2.4, importing cyclecast.cli takes about 0.09 s and peaks at 31 MB
@@ -127,9 +127,10 @@ class ParamSpace:
 class Trial:
     """One evaluated point. `wall_time` is the seconds from the start of
     the evaluation call that scored it until its value was known. A trial
-    scored alone counts its own run; a trial of an initial design scored
-    as one batch (`optimize`'s `workers`) counts from the batch's start,
-    in `tune` until its last fold returned."""
+    scored alone counts its own run; a trial of the initial design counts
+    what `optimize`'s `evaluate` reports for it: its own run by default,
+    and in `tune` the seconds from the batch's start until its score was
+    known, which is when the whole batch ended."""
 
     params: dict
     objective: float | None
@@ -509,7 +510,7 @@ def check_budget(budget, init):
 
 
 def optimize(space: ParamSpace, objective, budget, init, seed=42,
-             initial_points=None, on_trial=None, workers=None):
+             initial_points=None, on_trial=None, evaluate=None, mapper=None):
     """Sequential GP/EI minimization of `objective` over `space`.
 
     Starts from Latin-hypercube samples (plus any caller-provided
@@ -518,14 +519,12 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
     hypercube of N_CANDIDATES points per trial, with local refinements
     around the incumbent. Returns (best params dict, trial history).
 
-    By default this process calls `objective` on one point at a time and
-    runs each GP fit's restarts one after another. `workers` takes both
-    over, and `objective` is then not called: `workers.evaluate(points)`
-    returns, for each point in order, (its objective value or the
-    exception its evaluation raised, its wall seconds), and scores the
-    whole initial design in one call and each later trial alone;
-    `workers.map` is gp_fit's `mapper`. Trials are recorded, and passed
-    to `on_trial`, in iteration order either way, so a batch's trials
+    The initial design is one batch: `evaluate(points)` returns, for each
+    point in order, (its objective value or the CyclecastError its
+    evaluation raised, its wall seconds). By default it calls `objective`
+    on one point after another in this process. Each later trial calls
+    `objective` on its point. `mapper` is gp_fit's. Trials are recorded,
+    and passed to `on_trial`, in iteration order, so the design's trials
     reach `on_trial` when the batch ends.
     """
     check_budget(budget, init)
@@ -541,25 +540,21 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
     # seeds and local perturbations whatever a design consumes.
     gen = np.random.default_rng(int(rng.integers(2 ** 31)))
 
-    design = [space.from_unit(np.asarray(u)) for u in unit_points]
-    if workers is None:
-        def evaluate(points):
-            return [_timed(objective, p) for p in points]
-        mapper, batches = None, [[params] for params in design]
-    else:
-        evaluate, mapper, batches = workers.evaluate, workers.map, [design]
-
     trials: list[Trial] = []
 
-    def run(points):
-        for params, (outcome, wall) in zip(points, evaluate(points)):
-            trial = _trial(params, outcome, wall, len(trials))
-            trials.append(trial)
-            if on_trial is not None:
-                on_trial(trial)
+    def record(params, outcome, wall):
+        trial = _trial(params, outcome, wall, len(trials))
+        trials.append(trial)
+        if on_trial is not None:
+            on_trial(trial)
 
-    for points in batches:
-        run(points)
+    design = [space.from_unit(np.asarray(u)) for u in unit_points]
+    if evaluate is None:
+        outcomes = [_timed(objective, params) for params in design]
+    else:
+        outcomes = evaluate(design)
+    for params, (outcome, wall) in zip(design, outcomes):
+        record(params, outcome, wall)
 
     theta = None  # the last GP fit's log-parameters, the next one's start
     for _ in range(init, budget):
@@ -582,7 +577,8 @@ def optimize(space: ParamSpace, objective, budget, init, seed=42,
             u = cands[int(np.argmax(ei))]
         else:
             u = rng.uniform(size=d)
-        run([space.from_unit(np.asarray(u))])
+        params = space.from_unit(np.asarray(u))
+        record(params, *_timed(objective, params))
 
     return _best_params(trials), trials
 

@@ -465,8 +465,7 @@ class TestTuneWorkers:
         return run
 
     def first_fold_raises(self, monkeypatch, exc, when=lambda params: True):
-        """Make fold 0, which a worker fits, raise `exc` for the params
-        that pass `when`."""
+        """Make fold 0 raise `exc` for the params that pass `when`."""
         real = evaluation.fit_before
 
         def fit_before(matrix, cut, params):
@@ -524,6 +523,42 @@ class TestTuneWorkers:
         assert re.fullmatch(r"internal error: fold worker \d+ sent no result "
                             r"\(EOFError\(\)\); it exited with status 1",
                             err.splitlines()[-1])
+
+    def test_unpicklable_error_in_one_task_exits_3(self, tune, monkeypatch):
+        # Only the default point's fold 0 fails: its learning rate, 0.1,
+        # comes back from the unit cube with a rounding error. Whether tune
+        # or its worker claims that task decides the message, not the exit
+        # code.
+        self.first_fold_raises(
+            monkeypatch, RuntimeError(threading.Lock()),
+            when=lambda params: abs(params.learning_rate - 0.1) < 1e-12)
+        assert tune(2) == 3
+
+    def test_every_trial_is_one_cross_validate_call(self, tune, monkeypatch):
+        # A tracer that wraps evaluation.cross_validate sees each trial as
+        # one call inside optimize, the batched initial design included.
+        calls = []
+        optimizing = []
+        real_cv, real_optimize = evaluation.cross_validate, cli.tuner.optimize
+
+        def cross_validate(*args):
+            result = real_cv(*args)
+            calls.append((bool(optimizing), len(result.fold_rmses)))
+            return result
+
+        def optimize(*args, **kwargs):
+            optimizing.append(True)
+            try:
+                return real_optimize(*args, **kwargs)
+            finally:
+                optimizing.pop()
+
+        monkeypatch.setattr(evaluation, "cross_validate", cross_validate)
+        monkeypatch.setattr(cli.tuner, "optimize", optimize)
+        for cpus in (1, 2):
+            calls.clear()
+            assert tune(cpus) == 0
+            assert calls == [(True, 3)] * 6
 
     def test_ctrl_c_gives_one_traceback_and_leaves_no_worker(self, tmp_path):
         # Ctrl-C signals the terminal's whole process group: tune and its

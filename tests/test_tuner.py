@@ -543,14 +543,14 @@ class TestOptimize:
 
 
 class Batch:
-    """`optimize`'s `workers` in this process: scores a list of points
+    """`optimize`'s `evaluate` in this process: scores a list of points
     with `objective`, carrying each CyclecastError back as an outcome."""
 
     def __init__(self, objective):
         self.objective = objective
-        self.sizes = []  # points per evaluate call
+        self.sizes = []  # points per call
 
-    def evaluate(self, points):
+    def __call__(self, points):
         self.sizes.append(len(points))
         outcomes = []
         for p in points:
@@ -559,10 +559,6 @@ class Batch:
             except CyclecastError as exc:
                 outcomes.append((exc, 0.0))
         return outcomes
-
-    @staticmethod
-    def map(fn, args_list):
-        return [fn(*args) for args in args_list]
 
 
 class TestBatchedDesign:
@@ -580,12 +576,12 @@ class TestBatchedDesign:
             return sphere(p)
         return objective
 
-    def run(self, objective, workers=None, seen=None):
+    def run(self, objective, evaluate=None, seen=None, mapper=None):
         """The trials `on_trial` saw, collected into `seen`."""
         seen = [] if seen is None else seen
         optimize(sphere_space(), objective, budget=9, init=4, seed=6,
                  initial_points=self.DESIGN, on_trial=seen.append,
-                 workers=workers)
+                 evaluate=evaluate, mapper=mapper)
         return seen
 
     @staticmethod
@@ -596,8 +592,16 @@ class TestBatchedDesign:
     def test_same_trials_as_scalar_path(self):
         scalar = self.run(self.objective())
         batch = Batch(self.objective())
-        batched = self.run(None, workers=batch)
-        assert batch.sizes == [4] + [1] * 5
+        mapped = []  # restarts per gp_fit
+
+        def mapper(fn, args_list):
+            mapped.append(len(args_list))
+            return [fn(*args) for args in args_list]
+
+        batched = self.run(self.objective(), batch, mapper=mapper)
+        assert batch.sizes == [4]
+        # One cold fit of four starts, then four warm fits of two.
+        assert mapped == [4, 2, 2, 2, 2]
         assert self.recorded(batched) == self.recorded(scalar)
         assert scalar[1].failed and scalar[1].error == "DataError: refused"
         assert not any(t.failed for t in scalar[2:])
@@ -607,10 +611,10 @@ class TestBatchedDesign:
         # exactly the two before it, the second of them failed.
         objective = self.objective(invariant_at=-3.0)
         recorded = []
-        for workers in (None, Batch(objective)):
+        for evaluate in (None, Batch(objective)):
             seen = []
             with pytest.raises(InvariantError, match="broken"):
-                self.run(objective, workers, seen)
+                self.run(objective, evaluate, seen)
             recorded.append(self.recorded(seen))
         assert recorded[0] == recorded[1]
         assert [r[0] for r in recorded[0]] == [0, 1]
