@@ -617,9 +617,8 @@ def cmd_predict(args) -> int:
 
     pred_path = out_dir / "predictions.csv"
     out_dir.mkdir(parents=True, exist_ok=True)
-    offset = matrix.dropped_warmup
     write_series_csv(pred_path, [TIME_HEADER, "prediction"],
-                     frame.timestamps[offset:], [pred])
+                     matrix.timestamps, [pred])
 
     report = {
         "experiment": "predict",
@@ -627,7 +626,7 @@ def cmd_predict(args) -> int:
         "model": str(args.model),
         "data": str(args.data),
         "rows": matrix.n_rows,
-        "dropped_warmup": offset,
+        "dropped_warmup": matrix.dropped_warmup,
         "predictions": str(pred_path),
         "mean_latency_us": latency_us,
     }

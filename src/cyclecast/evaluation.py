@@ -150,18 +150,24 @@ def train_rows(n, test_fraction) -> int:
     return n_train
 
 
-def fit_before(matrix, cut, params):
-    """Fit on matrix rows [0, cut), early-stopping on their trailing slice.
-
-    The patience slice is the last EARLY_STOP_FRACTION of the training
-    rows (at least one), so no row at or after `cut` is seen by the fit.
-    """
+def _fit_end(cut, where=""):
+    """End of the rows that a fit on matrix rows [0, cut) grows trees on:
+    the early-stop slice, the last EARLY_STOP_FRACTION of them (at least
+    one), comes off. DataError, its message led by `where`, when fewer
+    than 2 rows are left."""
     fit_hi = cut - max(1, int(EARLY_STOP_FRACTION * cut))
     if fit_hi < 2:
         raise DataError(
-            "too few training rows after feature warm-up and the "
+            f"{where}too few training rows after feature warm-up and the "
             "early-stop slice"
         )
+    return fit_hi
+
+
+def fit_before(matrix, cut, params):
+    """Fit on matrix rows [0, cut), early-stopping on their trailing slice
+    (`_fit_end`), so no row at or after `cut` is seen by the fit."""
+    fit_hi = _fit_end(cut)
     X, y = matrix.values, matrix.target
     return gbtree.fit(X[:fit_hi], y[:fit_hi], params,
                       val=(X[fit_hi:cut], y[fit_hi:cut]),
@@ -177,12 +183,14 @@ class CVResult:
 def holdout(frame, spec, params, test_fraction) -> dict:
     """Hold-out fit and metrics for one (spec, params) arm.
 
-    Fits with `fit_before` on the matrix rows of the first
-    `train_rows(len(frame), test_fraction)` frame rows and scores the rest.
+    Splits after the first `train_rows(len(frame), test_fraction)` frame
+    rows: fits with `fit_before` on the matrix rows before the split
+    (`FeatureMatrix.split_row`) and scores the rest, whose timestamps give
+    `test_hours`.
     """
     n_train = train_rows(len(frame), test_fraction)
     matrix = build_matrix(frame, spec)
-    cut = n_train - matrix.dropped_warmup
+    cut = matrix.split_row(n_train)
     t0 = time.perf_counter()
     model, log = fit_before(matrix, cut, params)
     train_time = time.perf_counter() - t0
@@ -195,16 +203,18 @@ def holdout(frame, spec, params, test_fraction) -> dict:
         "train_time": train_time,
         "y_test": y_te,
         "pred": pred,
-        "test_hours": HOUR.phases(frame.timestamps[n_train:]),
+        "test_hours": HOUR.phases(matrix.timestamps[cut:]),
         "matrix": matrix,
     }
 
 
 def cross_validate(folds, params, batch=None) -> CVResult:
     """Mean fold RMSE of `params` over the folds of `folds`, a
-    `FoldWorkers`. Each fold fits with `fit_before` on the rows before its
-    validation block and scores the block; all features are
-    backward-looking, so no validation row leaks into training features.
+    `FoldWorkers`. Each fold fits with `fit_before` on the matrix rows
+    before its validation block and scores the block's matrix rows, both
+    cut where `FeatureMatrix.split_row` maps the block's frame rows; all
+    features are backward-looking, so no validation row leaks into
+    training features.
     Raises what the lowest-numbered failing fold raised, as fitting the
     folds in order would.
 
@@ -267,8 +277,13 @@ class FoldWorkers:
     other independent calls on the same processes.
 
     Construction lays the folds out over the frame rows `matrix` was built
-    from, warm-up included (`expanding_splits`), raising ConfigError for a
-    layout that does not fit, and starts nothing. Entering forks
+    from, warm-up included (`expanding_splits` over
+    `FeatureMatrix.n_frame_rows`), and cuts each fold's validation block
+    out of the matrix where `FeatureMatrix.split_row` maps its frame rows.
+    It raises ConfigError for a layout that does not fit the frame, and
+    DataError for one whose first, shortest fold leaves `fit_before` fewer
+    than 2 rows to fit on after the warm-up and the early-stop slice, so a
+    bad layout fails before any fit. It starts nothing. Entering forks
     min(usable CPUs, k) - 1 workers with `os.fork`, or none on a platform
     without it. Each worker holds `matrix` and the folds from the fork.
 
@@ -312,10 +327,11 @@ class FoldWorkers:
         self._matrix = matrix
         # (cut, stop) per fold: it fits on matrix rows [0, cut) and
         # scores rows [cut, stop).
-        offset = matrix.dropped_warmup
-        plan = expanding_splits(offset + matrix.n_rows, k, delta)
-        self._bounds = [(va_s - offset, va_e - offset)
+        plan = expanding_splits(matrix.n_frame_rows, k, delta)
+        self._bounds = [(matrix.split_row(va_s), matrix.split_row(va_e))
                         for _, (va_s, va_e) in plan.splits]
+        # A later fold fits on no fewer rows, so this checks them all.
+        _fit_end(self._bounds[0][0], f"fold 0 of {k}: ")
         # Fold numbers, longest training range first.
         self._order = sorted(range(k), key=lambda i: -self._bounds[i][0])
         n = min(usable_cpus(), k) if hasattr(os, "fork") else 1

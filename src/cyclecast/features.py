@@ -263,28 +263,51 @@ def ablate(spec: FeatureSpec, group: str) -> FeatureSpec:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense design matrix with row-aligned target.
+    """Dense design matrix with row-aligned target and timestamps.
 
     `values` is rows x features, a view of a C-contiguous features x rows
-    block, so `values.T` walks each feature without a copy.
+    block, so `values.T` walks each feature without a copy. `timestamps`
+    is a read-only view of the frame's, one per matrix row.
+
+    This class alone knows which frame row each matrix row came from:
+    a split at a frame row cuts the matrix at `split_row(frame_row)`, and
+    `n_frame_rows` is the length of the frame the matrix was built from.
+    Hold-out, CV folds and `predict` go through these, never through
+    `dropped_warmup`, the count of leading frame rows without a matrix
+    row.
     """
 
     column_names: tuple
     values: np.ndarray
     target: np.ndarray
+    timestamps: np.ndarray
     dropped_warmup: int
 
     def __post_init__(self):
         if self.values.shape != (self.target.size, len(self.column_names)):
             raise InvariantError("feature matrix shape mismatch")
+        if self.timestamps.shape != self.target.shape:
+            raise InvariantError("feature matrix timestamps misaligned")
         if not np.all(np.isfinite(self.values)):
             raise InvariantError("non-finite values in feature matrix")
         self.values.setflags(write=False)
         self.target.setflags(write=False)
+        self.timestamps.setflags(write=False)
 
     @property
     def n_rows(self):
         return self.values.shape[0]
+
+    @property
+    def n_frame_rows(self):
+        """Rows of the frame the matrix was built from, warm-up included."""
+        return self.dropped_warmup + self.n_rows
+
+    def split_row(self, frame_row) -> int:
+        """The matrix row where a split at frame row `frame_row` cuts: the
+        number of matrix rows built from frame rows before it (0 for a
+        split inside the warm-up)."""
+        return max(frame_row - self.dropped_warmup, 0)
 
 
 def build_matrix(frame, spec: FeatureSpec) -> FeatureMatrix:
@@ -321,5 +344,6 @@ def build_matrix(frame, spec: FeatureSpec) -> FeatureMatrix:
         column_names=tuple(names),
         values=block.T,
         target=y[warmup:].copy(),
+        timestamps=frame.timestamps[warmup:],
         dropped_warmup=warmup,
     )

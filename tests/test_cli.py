@@ -95,6 +95,23 @@ class TestBench:
         for cell in report["cells"]:
             assert "train_time_s" not in cell
 
+    def test_missing_params_file_is_data_error(self, tmp_path, capsys):
+        out, params = tmp_path / "out", tmp_path / "absent.json"
+        assert self.bench(out, "--params", str(params)) == 2
+        assert capsys.readouterr().err == \
+            f"data error: no such params file: {params}\n"
+        assert not out.exists()
+
+    def test_duplicate_lag_is_usage_error(self, tmp_path, capsys):
+        # Two lag_1h columns: the spec loads, and fails when its columns
+        # are named, before any fit.
+        out, spec = tmp_path / "out", tmp_path / "spec.json"
+        spec.write_text('{"lags": [1, 1]}')
+        assert self.bench(out, "--features", str(spec)) == 1
+        assert capsys.readouterr().err == \
+            "usage error: duplicate feature column names in spec\n"
+        assert not out.exists()
+
     def test_no_timing_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.bench(a) == 0
@@ -262,6 +279,14 @@ class TestBench:
 
 
 class TestAblation:
+    def test_unknown_config_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("ablation", "--out", str(out), "--n-hours", "300",
+                       "--config", "nope") == 1
+        assert capsys.readouterr().err == \
+            "usage error: unknown learner config 'nope'\n"
+        assert not out.exists()
+
     def test_row_order_and_deltas(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli("ablation", "--out", str(out), "--n-hours", "900",
@@ -441,6 +466,19 @@ class TestTune:
         assert run_cli("tune", "--out", str(out), "--n-hours", "600",
                        "--k", "30", "--delta", "168", "--budget", "3",
                        "--init", "2", "--no-timing") == 1
+        assert not out.exists()
+
+    def test_first_fold_inside_warmup_is_data_error(self, tmp_path, capsys):
+        # 800 - 4 * 160 = 160 frame rows precede the first validation
+        # block, all inside the default 168-row warm-up, so fold 0 has
+        # nothing to fit on and every trial would fail; none runs.
+        out = tmp_path / "out"
+        assert run_cli("tune", "--out", str(out), "--n-hours", "800",
+                       "--k", "4", "--delta", "160", "--budget", "5",
+                       "--init", "4", "--n-estimators-cap", "10") == 2
+        assert capsys.readouterr().err == (
+            "data error: fold 0 of 4: too few training rows after feature "
+            "warm-up and the early-stop slice\n")
         assert not out.exists()
 
 
@@ -811,6 +849,8 @@ class TestModelChecks:
          "gain_by_feature must be an object of numbers"),
         (("feature_names",), 5, "feature_names must be a list of strings"),
         (("extra",), "feature_spec", "extra must be an object"),
+        (("extra", "feature_spec"), DELETE,
+         "carries no feature spec; cannot rebuild features from raw data"),
         (("extra", "target_name"), "voltage",
          "target_name 'voltage' is not 'global_active_power'"),
     ], ids=["empty-tree", "trees-not-list", "tree-not-object",
@@ -823,7 +863,8 @@ class TestModelChecks:
             "best-iteration-zero", "best-iteration-too-large",
             "params-type", "spec-type", "params-not-object",
             "base-score-not-number", "gains-not-object",
-            "names-not-list", "extra-not-object", "other-target"])
+            "names-not-list", "extra-not-object", "no-feature-spec",
+            "other-target"])
     def test_broken_model_is_data_error(self, tmp_path, capsys, small_model,
                                         where, value, message):
         model, data = small_model
@@ -840,11 +881,13 @@ class TestModelChecks:
             parent[where[-1]] = value
         broken = tmp_path / "model.json"
         broken.write_text(json.dumps(doc))
+        out = tmp_path / "pred"
         assert run_cli("predict", "--model", str(broken), "--data",
-                       str(data), "--out", str(tmp_path / "pred")) == 2
+                       str(data), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: model file {broken}")
         assert message in err
+        assert not out.exists()
 
     def test_unedited_model_predicts(self, tmp_path, small_model):
         model, data = small_model

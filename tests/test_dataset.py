@@ -61,15 +61,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate"):
             load_csv(path)
 
-    @pytest.mark.parametrize("rejected", [1, 3])
+    @pytest.mark.parametrize("rejected", [1, 3, 5])
     def test_order_error_names_file_and_csv_row(self, tmp_path, rejected):
-        # Data row `rejected` holds `oops`, so row 4 is the fourth accepted
-        # row; it repeats the last accepted timestamp. The error must count
-        # CSV data rows as rejected_rows does.
-        stamps = [f"2023-01-01 0{h}:00:00" for h in range(4)]
-        rows = [row(ts) for ts in stamps]
+        # Data row `rejected` holds `oops`. Data row 4 repeats the last
+        # accepted timestamp before it: the fourth accepted row when the
+        # rejected row comes first, the fifth when it comes after. The
+        # error must count CSV data rows as rejected_rows does.
+        stamps = [f"2023-01-01 0{h}:00:00" for h in range(6)]
+        rows = [row(ts) for ts in stamps[:4]]
+        rows.append(row(stamps[2] if rejected == 3 else stamps[3]))
+        rows.append(row(stamps[5]))
         rows[rejected] = f"{stamps[rejected]},oops,0.1,240.0,4.2,0.0,1.0,2.0"
-        rows.append(row(stamps[3] if rejected < 3 else stamps[2]))
         path = make_csv(tmp_path, rows)
         with pytest.raises(DataError) as info:
             load_csv(path)

@@ -177,6 +177,24 @@ class TestCrossValidate(CVCase):
         with pytest.raises(DataError):
             cv(matrix, self.params(), k=2, delta=116)
 
+    @pytest.mark.parametrize("n, ok", [(371, True), (370, False)])
+    def test_first_fold_checked_at_construction(self, n, ok):
+        # The first validation block starts at frame row n - 2 * 100,
+        # after the 168-row warm-up: at matrix row 3, fold 0 fits on 2
+        # rows and early-stops on 1; at matrix row 2 it has 1 row to fit
+        # on, and the layout fails before any fit.
+        frame = generate_synthetic(SyntheticConfig(n_hours=n, seed=30))
+        spec = FeatureSpec(rolling_windows=(), rolling_stats=(),
+                           lags=(168,), ewm_halflives=(), temporal=())
+        matrix = build_matrix(frame, spec)
+        if ok:
+            assert len(cv(matrix, self.params(), k=2, delta=100)
+                       .fold_rmses) == 2
+        else:
+            with pytest.raises(DataError, match="^fold 0 of 2: too few "
+                               "training rows after feature warm-up"):
+                FoldWorkers(matrix, 2, 100)
+
     def test_folds_span_warmup_and_matrix_rows(self):
         # Folds lie over all frame rows, warm-up included: the first
         # validation block starts at frame row 700 - 3 * 50 = 550.

@@ -268,6 +268,18 @@ class TestBuildMatrix:
         assert m.dropped_warmup == 168
         assert m.n_rows == 600 - 168
 
+    def test_rows_map_to_frame_rows(self):
+        # Matrix row i comes from frame row 168 + i; a split at a frame
+        # row inside the warm-up leaves no matrix row before it.
+        frame = self.frame()
+        m = build_matrix(frame, FeatureSpec())
+        assert m.n_frame_rows == 600
+        assert np.array_equal(m.timestamps, frame.timestamps[168:])
+        assert np.shares_memory(m.timestamps, frame.timestamps)
+        assert not m.timestamps.flags.writeable
+        assert [m.split_row(r) for r in (0, 167, 168, 169, 600)] == \
+            [0, 0, 0, 1, 432]
+
     def test_temporal_only_drops_nothing(self):
         spec = FeatureSpec(rolling_windows=(), rolling_stats=(), lags=(),
                            ewm_halflives=(),

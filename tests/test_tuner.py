@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cyclecast import tuner
 from cyclecast.errors import (
     ConfigError, CyclecastError, DataError, InvariantError,
 )
@@ -221,6 +222,57 @@ class TestGpSurrogate:
         assert np.array_equal(warm.length_scales,
                               np.exp(warm.log_params[:3]))
 
+    def test_constant_objective(self):
+        # A constant y has zero spread; the posterior mean is that
+        # constant and the spread stays finite.
+        X = np.random.default_rng(43).uniform(size=(6, 2))
+        gp = gp_fit(X, np.full(6, 3.5), seed=0)
+        mu, sigma = gp.posterior(np.random.default_rng(44).uniform(
+            size=(5, 2)))
+        assert np.all(mu == 3.5)
+        assert np.all(np.isfinite(sigma))
+
+    @staticmethod
+    def refuse_surrogate_factors(monkeypatch, refusals):
+        """A gp_fit `mapper` that runs the likelihood restarts, then makes
+        `_cholesky` refuse the next `refusals` factorisations, which are
+        the Surrogate's; and the list of the diagonal of each kernel
+        matrix `_cholesky` gets after the restarts."""
+        real, diagonals = tuner._cholesky, []
+
+        def cholesky(K):
+            diagonals.append(K.diagonal().copy())
+            return None if len(diagonals) <= refusals else real(K)
+
+        def mapper(fn, args_list):
+            results = [fn(*args) for args in args_list]
+            monkeypatch.setattr(tuner, "_cholesky", cholesky)
+            return results
+
+        return mapper, diagonals
+
+    def test_jitter_escalates_until_the_factor_exists(self, monkeypatch):
+        X = np.random.default_rng(45).uniform(size=(6, 2))
+        mapper, diagonals = self.refuse_surrogate_factors(monkeypatch, 2)
+        gp = gp_fit(X, X.sum(axis=1), seed=0, mapper=mapper)
+        assert isinstance(gp, Surrogate)
+        # Jitter 0, then 1e-8, then 2e-8 on the diagonal.
+        assert len(diagonals) == 3
+        assert diagonals[1] - diagonals[0] == pytest.approx(
+            np.full(6, 1e-8), rel=1e-6)
+        assert diagonals[2] - diagonals[0] == pytest.approx(
+            np.full(6, 2e-8), rel=1e-6)
+
+    def test_jitter_gives_up(self, monkeypatch):
+        X = np.random.default_rng(45).uniform(size=(6, 2))
+        mapper, diagonals = self.refuse_surrogate_factors(monkeypatch,
+                                                          math.inf)
+        with pytest.raises(DataError, match="^kernel matrix singular even "
+                           "after jitter escalation$"):
+            gp_fit(X, X.sum(axis=1), seed=0, mapper=mapper)
+        # Jitter 0, then 1e-8 doubled up to the last one within MAX_JITTER.
+        assert len(diagonals) == 21
+
 
 def oracle_kernel(X1, X2, ls, sf):
     """The Matern-5/2 kernel, its slope and d2 as first written."""
@@ -437,8 +489,40 @@ class TestMinimizeBox:
         assert np.array_equal(x, [1.0, -1.0])
         assert f == 5.0
 
+    def test_stops_when_no_step_passes(self):
+        # The value grows in every direction from the start, 0, where the
+        # gradient claims it falls along -(1, 1): no step passes the
+        # Armijo test, however short.
+        def fun(t):
+            return float(np.abs(t).sum()), np.ones(2)
+
+        lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+        x, f, why = _minimize_box(fun, np.zeros(2), lower, upper)
+        assert why == "line search"
+        assert np.array_equal(x, np.zeros(2))
+        assert f == 0.0
+
+    def test_stops_after_max_iter(self, monkeypatch):
+        # An ill-conditioned quadratic is not solved in one step.
+        def fun(t):
+            scale = np.array([1.0, 100.0])
+            d = t - np.array([0.5, 0.3])
+            return float(scale @ d ** 2), 2.0 * scale * d
+
+        monkeypatch.setattr(tuner, "MAX_ITER", 1)
+        lower, upper = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        x, f, why = _minimize_box(fun, np.zeros(2), lower, upper)
+        assert why == "iterations"
+        assert f == fun(x)[0] < fun(np.zeros(2))[0]
+
 
 class TestOptimize:
+    def test_constant_objective_completes_its_budget(self):
+        _, trials = optimize(sphere_space(), lambda p: 1.0, budget=10,
+                             init=4, seed=0)
+        assert len(trials) == 10
+        assert all(not t.failed and t.objective == 1.0 for t in trials)
+
     def test_sphere_convergence(self):
         best, trials = optimize(sphere_space(), sphere, budget=40, init=8,
                                 seed=0)
