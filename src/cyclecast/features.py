@@ -98,23 +98,42 @@ def ewm_mean(series, halflife):
     return out
 
 
-def _target_columns(spec):
-    """(name, transform, argument) of each column derived from the target,
-    in emitted order: rolling stats, then lags, then EWM means."""
+def _target_block(transform, arg):
+    return lambda frame: [transform(frame.target, arg)]
+
+
+def _columns(spec):
+    """Every block of columns the spec declares, ablated groups included,
+    in emitted order (temporal terms, rolling stats, lags, EWM means), as
+    (names, group, lookback, make). `make(frame)` returns the block's
+    columns over every frame row; `lookback` is the number of leading
+    frame rows on which they are undefined."""
+    blocks = []
+    for fname, strategy in spec.temporal:
+        term = (encoding.FEATURES[fname], strategy)
+        group = (GROUP_SINUSOIDAL if strategy == encoding.SINUSOIDAL
+                 else GROUP_OTHERS)
+        blocks.append((encoding.encoded_column_names(*term), group, 0,
+                       lambda frame, term=term: encoding.expand_temporal(
+                           frame, [term]).values()))
     rolling = {"mean": rolling_mean, "std": rolling_std}
-    columns = [(f"rolling_{stat}_{w}h", rolling[stat], w)
+    blocks += [([f"rolling_{stat}_{w}h"], GROUP_ROLLING, w - 1,
+                _target_block(rolling[stat], w))
                for w in spec.rolling_windows for stat in spec.rolling_stats]
-    columns += [(f"lag_{k}h", lag, k) for k in spec.lags]
+    blocks += [([f"lag_{k}h"], GROUP_LAG, k, _target_block(lag, k))
+               for k in spec.lags]
     for h in spec.ewm_halflives:
         label = int(h) if float(h).is_integer() else h
-        columns.append((f"ewm_{label}h", ewm_mean, h))
-    return columns
+        blocks.append(([f"ewm_{label}h"], GROUP_OTHERS, 0,
+                       _target_block(ewm_mean, h)))
+    return blocks
 
 
 def needs_target_history(spec) -> bool:
-    """Whether the spec emits a column derived from the target."""
-    emitted = set(spec.column_names())
-    return any(name in emitted for name, _, _ in _target_columns(spec))
+    """Whether the spec emits a column derived from the target: a block
+    after the temporal ones, whose EWM reads the target with lookback 0."""
+    return any(group not in spec.disabled_groups
+               for _, group, _, _ in _columns(spec)[len(spec.temporal):])
 
 
 def _is_str(value) -> bool:
@@ -180,10 +199,9 @@ class FeatureSpec:
                 raise ConfigError(f"unknown feature group {g!r}")
 
     def warmup(self) -> int:
-        lookbacks = [0]
-        lookbacks += [k for k in self.lags]
-        lookbacks += [w - 1 for w in self.rolling_windows]
-        return max(lookbacks)
+        """The longest lookback of a declared column, ablated ones too."""
+        return max((lookback for _, _, lookback, _ in _columns(self)),
+                   default=0)
 
     def with_encoding(self, strategy: str) -> "FeatureSpec":
         """Re-encode every cyclic feature with one strategy (deduplicated)."""
@@ -197,14 +215,12 @@ class FeatureSpec:
 
     def column_names(self):
         """Emitted column names in deterministic order, minus ablated groups."""
-        names = []
-        for fname, strategy in self.temporal:
-            feat = encoding.FEATURES[fname]
-            names.extend(encoding.encoded_column_names(feat, strategy))
-        names += [name for name, _, _ in _target_columns(self)]
+        blocks = _columns(self)
+        names = [name for block in blocks for name in block[0]]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate feature column names in spec")
-        return [n for n in names if group_of(n) not in self.disabled_groups]
+        return [name for names, group, _, _ in blocks
+                if group not in self.disabled_groups for name in names]
 
     def to_dict(self) -> dict:
         return {
@@ -234,24 +250,13 @@ class FeatureSpec:
         return cls(**kwargs)
 
 
-def group_of(column_name: str) -> str:
-    """Ablation group a column belongs to (partition over all columns)."""
-    if column_name.endswith("_sin") or column_name.endswith("_cos"):
-        return GROUP_SINUSOIDAL
-    if column_name.startswith("rolling_"):
-        return GROUP_ROLLING
-    if column_name.startswith("lag_"):
-        return GROUP_LAG
-    return GROUP_OTHERS
-
-
 def ablate(spec: FeatureSpec, group: str) -> FeatureSpec:
     """Spec with one named group removed from the emitted columns."""
     if group not in GROUPS:
         raise ConfigError(f"unknown feature group {group!r}")
-    if not any(group_of(n) == group for n in spec.column_names()):
-        if group in spec.disabled_groups:
-            return spec  # idempotent
+    if group in spec.disabled_groups:
+        return spec  # idempotent
+    if all(g != group for _, g, _, _ in _columns(spec)):
         raise ConfigError(f"group {group!r} emits no columns in this spec")
     out = replace(spec, disabled_groups=tuple(
         sorted(set(spec.disabled_groups) | {group})
@@ -315,7 +320,7 @@ def build_matrix(frame, spec: FeatureSpec) -> FeatureMatrix:
 
     Column order is temporal, rolling, lag, ewm; leading rows where any
     backward-looking column is undefined are dropped. Columns are made one
-    temporal term or target transform at a time, and each is written once
+    `_columns` block at a time, in its order, and each is written once
     into the block behind `values`.
     """
     names = spec.column_names()
@@ -327,23 +332,16 @@ def build_matrix(frame, spec: FeatureSpec) -> FeatureMatrix:
             f"frame has {len(frame)} rows, needs more than the "
             f"{warmup}-row warm-up"
         )
-    y = frame.target
-    slot = {name: i for i, name in enumerate(names)}
     block = np.empty((len(names), len(frame) - warmup))
-
-    for fname, strategy in spec.temporal:
-        term = (encoding.FEATURES[fname], strategy)
-        for name, column in encoding.expand_temporal(frame, [term]).items():
-            if name in slot:
-                block[slot[name]] = column[warmup:]
-    for name, transform, arg in _target_columns(spec):
-        if name in slot:
-            block[slot[name]] = transform(y, arg)[warmup:]
+    columns = (column for _, group, _, make in _columns(spec)
+               if group not in spec.disabled_groups for column in make(frame))
+    for row, column in enumerate(columns):
+        block[row] = column[warmup:]
 
     return FeatureMatrix(
         column_names=tuple(names),
         values=block.T,
-        target=y[warmup:].copy(),
+        target=frame.target[warmup:].copy(),
         timestamps=frame.timestamps[warmup:],
         dropped_warmup=warmup,
     )

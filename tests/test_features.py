@@ -12,7 +12,7 @@ from cyclecast import gbtree
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.features import (
-    BLOCK_ROWS, FeatureSpec, ablate, build_matrix, ewm_mean, group_of, lag,
+    BLOCK_ROWS, FeatureSpec, ablate, build_matrix, ewm_mean, lag,
     rolling_mean, rolling_std, GROUPS,
 )
 
@@ -237,6 +237,16 @@ class TestFeatureSpec:
     def test_default_warmup_is_longest_lag(self):
         assert FeatureSpec().warmup() == 168
 
+    def test_window_without_stat_costs_no_warmup(self):
+        # A 24-h window with no stat emits no column, so only lag_1h
+        # counts; an ablated column still does, so every ablation arm
+        # scores the same rows.
+        spec = FeatureSpec(rolling_stats=(), lags=(1,), ewm_halflives=())
+        assert spec.warmup() == 1
+        assert ablate(FeatureSpec(), "LagFeatures").warmup() == 168
+        frame = generate_synthetic(SyntheticConfig(n_hours=100, seed=0))
+        assert build_matrix(frame, spec).dropped_warmup == 1
+
     def test_json_round_trip(self):
         spec = FeatureSpec(rolling_windows=(4, 8), lags=(1, 3))
         # As a model file stores it: tuples come back from JSON as lists.
@@ -304,13 +314,18 @@ class TestBuildMatrix:
         assert m.values[0, col] == frame.target[0]
 
     def test_group_partition(self):
-        m = build_matrix(self.frame(), FeatureSpec())
-        groups = {name: group_of(name) for name in m.column_names}
-        assert set(groups.values()) == set(GROUPS)
-        assert groups["hour_sin"] == groups["hour_cos"] == "Sinusoidal"
-        assert groups["rolling_std_24h"] == "RollingStats"
-        assert groups["lag_168h"] == "LagFeatures"
-        assert groups["hour"] == groups["ewm_12h"] == "Others"
+        # Each group's removal drops its own columns; together the four
+        # drop every column, each exactly once.
+        spec = FeatureSpec()
+        full = spec.column_names()
+        dropped = {g: [n for n in full
+                       if n not in ablate(spec, g).column_names()]
+                   for g in GROUPS}
+        assert sorted(sum(dropped.values(), [])) == sorted(full)
+        assert dropped["Sinusoidal"] == ["hour_sin", "hour_cos"]
+        assert "rolling_std_24h" in dropped["RollingStats"]
+        assert "lag_168h" in dropped["LagFeatures"]
+        assert dropped["Others"] == ["hour", "dayofweek", "ewm_12h"]
 
     def test_deterministic(self):
         frame = self.frame()
@@ -363,7 +378,8 @@ class TestAblate:
         names = spec.column_names()
         assert not any(n.endswith("_sin") or n.endswith("_cos")
                        for n in names)
-        assert "hour" in names and group_of("hour") == "Others"
+        assert "hour" in names
+        assert "hour" not in ablate(spec, "Others").column_names()
 
     def test_lag_removal(self):
         names = ablate(FeatureSpec(), "LagFeatures").column_names()
