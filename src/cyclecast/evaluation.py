@@ -212,9 +212,10 @@ def cross_validate(folds, params, batch=None) -> CVResult:
     """Mean fold RMSE of `params` over the folds of `folds`, a
     `FoldWorkers`. Each fold fits with `fit_before` on the matrix rows
     before its validation block and scores the block's matrix rows, both
-    cut where `FeatureMatrix.split_row` maps the block's frame rows; all
-    features are backward-looking, so no validation row leaks into
-    training features.
+    cut where `FeatureMatrix.split_row` maps the block's frame rows. No
+    feature at a row reads the target at that row or later (see
+    `features._columns`), so no validation target reaches a training
+    row's features, and none reaches its own row's.
     Raises what the lowest-numbered failing fold raised, as fitting the
     folds in order would.
 

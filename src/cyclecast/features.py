@@ -1,8 +1,13 @@
 """Design-matrix construction: rolling stats, lags, EWM, temporal encodings.
 
-Backward-looking transforms leave an undefined (NaN) warm-up prefix; the
-assembled matrix drops those leading rows so every retained row is fully
-defined. Each emitted column is written once into one C-contiguous
+One table, `_columns`, declares every column a spec can emit: its name,
+ablation group, lookback and how to make it. Columns derived from the
+target are causal: at row t a rolling window covers y[t-w .. t-1], the
+EWM is the one carried to row t-1, and lag k is y[t-k], so no column at
+row t reads y[t]. A column is undefined (NaN) on its first `lookback`
+rows; the assembled matrix drops the longest lookback of any declared
+column, ablated ones included, so every ablation arm scores the same
+rows. Each emitted column is written once into one C-contiguous
 features x rows block; the matrix's `values` is the rows x features view
 `block.T` of it.
 """
@@ -102,12 +107,18 @@ def _target_block(transform, arg):
     return lambda frame: [transform(frame.target, arg)]
 
 
+def _causal_block(transform, arg):
+    """The transform moved down one row, so its row t reads y[:t]."""
+    return lambda frame: [lag(transform(frame.target, arg), 1)]
+
+
 def _columns(spec):
     """Every block of columns the spec declares, ablated groups included,
     in emitted order (temporal terms, rolling stats, lags, EWM means), as
     (names, group, lookback, make). `make(frame)` returns the block's
     columns over every frame row; `lookback` is the number of leading
-    frame rows on which they are undefined."""
+    frame rows on which they are undefined, and is 0 only for blocks
+    that read no target. A new column kind is one more row here."""
     blocks = []
     for fname, strategy in spec.temporal:
         term = (encoding.FEATURES[fname], strategy)
@@ -117,23 +128,23 @@ def _columns(spec):
                        lambda frame, term=term: encoding.expand_temporal(
                            frame, [term]).values()))
     rolling = {"mean": rolling_mean, "std": rolling_std}
-    blocks += [([f"rolling_{stat}_{w}h"], GROUP_ROLLING, w - 1,
-                _target_block(rolling[stat], w))
+    blocks += [([f"rolling_{stat}_{w}h"], GROUP_ROLLING, w,
+                _causal_block(rolling[stat], w))
                for w in spec.rolling_windows for stat in spec.rolling_stats]
     blocks += [([f"lag_{k}h"], GROUP_LAG, k, _target_block(lag, k))
                for k in spec.lags]
     for h in spec.ewm_halflives:
         label = int(h) if float(h).is_integer() else h
-        blocks.append(([f"ewm_{label}h"], GROUP_OTHERS, 0,
-                       _target_block(ewm_mean, h)))
+        blocks.append(([f"ewm_{label}h"], GROUP_OTHERS, 1,
+                       _causal_block(ewm_mean, h)))
     return blocks
 
 
 def needs_target_history(spec) -> bool:
-    """Whether the spec emits a column derived from the target: a block
-    after the temporal ones, whose EWM reads the target with lookback 0."""
-    return any(group not in spec.disabled_groups
-               for _, group, _, _ in _columns(spec)[len(spec.temporal):])
+    """Whether the spec emits a column with a lookback, one that reads
+    the target."""
+    return any(lookback >= 1 and group not in spec.disabled_groups
+               for _, group, lookback, _ in _columns(spec))
 
 
 def _is_str(value) -> bool:
@@ -318,8 +329,8 @@ class FeatureMatrix:
 def build_matrix(frame, spec: FeatureSpec) -> FeatureMatrix:
     """Materialize the design matrix for a frame under a feature spec.
 
-    Column order is temporal, rolling, lag, ewm; leading rows where any
-    backward-looking column is undefined are dropped. Columns are made one
+    Column order is temporal, rolling, lag, ewm; the first `spec.warmup()`
+    rows, the longest declared lookback, are dropped. Columns are made one
     `_columns` block at a time, in its order, and each is written once
     into the block behind `values`.
     """

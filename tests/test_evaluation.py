@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cyclecast import evaluation, gbtree
-from cyclecast.cli import main
+from cyclecast.cli import learner_configs, main
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
 from cyclecast.errors import ConfigError, DataError, InvariantError
 from cyclecast.evaluation import (
@@ -559,6 +559,22 @@ class TestFitPath:
         for cut in (2, 0, -5):
             with pytest.raises(DataError):
                 fit_before(matrix, cut, self.params)
+
+
+class TestNoiseFloor:
+    """The synthetic target is a function of the hour and the weekday plus
+    Gaussian noise of std sigma, so no causal forecast can score much
+    below sigma on held-out hours; a feature that reads y[t] can."""
+
+    @pytest.mark.parametrize("config", ["xgb-style", "lgbm-style"])
+    def test_holdout_rmse_is_not_below_the_noise(self, config):
+        sigma = 0.3
+        frame = generate_synthetic(SyntheticConfig(noise_std=sigma, seed=42))
+        spec = FeatureSpec().with_encoding("sinusoidal")
+        out = holdout(frame, spec, learner_configs(42)[config], 0.2)
+        # 1752 held-out hours: the RMSE of pure noise has a spread of about
+        # sigma / sqrt(2 * 1752), near 1.7% of sigma.
+        assert out["metrics"].rmse >= 0.95 * sigma
 
 
 class TestPeriodBreakdown:

@@ -9,7 +9,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cyclecast import gbtree
-from cyclecast.dataset import SyntheticConfig, generate_synthetic
+from cyclecast.dataset import (
+    SyntheticConfig, TimeSeriesFrame, generate_synthetic,
+)
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.features import (
     BLOCK_ROWS, FeatureSpec, ablate, build_matrix, ewm_mean, lag,
@@ -337,26 +339,48 @@ class TestBuildMatrix:
         with pytest.raises(DataError):
             build_matrix(self.frame(100), FeatureSpec())
 
+    every_kind = FeatureSpec(
+        rolling_windows=(3, 8), rolling_stats=("mean", "std"),
+        lags=(1, 5), ewm_halflives=(12.0, 1.5),
+        temporal=tuple((name, strategy)
+                       for name in ("hour", "dayofweek", "month")
+                       for strategy in ("sinusoidal", "ordinal", "onehot")),
+    )
+
+    @pytest.mark.parametrize("t", [8, 300, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, BLOCK_ROWS + 9])
+    def test_no_row_reads_the_target_at_or_after_it(self, t):
+        # Raising y[t:] leaves every matrix row built from frame rows <= t
+        # as it was; t runs across the edge of the blocks that
+        # rolling_std and ewm_mean work in.
+        frame = self.frame(BLOCK_ROWS + 200)
+        raised = TimeSeriesFrame(
+            timestamps=frame.timestamps,
+            target=frame.target + 10.0 * (np.arange(len(frame)) >= t))
+        a = build_matrix(frame, self.every_kind)
+        b = build_matrix(raised, self.every_kind)
+        cut = a.split_row(t + 1)
+        assert a.split_row(t) + 1 == cut  # frame row t has a matrix row
+        leaks = [name for i, name in enumerate(a.column_names)
+                 if not np.array_equal(a.values[:cut, i], b.values[:cut, i])]
+        assert leaks == []
+        # The next row reads y[t] through lag_1h, so the probe can see.
+        assert not np.array_equal(a.values[cut], b.values[cut])
+
     def test_every_column_kind_under_every_ablation(self):
-        spec = FeatureSpec(
-            rolling_windows=(3, 8), rolling_stats=("mean", "std"),
-            lags=(1, 5), ewm_halflives=(12.0, 1.5),
-            temporal=tuple((name, strategy)
-                           for name in ("hour", "dayofweek", "month")
-                           for strategy in ("sinusoidal", "ordinal",
-                                            "onehot")),
-        )
+        spec = self.every_kind
         frame = self.frame(300)
         y = frame.target
+        # Windows and EWMs end the row before: each moves down one row.
         transforms = {
-            "rolling_mean_3h": rolling_mean(y, 3),
-            "rolling_std_3h": rolling_std(y, 3),
-            "rolling_mean_8h": rolling_mean(y, 8),
-            "rolling_std_8h": rolling_std(y, 8),
+            "rolling_mean_3h": lag(rolling_mean(y, 3), 1),
+            "rolling_std_3h": lag(rolling_std(y, 3), 1),
+            "rolling_mean_8h": lag(rolling_mean(y, 8), 1),
+            "rolling_std_8h": lag(rolling_std(y, 8), 1),
             "lag_1h": lag(y, 1),
             "lag_5h": lag(y, 5),
-            "ewm_12h": ewm_mean(y, 12.0),
-            "ewm_1.5h": ewm_mean(y, 1.5),
+            "ewm_12h": lag(ewm_mean(y, 12.0), 1),
+            "ewm_1.5h": lag(ewm_mean(y, 1.5), 1),
         }
         full = spec.column_names()
         assert [n for n in full if n in transforms] == list(transforms)
@@ -365,11 +389,11 @@ class TestBuildMatrix:
                 sub = replace(spec, disabled_groups=disabled)
                 m = build_matrix(frame, sub)
                 assert list(m.column_names) == sub.column_names()
-                assert m.dropped_warmup == 7  # rolling_*_8h's lookback
+                assert m.dropped_warmup == 8  # rolling_*_8h's lookback
                 for name, expected in transforms.items():
                     if name in m.column_names:
                         col = m.values[:, m.column_names.index(name)]
-                        assert np.array_equal(col, expected[7:]), name
+                        assert np.array_equal(col, expected[8:]), name
 
 
 class TestAblate:
