@@ -103,10 +103,6 @@ def ewm_mean(series, halflife):
     return out
 
 
-def _target_block(transform, arg):
-    return lambda frame: [transform(frame.target, arg)]
-
-
 def _causal_block(transform, arg):
     """The transform moved down one row, so its row t reads y[:t]."""
     return lambda frame: [lag(transform(frame.target, arg), 1)]
@@ -131,7 +127,8 @@ def _columns(spec):
     blocks += [([f"rolling_{stat}_{w}h"], GROUP_ROLLING, w,
                 _causal_block(rolling[stat], w))
                for w in spec.rolling_windows for stat in spec.rolling_stats]
-    blocks += [([f"lag_{k}h"], GROUP_LAG, k, _target_block(lag, k))
+    blocks += [([f"lag_{k}h"], GROUP_LAG, k,
+                lambda frame, k=k: [lag(frame.target, k)])
                for k in spec.lags]
     for h in spec.ewm_halflives:
         label = int(h) if float(h).is_integer() else h
