@@ -205,6 +205,9 @@ class FeatureSpec:
         for g in self.disabled_groups:
             if g not in GROUPS:
                 raise ConfigError(f"unknown feature group {g!r}")
+        names = [name for block in _columns(self) for name in block[0]]
+        if len(set(names)) != len(names):
+            raise ConfigError("duplicate feature column names in spec")
 
     def warmup(self) -> int:
         """The longest lookback of a declared column, ablated ones too."""
@@ -223,11 +226,7 @@ class FeatureSpec:
 
     def column_names(self):
         """Emitted column names in deterministic order, minus ablated groups."""
-        blocks = _columns(self)
-        names = [name for block in blocks for name in block[0]]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate feature column names in spec")
-        return [name for names, group, _, _ in blocks
+        return [name for names, group, _, _ in _columns(self)
                 if group not in self.disabled_groups for name in names]
 
     def to_dict(self) -> dict:

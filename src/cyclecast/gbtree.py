@@ -25,10 +25,16 @@ r = 0..MAX_BINS rows. A child at the depth cap is never searched, so it
 gets no search layout, only its rows and gradient and hessian sums.
 Growth records each sampled row's leaf value, so only rows outside the
 tree's sample walk the tree for the training update. A tree walks a few
-rows one row at a time in Python, and more rows one node at a time, each
-node splitting its rows by one vector comparison: the first costs steps
-per row and level, the second numpy calls per node, so the choice reads
-the row and node counts alone.
+rows one row at a time in Python, and more rows one level at a time over
+node arrays it compiles on its first such walk: each round gathers every
+row's feature value and threshold and steps the row to a child, a leaf
+stepping to itself, for as many rounds as the tree is deep (the
+level-synchronous traversal of Asadi, Lin & de Vries 2014). The first
+costs Python steps per row and level, the second numpy calls per level
+plus the compile, so the choice reads the row and node counts and whether
+the tree is compiled. `predict` walks WALK_ROWS rows through every tree
+before it moves on to the next rows, in tree order, so each row's sum is
+formed as it would be in one block.
 Supports depth-wise and leaf-wise growth, plain row subsampling or
 gradient-based one-side sampling (GOSS), per-tree column subsampling,
 shrinkage, and patience-based early stopping on a validation set.
@@ -259,12 +265,22 @@ def _entries_ok(values, types) -> bool:
         return False
 
 
-def _walks_by_row(n_rows, n_nodes):
+# Rows that `predict` walks through every tree before it moves on to the
+# next rows. A walk round holds a few arrays of 8 bytes per row, and at
+# most this many rows keeps each under glibc's default 128 KiB mmap
+# threshold, so they come from the heap rather than fresh mappings. A year
+# of hourly rows is one block.
+WALK_ROWS = 16000
+
+
+def _walks_by_row(n_rows, n_nodes, compiled):
     """Whether `RegressionTree.predict` walks `n_rows` rows through a tree
-    of `n_nodes` nodes one row at a time rather than one node at a time.
-    A row costs a few Python steps per level; a node costs a few numpy
-    calls whatever its row count, so few rows in a large tree go by row."""
-    return n_rows <= 3 * n_nodes
+    of `n_nodes` nodes one row at a time rather than one level at a time.
+    A row costs a few Python steps per level, a level a few numpy calls
+    whatever its row count, so the walks cost the same at about 32 rows.
+    A tree's first level walk also compiles it, at about half a row's
+    walk per node."""
+    return n_rows <= 32 + (0 if compiled else n_nodes // 2)
 
 
 class RegressionTree:
@@ -272,6 +288,8 @@ class RegressionTree:
 
     Internal node i routes x[feature[i]] < threshold[i] to left[i], else
     right[i]; leaves have feature -1 and carry their weight in value[].
+    The first level walk compiles the node lists into arrays and keeps
+    them, so the lists must not change after a tree has walked.
     """
 
     def __init__(self):
@@ -280,6 +298,7 @@ class RegressionTree:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
+        self._levels = None
 
     def add_leaf(self, weight: float) -> int:
         if not math.isfinite(weight):
@@ -309,9 +328,9 @@ class RegressionTree:
         an array of row indices, only those rows walk the tree and the
         result holds their values in that order."""
         n_rows = XT.shape[1] if rows is None else rows.size
-        if _walks_by_row(n_rows, len(self.feature)):
+        if _walks_by_row(n_rows, len(self.feature), self._levels is not None):
             return self._walk_rows(XT, rows)
-        return self._walk_nodes(XT, rows)
+        return self._walk_levels(XT, rows)
 
     def _walk_rows(self, XT, rows):
         """`predict` one row at a time, in Python floats."""
@@ -325,27 +344,54 @@ class RegressionTree:
             out.append(value[node])
         return np.array(out, dtype=np.float64)
 
-    def _walk_nodes(self, XT, rows):
-        """`predict` one node at a time, each node splitting its rows by
-        one vector comparison."""
-        feature, threshold = self.feature, self.threshold
-        left_of, right_of, value = self.left, self.right, self.value
-        out = np.empty(XT.shape[1])
-        stack = [(0, np.arange(XT.shape[1]) if rows is None else rows)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            node, at = pop()
-            f = feature[node]
+    def _walk_levels(self, XT, rows):
+        """`predict` one level at a time: each round steps every row from
+        its node to a child, so after `depth` rounds every row is at its
+        leaf.
+
+        Node i sits at position 2i of the compiled arrays; `child[2i]` is
+        2 * right[i] and `child[2i + 1]` is 2 * left[i], so a row at
+        position p moves to child[p + (x < threshold)], and a NaN goes
+        right. A leaf's children are the leaf itself.
+        """
+        if self._levels is None:
+            self._levels = self._compile()
+        feature, threshold, child, value, depth = self._levels
+        if rows is None:
+            rows = np.arange(XT.shape[1])
+        if depth == 0:
+            return np.full(rows.size, value[0])
+        # Every row starts at the root, whose column is read directly.
+        at = child.take(XT[feature[0]].take(rows) < threshold[0])
+        offset = feature * XT.shape[1]  # XT.take(offset + row): x[feature]
+        for _ in range(depth - 1):
+            cell = offset.take(at)
+            cell += rows
+            at += XT.take(cell) < threshold.take(at)
+            at = child.take(at)
+        return value.take(at)
+
+    def _compile(self):
+        """(feature, threshold, child, value, depth) for `_walk_levels`:
+        each node's entries twice, at positions 2i and 2i + 1, so every
+        array is indexed by a row's position; a leaf reads feature 0.
+        Children are numbered after their parent (`_load_tree` checks it),
+        so one pass in node order finds every node's depth."""
+        n = len(self.feature)
+        child = []
+        depth = [0] * n
+        for i, (f, left, right) in enumerate(zip(self.feature, self.left,
+                                                 self.right)):
             if f < 0:
-                out[at] = value[node]
-                continue
-            mask = XT[f].take(at) < threshold[node]
-            left, right = at.compress(mask), at.compress(~mask)
-            if left.size:
-                push((left_of[node], left))
-            if right.size:
-                push((right_of[node], right))
-        return out if rows is None else out.take(rows)
+                child += (i + i, i + i)
+            else:
+                child += (right + right, left + left)
+                depth[left] = depth[right] = depth[i] + 1
+        feature = np.fromiter(self.feature, np.intp, n)
+        feature[feature < 0] = 0
+        return (feature.repeat(2), np.fromiter(self.threshold, float, n)
+                .repeat(2), np.array(child, dtype=np.intp),
+                np.fromiter(self.value, float, n).repeat(2), max(depth))
 
     def to_dict(self) -> dict:
         return {k: list(getattr(self, k)) for k in TREE_KEYS}
@@ -918,11 +964,17 @@ def predict(model: GbtModel, X):
             "feature columns do not match training columns; "
             f"missing or misordered: {sorted(missing) or list(feature_names)}"
         )
-    out = np.full(X.shape[0], model.base_score)
+    n = X.shape[0]
+    out = np.full(n, model.base_score)
     eta = model.params.learning_rate
     XT = np.ascontiguousarray(X.T)
-    for tree in model.trees[: model.best_iteration]:
-        out = out + eta * tree.predict(XT)
+    trees = model.trees[: model.best_iteration]
+    for start in range(0, n, WALK_ROWS):
+        stop = min(start + WALK_ROWS, n)
+        rows = None if stop - start == n else np.arange(start, stop)
+        block = out[start:stop]
+        for tree in trees:
+            block += eta * tree.predict(XT, rows)
     return out
 
 

@@ -103,8 +103,8 @@ class TestBench:
         assert not out.exists()
 
     def test_duplicate_lag_is_usage_error(self, tmp_path, capsys):
-        # Two lag_1h columns: the spec loads, and fails when its columns
-        # are named, before any fit.
+        # Two lag_1h columns: the spec is refused as it loads, before any
+        # fit.
         out, spec = tmp_path / "out", tmp_path / "spec.json"
         spec.write_text('{"lags": [1, 1]}')
         assert self.bench(out, "--features", str(spec)) == 1
@@ -791,6 +791,30 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: model file {model} ")
         assert message in err
+
+    @pytest.mark.parametrize("target", [True, False],
+                             ids=["with-target", "without-target"])
+    def test_duplicate_column_in_saved_spec_is_data_error(
+            self, tmp_path, capsys, target):
+        # Lags [1, 2, 24, 168, 1] declare lag_1h twice: the spec is
+        # refused as the model file is read, before the CSV is.
+        model, data = self.fitted_model(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["extra"]["feature_spec"]["lags"].append(1)
+        model.write_text(json.dumps(payload))
+        if not target:
+            bare = tmp_path / "bare.csv"
+            bare.write_text("".join(line.split(",")[0] + "\n"
+                                    for line in data.read_text().splitlines()))
+            data = bare
+        capsys.readouterr()
+        out = tmp_path / "pred"
+        assert run_cli("predict", "--model", str(model), "--data", str(data),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: model file {model}: duplicate feature column "
+            "names in spec\n")
+        assert not out.exists()
 
 
 # Marks a key that `TestModelChecks` deletes instead of setting.

@@ -891,6 +891,53 @@ def random_tree(rng, n_feat, values, depth=0):
     return tree
 
 
+def tree_of_depth(rng, n_feat, values, depth, growth):
+    """A RegressionTree of exactly `depth` levels, grown at random with
+    thresholds drawn from `values` and nodes numbered as `growth` numbers
+    them: depthwise growth numbers a node's whole left subtree before its
+    right child, leafwise growth a split's two children as a pair after
+    every node made before."""
+    tree = gbtree.RegressionTree()
+
+    def split(node):
+        tree.feature[node] = int(rng.integers(n_feat))
+        tree.threshold[node] = float(rng.choice(values))
+
+    if growth == DEPTHWISE:
+        # `deep` marks the one path that reaches `depth`.
+        def grow(level, deep):
+            node = tree.add_leaf(rng.normal())
+            if level < depth and (deep or rng.random() < 0.6):
+                split(node)
+                goes_left = rng.random() < 0.5
+                tree.left[node] = grow(level + 1, deep and goes_left)
+                tree.right[node] = grow(level + 1, deep and not goes_left)
+            return node
+
+        grow(0, True)
+        return tree
+    level = [0]
+    deep = tree.add_leaf(rng.normal())
+    extra = int(rng.integers(0, 3 * depth))
+    while level[deep] < depth or extra:
+        open_leaves = [i for i, f in enumerate(tree.feature)
+                       if f < 0 and level[i] < depth]
+        if level[deep] < depth and (not extra or rng.random() < 0.5):
+            node = deep
+        elif not open_leaves:
+            break
+        else:
+            node = int(rng.choice(open_leaves))
+            extra -= 1
+        split(node)
+        tree.left[node] = tree.add_leaf(rng.normal())
+        tree.right[node] = tree.add_leaf(rng.normal())
+        level += [level[node] + 1] * 2
+        if node == deep:
+            deep = tree.left[node] if rng.random() < 0.5 else tree.right[node]
+    return tree
+
+
 def walk_rows(tree, X):
     """Per-row reference walk: x[f] < threshold goes left, else right."""
     out = np.empty(X.shape[0])
@@ -903,11 +950,18 @@ def walk_rows(tree, X):
     return out
 
 
-WALKS = ("_walk_rows", "_walk_nodes")
+def tree_depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]),
+                   tree_depth(tree, tree.right[node]))
+
+
+WALKS = ("_walk_rows", "_walk_levels")
 
 
 class TestTreeWalk:
-    """`predict` walks few rows one row at a time and many one node at a
+    """`predict` walks few rows one row at a time and more one level at a
     time; either walk must give the reference walk's values."""
 
     def test_column_major_walk_matches_row_walk(self):
@@ -927,6 +981,22 @@ class TestTreeWalk:
                 for f, t in zip(tree.feature, tree.threshold) if f >= 0)
         assert on_threshold > 0
 
+    @pytest.mark.parametrize("growth", [DEPTHWISE, LEAFWISE])
+    def test_trees_of_every_depth_match_row_walk(self, growth):
+        rng = np.random.default_rng(24)
+        values = np.array([-1.5, 0.0, 0.25, 2.0, 3.0])
+        X = rng.choice(np.append(values, [np.nan, np.inf, -np.inf]),
+                       size=(300, 4))
+        XT = np.ascontiguousarray(X.T)
+        for depth in range(1, 11):
+            for _ in range(4):
+                tree = tree_of_depth(rng, 4, values, depth, growth)
+                assert tree_depth(tree) == depth
+                full = walk_rows(tree, X)
+                for walk in WALKS:
+                    assert np.array_equal(getattr(tree, walk)(XT, None), full)
+                assert np.array_equal(tree.predict(XT), full)
+
     def test_predict_matches_row_walk_on_both_sides_of_the_rule(self):
         rng = np.random.default_rng(22)
         values = np.array([-1.5, 0.0, 0.25, 2.0, 3.0])
@@ -935,14 +1005,19 @@ class TestTreeWalk:
         for _ in range(30):
             tree = random_tree(rng, 4, values)
             n_nodes = len(tree.feature)
-            # The largest row count still walked by row.
-            cut = max(r for r in range(X.shape[0] + 1)
-                      if gbtree._walks_by_row(r, n_nodes))
-            assert not gbtree._walks_by_row(cut + 1, n_nodes)
-            for n in (0, 1, cut, cut + 1, X.shape[0]):
-                sides.add(gbtree._walks_by_row(n, n_nodes))
-                XT = np.ascontiguousarray(X[:n].T)
-                assert np.array_equal(tree.predict(XT), walk_rows(tree, X[:n]))
+            for compiled in (False, True):
+                # The largest row count still walked by row.
+                cut = max(r for r in range(X.shape[0] + 1)
+                          if gbtree._walks_by_row(r, n_nodes, compiled))
+                assert not gbtree._walks_by_row(cut + 1, n_nodes, compiled)
+                for n in (0, 1, cut, cut + 1, X.shape[0]):
+                    fresh = gbtree.RegressionTree.from_dict(tree.to_dict())
+                    if compiled:  # a level walk compiles the tree
+                        fresh._walk_levels(np.zeros((4, 1)), None)
+                    sides.add(gbtree._walks_by_row(n, n_nodes, compiled))
+                    XT = np.ascontiguousarray(X[:n].T)
+                    assert np.array_equal(fresh.predict(XT),
+                                          walk_rows(tree, X[:n]))
         assert sides == {True, False}
 
     def test_value_at_threshold_goes_right(self):
@@ -961,6 +1036,16 @@ class TestTreeWalk:
         for walk in WALKS:
             assert getattr(saved, walk)(XT, None).tolist() == [1.0]
 
+    def test_nan_goes_right(self):
+        tree = gbtree.RegressionTree()
+        root = tree.add_internal(0, 0.5)
+        tree.left[root] = tree.add_leaf(-1.0)
+        tree.right[root] = tree.add_leaf(1.0)
+        XT = np.array([[np.nan, -np.inf, np.inf, -0.0]])
+        for walk in WALKS:
+            assert getattr(tree, walk)(XT, None).tolist() == \
+                [1.0, -1.0, 1.0, -1.0]
+
     def test_leaf_only_tree_and_no_rows(self):
         tree = gbtree.RegressionTree()
         tree.add_leaf(2.5)
@@ -971,6 +1056,8 @@ class TestTreeWalk:
             assert getattr(tree, walk)(np.zeros((3, 4)), np.array([2])) \
                 .tolist() == [2.5]
             assert getattr(split, walk)(np.zeros((2, 0)), None).size == 0
+            assert getattr(split, walk)(np.zeros((2, 5)),
+                                        np.arange(0)).size == 0
         assert tree.predict(np.zeros((3, 4))).tolist() == [2.5] * 4
         assert split.predict(np.zeros((2, 0))).size == 0
 
@@ -981,12 +1068,37 @@ class TestTreeWalk:
         XT = np.ascontiguousarray(X.T)
         tree = random_tree(rng, 3, values)
         full = walk_rows(tree, X)
-        for rows in (rng.permutation(200)[:70], np.array([5]),
+        unsorted = rng.permutation(200)[:70]
+        for rows in (unsorted, np.sort(unsorted), np.array([5]),
                      np.arange(0), np.arange(200)):
             for walk in WALKS:
                 assert np.array_equal(getattr(tree, walk)(XT, rows),
                                       full[rows])
             assert np.array_equal(tree.predict(XT, rows), full[rows])
+
+
+class TestWalkBlocks:
+    """`predict` walks WALK_ROWS rows through every tree at a time; the
+    blocks must not change a bit."""
+
+    @pytest.mark.parametrize("by_row", [True, False], ids=["rows", "levels"])
+    @pytest.mark.parametrize("n", [6, 7, 8, 15])
+    def test_blocks_give_the_unblocked_bits(self, monkeypatch, n, by_row):
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(200, 3))
+        y = X[:, 0] + np.sin(2 * X[:, 1]) + 0.1 * rng.normal(size=200)
+        model, _ = fit(X, y, HyperParams(n_estimators=8, max_depth=5))
+        Xn = rng.normal(size=(n, 3))
+        monkeypatch.setattr(gbtree, "_walks_by_row", lambda *_: by_row)
+        whole = predict(model, Xn)
+        monkeypatch.setattr(gbtree, "WALK_ROWS", 7)
+        assert np.array_equal(predict(model, Xn), whole)
+        # The reference: each tree's reference walk added in tree order.
+        expected = np.full(n, model.base_score)
+        for tree in model.trees[:model.best_iteration]:
+            expected = expected + model.params.learning_rate * walk_rows(
+                tree, Xn)
+        assert np.array_equal(whole, expected)
 
 
 class TestFeatureImportance:
