@@ -5,20 +5,23 @@ the target value at each. A CSV needs a `datetime` column and a
 `Global_active_power` column; any other column is ignored. Timestamps
 are naive local times, read from ISO 8601 text and held as one
 datetime64[us] array, so sub-second parts are kept; a CSV row whose
-timestamp carries a UTC offset is rejected.
+timestamp carries a UTC offset is rejected. A CSV is UTF-8 text: a chunk
+of plain ASCII lines is parsed from its bytes one column at a time, and
+any other chunk row by row as `csv.reader` splits its decoded text.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoding import DAYOFWEEK, HOUR
 from .errors import ConfigError, DataError, is_real
@@ -150,25 +153,138 @@ def _parse_rows(rows, first_row, time_idx, target_idx, rejected):
     return micros, np.array(values, dtype=np.float64)
 
 
-def _parse_clean(rows, time_idx, target_idx):
-    """`_parse_rows`'s result for rows of which it rejects none, parsed
-    column by column; None when some row is short, has an unparseable
-    cell or a UTC offset, or holds a non-finite value."""
-    last = time_idx if target_idx is None else max(time_idx, target_idx)
-    if min(map(len, rows)) <= last:
+# The bytes a target field that `_parse_columns` casts may hold, besides
+# the NUL padding of a fixed-width bytes array: every other byte makes
+# float() and numpy's cast differ, or both reject it.
+_NUMERIC_BYTES = b"\0" + b"0123456789.eE+-"
+# Per byte of a "YYYY-MM-DD HH:MM:SS" timestamp, the lowest value it may
+# take and how far above it it may go; the separator is checked alone.
+_STAMP_LOW = np.frombuffer(b"0000-00-00 00:00:00", np.uint8)
+_STAMP_SPAN = np.frombuffer(b"9999-99-99T99:99:99", np.uint8) - _STAMP_LOW
+
+
+def _decode(data, path, line, encoding="utf-8"):
+    """`data`, the file's lines from `line` on, as text; a byte that is not
+    UTF-8 is a DataError naming its line."""
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line += data.count(b"\n", 0, exc.start)
+        raise DataError(f"{path}: line {line} is not UTF-8 text") from None
+
+
+def _text_lines(chunks, path, line):
+    """The text lines of chunks of the file's byte lines, from `line` on,
+    split at "\\n", "\\r" and "\\r\\n" as a file opened with
+    newline="" splits them."""
+    for chunk in chunks:
+        yield from io.StringIO(_decode(b"".join(chunk), path, line),
+                               newline="")
+        line += len(chunk)
+
+
+def _fields(buf, start, width):
+    """Each row's bytes buf[start:start + width] as one row of a uint8
+    array, NUL-padded to the widest."""
+    w = int(width.max())
+    if start[-1] + w > buf.size:
+        buf = np.concatenate((buf, np.zeros(w, np.uint8)))
+    cells = sliding_window_view(buf, w)[start]
+    if (width != w).any():
+        cells *= np.arange(w) < width[:, None]
+    return cells
+
+
+def _parse_columns(chunk, data, n_cols, time_idx, target_idx):
+    """`_parse_rows`'s result for the byte lines `chunk`, joined as `data`,
+    parsed one column at a time; None unless every line is ASCII without
+    a quote or a NUL, ends in "\\n" or "\\r\\n", has `n_cols` fields, a time
+    field "YYYY-MM-DD HH:MM:SS" (or with "T") of a year from 1 and a
+    target field of `_NUMERIC_BYTES` that numpy's cast reads as a finite
+    number. On such a field numpy's casts to datetime64 and float64 agree
+    with `datetime.fromisoformat` and `float`, rejections included."""
+    if (not data.isascii() or b'"' in data or b"\0" in data
+            or not data.endswith(b"\n")):
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    n_lines = len(chunk)
+    lengths = np.fromiter(map(len, chunk), np.intp, n_lines)
+    starts = lengths.cumsum()
+    ends = starts - 1  # at each "\n"
+    starts -= lengths
+    crlf = buf.take(ends - 1) == 13
+    if np.count_nonzero(crlf) != data.count(b"\r"):
+        return None  # a lone "\r" ends a text line
+    ends -= crlf
+    commas = np.flatnonzero(buf == 44)
+    if commas.size != n_lines * (n_cols - 1):
+        return None
+    commas = commas.reshape(n_lines, n_cols - 1)
+    # Rows of sorted commas inside their own lines: n_cols - 1 per line.
+    if n_cols > 1 and not ((commas[:, 0] >= starts).all()
+                           and (commas[:, -1] < ends).all()):
+        return None
+
+    def field(k):
+        start = commas[:, k - 1] + 1 if k else starts
+        end = commas[:, k] if k < n_cols - 1 else ends
+        return start, end - start
+
+    start, width = field(time_idx)
+    if not (width == 19).all():
+        return None
+    stamps = sliding_window_view(buf, 19)[start]
+    sep = stamps[:, 10]
+    if not (((stamps - _STAMP_LOW) <= _STAMP_SPAN).all()
+            and ((sep == 32) | (sep == 84)).all()  # " " or "T"
+            and (stamps[:, :4] != 48).any(axis=1).all()):  # year 0000
         return None
     try:
-        stamps = list(map(datetime.fromisoformat,
-                          map(str.strip, map(itemgetter(time_idx), rows))))
-        values = (np.empty(0) if target_idx is None else np.array(
-            list(map(float, map(itemgetter(target_idx), rows)))))
+        micros = stamps.view("S19").ravel().astype("datetime64[us]")
     except ValueError:
         return None
-    if any(ts.tzinfo is not None for ts in stamps):
+    if target_idx is None:
+        return micros.view(np.int64), np.empty(0)
+    start, width = field(target_idx)
+    if not width.all():  # float() rejects an empty field
+        return None
+    cells = _fields(buf, start, width)
+    if cells.tobytes().translate(None, _NUMERIC_BYTES):
+        return None
+    try:
+        values = cells.view(f"S{cells.shape[1]}").ravel().astype(np.float64)
+    except ValueError:
         return None
     if not np.isfinite(values).all():
         return None
-    return [(ts - _EPOCH) // datetime.resolution for ts in stamps], values
+    return micros.view(np.int64), values
+
+
+def _row_blocks(reader):
+    """csv rows from `reader`, CHUNK_ROWS at a time."""
+    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+        yield rows
+
+
+def _body_blocks(chunks, path, columns):
+    """Per chunk of the body's byte lines, (micros, values) from
+    `_parse_columns`, or the chunk's csv rows where it returns None. A
+    chunk holding a quote passes the rest of the file to csv.reader, as
+    a quoted field may span lines."""
+    line = 2
+    for chunk in chunks:
+        data = b"".join(chunk)
+        parsed = _parse_columns(chunk, data, *columns)
+        if parsed is not None:
+            yield parsed
+        elif b'"' in data:
+            yield from _row_blocks(csv.reader(_text_lines(
+                itertools.chain([chunk], chunks), path, line)))
+            return
+        else:
+            yield list(csv.reader(io.StringIO(_decode(data, path, line),
+                                              newline="")))
+        line += len(chunk)
 
 
 def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
@@ -181,19 +297,32 @@ def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
     or duplicate timestamps are hard errors, reported with the path and
     the same 0-based data-row index. With ``allow_missing_target`` a file
     without the target column loads with a NaN target (prediction-only
-    input).
+    input). A byte that is not UTF-8 is a DataError naming its line.
 
-    Rows are read CHUNK_ROWS at a time. A chunk in which every row parses
-    is converted column by column; any other chunk goes row by row
-    through `_parse_rows`, which alone decides rejections.
+    The file is read as bytes, CHUNK_ROWS lines at a time.
+    `_parse_columns` parses a chunk of plain lines, which `csv.reader`
+    would split at each comma, with one numpy cast per column. Any other
+    chunk is decoded and goes through `csv.reader` and `_parse_rows`,
+    which alone decides rejections, as does the rest of the file after a
+    chunk holding a quote, and the whole file when the header holds one
+    or a lone carriage return.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
 
-    # utf-8-sig drops the byte-order mark that spreadsheet exports add.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        # utf-8-sig drops the byte-order mark that spreadsheet exports add.
+        lines = io.StringIO(_decode(head, path, 1, "utf-8-sig"),
+                            newline="").readlines()
+        chunks = iter(lambda: list(itertools.islice(fh, CHUNK_ROWS)), [])
+        plain = len(lines) <= 1 and b'"' not in head
+        if plain:
+            reader = csv.reader(lines)
+        else:
+            reader = csv.reader(itertools.chain(
+                lines, _text_lines(chunks, path, 2)))
         try:
             header = next(reader)
         except StopIteration:
@@ -215,15 +344,20 @@ def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
         value_chunks = []
         rejected = []
         first_row = 0
-        while rows := list(itertools.islice(reader, CHUNK_ROWS)):
-            parsed = _parse_clean(rows, time_idx, target_idx)
-            if parsed is None:
-                parsed = _parse_rows(rows, first_row, time_idx, target_idx,
-                                     rejected)
-            micros, values = parsed
-            micro_chunks.append(np.array(micros, dtype=np.int64))
+        blocks = (_body_blocks(chunks, path,
+                               (len(header), time_idx, target_idx))
+                  if plain else _row_blocks(reader))
+        for block in blocks:
+            if isinstance(block, list):  # csv rows
+                micros, values = _parse_rows(block, first_row, time_idx,
+                                             target_idx, rejected)
+                micros = np.array(micros, dtype=np.int64)
+                first_row += len(block)
+            else:
+                micros, values = block
+                first_row += len(micros)
+            micro_chunks.append(micros)
             value_chunks.append(values)
-            first_row += len(rows)
 
     if not sum(map(len, micro_chunks)):
         raise DataError(f"{path}: no valid data rows")

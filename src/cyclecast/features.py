@@ -241,6 +241,8 @@ class FeatureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"feature spec must be an object, got {d!r}")
         extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown feature-spec keys: {sorted(extra)}")

@@ -26,7 +26,8 @@ gets no search layout, only its rows and gradient and hessian sums.
 Growth records each sampled row's leaf value, so only rows outside the
 tree's sample walk the tree for the training update. A tree walks a few
 rows one row at a time in Python, and more rows one level at a time over
-node arrays it compiles on its first such walk: each round gathers every
+node arrays compiled on its first such walk, or for all the trees
+`predict` walks at once by `load_model`: each round gathers every
 row's feature value and threshold and steps the row to a child, a leaf
 stepping to itself, for as many rounds as the tree is deep (the
 level-synchronous traversal of Asadi, Lin & de Vries 2014). The first
@@ -50,6 +51,7 @@ indexing, which cost more per call for the same result.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -102,8 +104,9 @@ class HyperParams:
     seed: int = 42
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 < self.learning_rate <= 1:
+            raise ConfigError("hyperparameter 'learning_rate' must be in "
+                              f"(0, 1], got {self.learning_rate!r}")
         if self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
         if self.n_estimators < 1:
@@ -254,6 +257,8 @@ def goss_sample(g, a, b, rng):
 _NODE_TYPES = {"feature": {int}, "threshold": {int, float}, "left": {int},
                "right": {int}, "value": {int, float}}
 TREE_KEYS = tuple(_NODE_TYPES)
+# The dtype of each node array, in TREE_KEYS order, once compiled.
+_NODE_DTYPES = (np.intp, np.float64, np.intp, np.intp, np.float64)
 
 
 def _entries_ok(values, types) -> bool:
@@ -287,9 +292,10 @@ class RegressionTree:
     """Binary regression tree stored as parallel node arrays.
 
     Internal node i routes x[feature[i]] < threshold[i] to left[i], else
-    right[i]; leaves have feature -1 and carry their weight in value[].
-    The first level walk compiles the node lists into arrays and keeps
-    them, so the lists must not change after a tree has walked.
+    right[i]; leaves have feature -1 and children -1 and carry their
+    weight in value[]. The first level walk compiles the node lists into
+    arrays, unless `load_model` has, and keeps them, so the lists must not
+    change after a tree has walked.
     """
 
     def __init__(self):
@@ -355,7 +361,9 @@ class RegressionTree:
         right. A leaf's children are the leaf itself.
         """
         if self._levels is None:
-            self._levels = self._compile()
+            self._levels, = _compile([len(self.feature)], *(
+                np.array(getattr(self, k), dtype)
+                for k, dtype in zip(TREE_KEYS, _NODE_DTYPES)))
         feature, threshold, child, value, depth = self._levels
         if rows is None:
             rows = np.arange(XT.shape[1])
@@ -371,28 +379,6 @@ class RegressionTree:
             at = child.take(at)
         return value.take(at)
 
-    def _compile(self):
-        """(feature, threshold, child, value, depth) for `_walk_levels`:
-        each node's entries twice, at positions 2i and 2i + 1, so every
-        array is indexed by a row's position; a leaf reads feature 0.
-        Children are numbered after their parent (`_load_tree` checks it),
-        so one pass in node order finds every node's depth."""
-        n = len(self.feature)
-        child = []
-        depth = [0] * n
-        for i, (f, left, right) in enumerate(zip(self.feature, self.left,
-                                                 self.right)):
-            if f < 0:
-                child += (i + i, i + i)
-            else:
-                child += (right + right, left + left)
-                depth[left] = depth[right] = depth[i] + 1
-        feature = np.fromiter(self.feature, np.intp, n)
-        feature[feature < 0] = 0
-        return (feature.repeat(2), np.fromiter(self.threshold, float, n)
-                .repeat(2), np.array(child, dtype=np.intp),
-                np.fromiter(self.value, float, n).repeat(2), max(depth))
-
     def to_dict(self) -> dict:
         return {k: list(getattr(self, k)) for k in TREE_KEYS}
 
@@ -406,6 +392,50 @@ class RegressionTree:
         # node walk's float64 comparison rounds it.
         tree.threshold = list(map(float, tree.threshold))
         return tree
+
+
+def _compile(sizes, feature, threshold, left, right, value):
+    """Per tree, (feature, threshold, child, value, depth) for
+    `_walk_levels`, from the node arrays of trees of `sizes` nodes laid
+    end to end, each tree's child indices counted from its own first
+    node.
+
+    Each node's entries sit twice, at positions 2i and 2i + 1 of its
+    tree's arrays, so every array is indexed by a row's position; a leaf
+    reads feature 0 and its children are itself. Children are numbered
+    after their parent (`_load_tree` checks it), so a node's depth is the
+    length of its chain of parents, found by doubling each node's jump
+    to an ancestor; a node of two parents counts from the later one.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    first = np.cumsum(sizes) - sizes
+    ids = np.arange(sizes.sum())
+    node = ids - first.repeat(sizes)
+    split = feature >= 0
+    child = np.empty((ids.size, 2), dtype=np.intp)
+    child[:, 0] = np.where(split, right, node)
+    child[:, 1] = np.where(split, left, node)
+    child += child
+    at = np.flatnonzero(split)
+    base = at - node.take(at)
+    up = np.full(ids.size, -1)  # each node's parent
+    np.maximum.at(up, np.concatenate((left.take(at) + base,
+                                      right.take(at) + base)),
+                  np.concatenate((at, at)))
+    depth = (up >= 0).astype(np.intp)  # steps from a node to `up`
+    up = np.where(up >= 0, up, ids)  # a root is its own parent
+    while not np.array_equal(jump := up.take(up), up):
+        depth += depth.take(up)
+        up = jump
+    depth = np.maximum.reduceat(depth, first)
+    feature = np.where(split, feature, 0).repeat(2)
+    threshold = threshold.repeat(2)
+    value = value.repeat(2)
+    child = child.ravel()
+    return [(feature[2 * a:2 * b], threshold[2 * a:2 * b],
+             child[2 * a:2 * b], value[2 * a:2 * b], d)
+            for a, b, d in zip(first.tolist(), (first + sizes).tolist(),
+                               depth.tolist())]
 
 
 def _bin_columns(XT, order):
@@ -1055,7 +1085,13 @@ def save_model(model: GbtModel, path, extra: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Load a model saved by save_model; returns (GbtModel, extra dict)."""
+    """Load a model saved by save_model; returns (GbtModel, extra dict).
+
+    `_node_arrays` checks every tree's nodes at once, and the trees that
+    `predict` walks, the first best_iteration, are compiled in one pass
+    over their nodes. Only a file that fails those checks is checked
+    tree by tree, by `_load_tree`, which names its first fault.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such model file: {path}")
@@ -1085,12 +1121,23 @@ def load_model(path):
     except ConfigError as exc:
         raise DataError(f"model file {path}: {exc}") from None
     feature_names = tuple(doc["feature_names"])
-    trees = [_load_tree(t, len(feature_names), f"model file {path}: tree {i}")
-             for i, t in enumerate(doc["trees"])]
+    nodes = _node_arrays(doc["trees"], len(feature_names))
+    if nodes is None:  # some tree is at fault; _load_tree names the first
+        for i, t in enumerate(doc["trees"]):
+            _load_tree(t, len(feature_names), f"model file {path}: tree {i}")
+        raise InvariantError(f"model file {path}: the node checks refuse "
+                             "trees that _load_tree accepts")
+    trees = list(map(RegressionTree.from_dict, doc["trees"]))
     best_iteration = doc["best_iteration"]
     if not (is_integer(best_iteration) and 1 <= best_iteration <= len(trees)):
         raise DataError(f"model file {path}: best_iteration "
                         f"{best_iteration!r} is outside [1, {len(trees)}]")
+    # Compile the trees `predict` walks, in one pass over their nodes.
+    sizes = [len(t.feature) for t in trees[:best_iteration]]
+    walked = sum(sizes)
+    for tree, levels in zip(trees, _compile(sizes, *(a[:walked]
+                                                     for a in nodes))):
+        tree._levels = levels
     model = GbtModel(
         trees=trees,
         base_score=float(doc["base_score"]),
@@ -1108,9 +1155,10 @@ def _load_tree(d, n_features, where):
     Raises DataError, prefixed by `where`, when `d` lacks a node array,
     its arrays differ in length or hold an entry of a type `_NODE_TYPES`
     does not allow or a non-finite number, a feature index is outside
-    [-1, n_features), or an internal node's child is not numbered after it
-    and below the node count. Both growth policies number children after
-    their parent, so every walk ends at a leaf.
+    [-1, n_features), an internal node's child is not numbered after it
+    and below the node count, or a leaf's child is not -1. Both growth
+    policies number children after their parent and leave a leaf's at
+    -1, so every walk ends at a leaf.
     """
     if not isinstance(d, dict):
         raise DataError(f"{where} is not a JSON object")
@@ -1136,4 +1184,43 @@ def _load_tree(d, n_features, where):
         if f >= 0 and not (j < left < n and j < right < n):
             raise DataError(f"{where}: node {j} has children {left} and "
                             f"{right}, not both in ({j}, {n})")
+        if f < 0 and not left == right == -1:
+            raise DataError(f"{where}: leaf {j} has children {left} and "
+                            f"{right}, not -1")
     return tree
+
+
+def _node_arrays(docs, n_features):
+    """The node arrays of the trees saved as `docs`, each key's entries
+    laid end to end in `_NODE_DTYPES`, after `_load_tree`'s checks, run
+    over all trees at once; None when some tree fails one."""
+    sizes = []
+    for d in docs:
+        if not (isinstance(d, dict)
+                and all(isinstance(d.get(k), list) for k in TREE_KEYS)):
+            return None
+        n = len(d["feature"])
+        if n == 0 or any(len(d[k]) != n for k in TREE_KEYS):
+            return None
+        sizes.append(n)
+    nodes = []
+    for (key, types), dtype in zip(_NODE_TYPES.items(), _NODE_DTYPES):
+        entries = list(itertools.chain.from_iterable(d[key] for d in docs))
+        if not set(map(type, entries)) <= types:
+            return None
+        try:
+            nodes.append(np.fromiter(entries, dtype, len(entries)))
+        except OverflowError:  # an int too large for the dtype
+            return None
+    feature, threshold, left, right, value = nodes
+    sizes = np.array(sizes, dtype=np.intp)
+    node = np.arange(sizes.sum()) - (np.cumsum(sizes) - sizes).repeat(sizes)
+    count = sizes.repeat(sizes)
+    split = feature >= 0
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()
+            and (feature >= -1).all() and (feature < n_features).all()
+            and np.where(split, (node < left) & (left < count)
+                         & (node < right) & (right < count),
+                         (left == -1) & (right == -1)).all()):
+        return None
+    return nodes

@@ -188,6 +188,31 @@ class TestBench:
         assert run_cli("bench", "--out", str(tmp_path),
                        "--data", str(tmp_path / "nope.csv")) == 2
 
+    @pytest.mark.parametrize("command", [
+        ("bench", "--configs", "xgb-style", "--encodings", "sinusoidal"),
+        ("tune", "--budget", "3", "--init", "2"),
+        ("predict", "--model"),
+    ], ids=["bench", "tune", "predict"])
+    @pytest.mark.parametrize("column", [0, 2], ids=["time", "ignored"])
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys, small_model,
+                                        command, column):
+        # One Latin-1 byte on line 501.
+        if command[0] == "predict":
+            command += (str(small_model[0]),)
+        rows = [f"2023-01-{1 + h // 24:02d} {h % 24:02d}:00:00,1.5,x"
+                for h in range(600)]
+        cells = rows[499].split(",")
+        cells[column] = cells[column][:-1] + "\xe9"
+        rows[499] = ",".join(cells)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("\n".join(["datetime,Global_active_power,note"]
+                                   + rows + [""]).encode("latin-1"))
+        out = tmp_path / "out"
+        assert run_cli(*command, "--out", str(out), "--data", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {path}: line 501 is not UTF-8 text\n"
+        assert not out.exists()
+
     def test_utc_offset_timestamps_are_data_error(self, tmp_path):
         # Every row carries an offset, so every row is rejected.
         path = tmp_path / "offsets.csv"
@@ -242,6 +267,8 @@ class TestBench:
         pytest.param("--params", '{"learning_rate": 1%s}' % ("0" * 400),
                      "learning_rate", id="int-too-large-for-a-float"),
         ("--params", '{"goss_a": [0.2], "goss_b": 0.2}', "goss_a"),
+        # A finite rate whose leaf weights overflow.
+        ("--params", '{"learning_rate": 1e308}', "learning_rate"),
     ])
     def test_wrong_typed_value_is_usage_error(self, tmp_path, capsys, flag,
                                               text, key):
@@ -875,6 +902,10 @@ class TestModelChecks:
         (("extra",), "feature_spec", "extra must be an object"),
         (("extra", "feature_spec"), DELETE,
          "carries no feature spec; cannot rebuild features from raw data"),
+        (("extra", "feature_spec"), 5, "feature spec must be an object"),
+        # The last node has no children, so it is a leaf.
+        (("trees", 1, "left", -1), 0,
+         "tree 1: leaf 50 has children 0 and -1, not -1"),
         (("extra", "target_name"), "voltage",
          "target_name 'voltage' is not 'global_active_power'"),
     ], ids=["empty-tree", "trees-not-list", "tree-not-object",
@@ -888,7 +919,7 @@ class TestModelChecks:
             "params-type", "spec-type", "params-not-object",
             "base-score-not-number", "gains-not-object",
             "names-not-list", "extra-not-object", "no-feature-spec",
-            "other-target"])
+            "spec-not-object", "leaf-with-child", "other-target"])
     def test_broken_model_is_data_error(self, tmp_path, capsys, small_model,
                                         where, value, message):
         model, data = small_model
@@ -911,6 +942,24 @@ class TestModelChecks:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: model file {broken}")
         assert message in err
+        assert not out.exists()
+
+    def test_first_faulty_tree_is_named(self, tmp_path, capsys,
+                                        small_model):
+        # The one-pass checks find both faults; the message names the
+        # first tree that has one, whatever the kind of fault.
+        model, data = small_model
+        doc = json.loads(model.read_text())
+        doc["trees"][4]["threshold"][0] = "x"
+        doc["trees"][2]["right"][0] = 0
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "pred"
+        assert run_cli("predict", "--model", str(broken), "--data",
+                       str(data), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: model file {broken}: tree 2: "
+                              "node 0 has children")
         assert not out.exists()
 
     def test_unedited_model_predicts(self, tmp_path, small_model):

@@ -7,9 +7,10 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from cyclecast import dataset
 from cyclecast.dataset import (
-    CHUNK_ROWS, SyntheticConfig, TimeSeriesFrame, generate_synthetic,
-    load_csv, write_csv, write_series_csv,
+    CHUNK_ROWS, SyntheticConfig, TimeSeriesFrame, _parse_rows,
+    generate_synthetic, load_csv, write_csv, write_series_csv,
 )
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.evaluation import train_rows
@@ -320,6 +321,227 @@ class TestLoadCsvChunks:
         assert np.array_equal(frame.timestamps, stamps_ref)
         assert np.array_equal(frame.target.view(np.int64),
                               values_ref.view(np.int64))
+
+
+
+def csv_reference(path, allow_missing_target=False):
+    """`load_csv`'s result by csv.reader and `_parse_rows` alone, on the
+    file read as text: (timestamps, target, rejected_rows)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        time_idx = header.index("datetime")
+        target_idx = (header.index("Global_active_power")
+                      if "Global_active_power" in header else None)
+        rejected = []
+        micros, values = _parse_rows(list(reader), 0, time_idx, target_idx,
+                                     rejected)
+    stamps = np.array(micros, dtype=np.int64).view("datetime64[us]")
+    if target_idx is None:
+        values = np.full(len(stamps), np.nan)
+    return stamps, values, tuple(rejected)
+
+
+def assert_loads_as_reference(path, allow_missing_target=False):
+    frame = load_csv(path, allow_missing_target=allow_missing_target)
+    stamps, values, rejected = csv_reference(path, allow_missing_target)
+    assert frame.rejected_rows == rejected
+    assert np.array_equal(frame.timestamps, stamps)
+    assert np.array_equal(frame.target.view(np.int64),
+                          values.view(np.int64))
+    return frame
+
+
+# Layouts of the differential tests: the header, and where the time and
+# target fields sit among the cells.
+LAYOUTS = {
+    "two-columns": ("datetime,Global_active_power", 0, 1),
+    "time-only": ("datetime", 0, None),
+    "five-columns": ("note,datetime,Voltage,Global_active_power,Sub_1",
+                     1, 3),
+}
+
+
+def layout_lines(layout, n, rng):
+    """`n` clean CRLF lines of a layout, as lists of cells."""
+    header, time_idx, target_idx = LAYOUTS[layout]
+    n_cols = header.count(",") + 1
+    lines = []
+    for ts in hourly(n):
+        cells = [f"{rng.integers(0, 10 ** rng.integers(1, 6))}"
+                 for _ in range(n_cols)]
+        cells[time_idx] = ts
+        if target_idx is not None:
+            cells[target_idx] = repr(float(rng.normal(2.0, 1.0)
+                                           * 10.0 ** rng.integers(-3, 3)))
+        lines.append(cells)
+    return lines
+
+
+def write_lines(path, header, lines):
+    """Write `header` and lines given as cells or as ready bytes."""
+    data = [header.encode() + b"\r\n"]
+    for line in lines:
+        if isinstance(line, list):
+            line = ",".join(line).encode() + b"\r\n"
+        data.append(line)
+    path.write_bytes(b"".join(data))
+    return path
+
+
+class TestColumnarReader:
+    """`load_csv` parses plain chunks one column at a time and anything
+    else through csv.reader and `_parse_rows`; both must give what the
+    second gives for the whole file."""
+
+    # Per mutation, the cells it edits a line to: time and target mutate
+    # the named field, other the first ignored column, line the bytes.
+    MUTATIONS = [
+        ("time", lambda ts: ts.replace(" ", "T")),
+        ("time", lambda ts: ts + ".5"),
+        ("time", lambda ts: ts + "+01:00"),
+        ("time", lambda ts: " " + ts + " "),
+        ("time", lambda ts: "0000" + ts[4:]),
+        ("time", lambda ts: ts[:16]),
+        ("time", lambda ts: ts.replace("-", "/")),
+        ("time", lambda ts: ts + "\u00e9"),
+        ("target", lambda v: "1_0"),
+        ("target", lambda v: "inf"),
+        ("target", lambda v: "nan"),
+        ("target", lambda v: "1e400"),
+        ("target", lambda v: "+.5"),
+        ("target", lambda v: "5."),
+        ("target", lambda v: ""),
+        ("target", lambda v: " 7"),
+        ("target", lambda v: v + "e"),
+        ("target", lambda v: v + "\x00"),
+        ("other", lambda c: "caf\u00e9"),
+        ("other", lambda c: c + "\x00"),
+        ("line", lambda b: b"\r\n"),
+        ("line", lambda b: b"\n"),
+        ("line", lambda b: b[:-2] + b"\n"),
+        ("line", lambda b: b[:-2] + b"\rjunk\r\n"),
+        ("line", lambda b: b.split(b",")[0] + b"\r\n"),
+        ("line", lambda b: b[:-2] + b",extra\r\n"),
+    ]
+
+    def mutated_file(self, tmp_path, layout, rng, mutations, n_chunks):
+        """`n_chunks` chunks and a bit, with `mutations` at random lines
+        of chunk 1 and the chunk before the last."""
+        header, time_idx, target_idx = LAYOUTS[layout]
+        lines = layout_lines(layout, n_chunks * CHUNK_ROWS + 10, rng)
+        fields = {"time": time_idx, "target": target_idx,
+                  "other": next((i for i in range(header.count(",") + 1)
+                                 if i not in (time_idx, target_idx)), None)}
+        for chunk in {1, n_chunks - 2}:
+            at = rng.choice(CHUNK_ROWS, len(mutations), replace=False)
+            for i, (what, edit) in zip(at + chunk * CHUNK_ROWS, mutations):
+                if what == "line":
+                    lines[i] = edit(",".join(lines[i]).encode() + b"\r\n")
+                elif fields[what] is not None:
+                    lines[i][fields[what]] = edit(lines[i][fields[what]])
+        lines = [",".join(c).encode("utf-8") + b"\r\n"
+                 if isinstance(c, list) else c for c in lines]
+        return write_lines(tmp_path / f"{layout}.csv", header, lines)
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_each_mutation_matches_csv_reference(self, tmp_path, layout):
+        # One mutation per file, in chunks that are plain but for it.
+        rng = np.random.default_rng(0)
+        for mutation in self.MUTATIONS:
+            path = self.mutated_file(tmp_path, layout, rng, [mutation], 3)
+            assert_loads_as_reference(
+                path, allow_missing_target=LAYOUTS[layout][2] is None)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_mutated_rows_match_csv_reference(self, tmp_path, layout, seed):
+        # Every mutation in chunks 1 and 4 (from 0), and a quoted field
+        # whose line break is the edge of chunks 4 and 5.
+        rng = np.random.default_rng(seed)
+        path = self.mutated_file(tmp_path, layout, rng, self.MUTATIONS, 6)
+        text = path.read_bytes().split(b"\r\n")
+        header, time_idx, target_idx = LAYOUTS[layout]
+        edge = 5 * CHUNK_ROWS  # the last line of chunk 4, after the header
+        quoted = target_idx if target_idx is not None else time_idx
+        cells = text[edge].split(b",")
+        cells[quoted] = b'"' + cells[quoted]
+        text[edge] = b",".join(cells)
+        text[edge + 1] += b'"'
+        path.write_bytes(b"\r\n".join(text))
+        frame = assert_loads_as_reference(
+            path, allow_missing_target=target_idx is None)
+        assert len(frame.rejected_rows) > 10
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_order_error_matches_csv_reference(self, tmp_path, layout):
+        # A duplicate after the rejected rows names the same CSV row.
+        rng = np.random.default_rng(3)
+        header, time_idx, _ = LAYOUTS[layout]
+        lines = layout_lines(layout, 3 * CHUNK_ROWS, rng)
+        for i in (5, CHUNK_ROWS + 5):
+            lines[i] = b"\r\n"
+        lines[2 * CHUNK_ROWS][time_idx] = lines[2 * CHUNK_ROWS - 1][time_idx]
+        path = write_lines(tmp_path / "dup.csv", header, lines)
+        with pytest.raises(DataError) as info:
+            load_csv(path, allow_missing_target=True)
+        assert str(info.value) == \
+            f"{path}: duplicate timestamp at row {2 * CHUNK_ROWS}"
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\n"])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_plain_chunks_skip_parse_rows(self, tmp_path, monkeypatch,
+                                          layout, ending):
+        rng = np.random.default_rng(5)
+        header, time_idx, _ = LAYOUTS[layout]
+        lines = layout_lines(layout, 2 * CHUNK_ROWS + 7, rng)
+        for cells in lines[::3]:
+            cells[time_idx] = cells[time_idx].replace(" ", "T")
+        lines = [",".join(c).encode() + ending for c in lines]
+        path = write_lines(tmp_path / "plain.csv", header, lines)
+        stamps, values, _ = csv_reference(path, True)
+
+        def refuse(*args):
+            raise AssertionError("a plain chunk went row by row")
+
+        monkeypatch.setattr(dataset, "_parse_rows", refuse)
+        frame = load_csv(path, allow_missing_target=True)
+        assert frame.rejected_rows == ()
+        assert np.array_equal(frame.timestamps, stamps)
+        assert np.array_equal(frame.target.view(np.int64),
+                              values.view(np.int64))
+
+    @pytest.mark.parametrize("line, data", [
+        (1, b"datetime,Global_active_power\xff\n2023-01-01 00:00:00,1\n"),
+        (3, b"datetime,Global_active_power,note\n"
+            b"2023-01-01 00:00:00,1,a\n2023-01-01 01:00:00,1,\xe9\n"),
+        # After a quote, the rest of the file goes through csv.reader.
+        (2 * CHUNK_ROWS + 3, b"datetime,Global_active_power\n"
+         + b'2023-01-01 00:00:00,"1"\n' + b"bad\n" * (2 * CHUNK_ROWS)
+         + b"\xe9\n"),
+        # A quoted header sends the whole file there.
+        (4, b'"datetime",Global_active_power\n' + b"x\n" * 2
+         + b"\x80\n"),
+    ], ids=["header", "ignored-column", "after-quote", "quoted-header"])
+    def test_non_utf8_byte_is_data_error_naming_its_line(self, tmp_path,
+                                                         line, data):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: line {line} is not UTF-8 text"
+
+    @pytest.mark.parametrize("header", [
+        b'"datetime","Global_active_power"\r\n',
+        b"datetime,Global_active_power\rjunk\r\n",
+        b"\xef\xbb\xbfdatetime,Global_active_power\n",
+    ], ids=["quoted", "lone-cr", "byte-order-mark"])
+    def test_header_forms_match_csv_reference(self, tmp_path, header):
+        body = "".join(f"{ts},{i}.5\r\n"
+                       for i, ts in enumerate(hourly(CHUNK_ROWS + 3)))
+        path = tmp_path / "header.csv"
+        path.write_bytes(header + body.encode())
+        assert_loads_as_reference(path)
 
 
 def reference_csv(tmp_path, header, stamps, columns):

@@ -1101,6 +1101,118 @@ class TestWalkBlocks:
         assert np.array_equal(whole, expected)
 
 
+
+def reference_compile(tree):
+    """A tree's `_walk_levels` arrays built node by node in Python, each
+    node's depth one more than its last parent's."""
+    n = len(tree.feature)
+    child = []
+    depth = [0] * n
+    for i, (f, left, right) in enumerate(zip(tree.feature, tree.left,
+                                             tree.right)):
+        if f < 0:
+            child += (i + i, i + i)
+        else:
+            child += (right + right, left + left)
+            depth[left] = depth[right] = depth[i] + 1
+    feature = np.fromiter(tree.feature, np.intp, n)
+    feature[feature < 0] = 0
+    return (feature.repeat(2), np.fromiter(tree.threshold, float, n)
+            .repeat(2), np.array(child, dtype=np.intp),
+            np.fromiter(tree.value, float, n).repeat(2), max(depth))
+
+
+def assert_same_levels(levels, reference):
+    *arrays, depth = levels
+    *expected, expected_depth = reference
+    assert depth == expected_depth and type(depth) is int
+    for a, b in zip(arrays, expected):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestCompile:
+    """One compiler builds the node arrays of a fitted tree, on its first
+    level walk, and of every walked tree of a loaded model at once."""
+
+    @pytest.mark.parametrize("growth", [DEPTHWISE, LEAFWISE])
+    def test_loaded_and_fitted_trees_match_reference(self, tmp_path, growth):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(600, 5))
+        X[:, 4] = rng.integers(0, 3, 600) * 2 ** 60  # large ints as floats
+        y = X[:, 0] * 2 + np.sin(X[:, 1]) + rng.normal(size=600)
+        params = HyperParams(n_estimators=30, max_depth=12, growth=growth,
+                             min_child_weight=15, gamma=0.5,
+                             num_leaves=40, learning_rate=0.3, patience=5)
+        model, _ = fit(X[:400], y[:400], params, val=(X[400:], y[400:]))
+        assert 1 < model.best_iteration < len(model.trees)
+        save_model(model, tmp_path / "model.json")
+        loaded, _ = load_model(tmp_path / "model.json")
+        walked = loaded.trees[:loaded.best_iteration]
+        assert all(t._levels is not None for t in walked)
+        assert all(t._levels is None for t in loaded.trees[len(walked):])
+        depths = set()
+        for tree, fitted in zip(loaded.trees, model.trees):
+            reference = reference_compile(fitted)
+            depths.add(reference[4])
+            fitted._levels = None
+            fitted._walk_levels(np.zeros((5, 1)), None)
+            assert_same_levels(fitted._levels, reference)
+            if tree._levels is None:
+                tree._walk_levels(np.zeros((5, 1)), None)
+            assert_same_levels(tree._levels, reference)
+        assert len(depths) > 2
+        assert np.array_equal(predict(loaded, X), predict(model, X))
+
+    def test_node_of_two_parents_counts_from_the_later(self):
+        # Not a tree save_model writes, but one _load_tree accepts.
+        d = {"feature": [0, 1, -1, -1, -1], "threshold": [0.5, 2, 0, 0, 0],
+             "left": [1, 3, -1, -1, -1], "right": [3, 4, -1, -1, -1],
+             "value": [0, 0, 1.5, 2.5, 3.5]}
+        tree = gbtree._load_tree(d, 2, "tree")
+        tree._walk_levels(np.zeros((2, 1)), None)
+        assert_same_levels(tree._levels, reference_compile(tree))
+
+
+class TestNodeChecks:
+    """`load_model` checks all trees' nodes at once and falls back to
+    `_load_tree` tree by tree only to name a fault: the two must agree
+    on which files they refuse."""
+
+    def test_agrees_with_load_tree(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(300, 3))
+        model, _ = fit(X, X[:, 0] + rng.normal(size=300),
+                       HyperParams(n_estimators=4, max_depth=4))
+        trees = [t.to_dict() for t in model.trees]
+        edits = [0, -1, 1, 2, 3, 5, -2, 2 ** 63, 10 ** 400, 0.5, 1.0,
+                 True, None, "1", float("inf"), float("nan"), 1e308]
+        refused = 0
+        for _ in range(400):
+            docs = json.loads(json.dumps(trees))
+            for _ in range(rng.integers(1, 3)):
+                d = docs[rng.integers(len(docs))]
+                key = gbtree.TREE_KEYS[rng.integers(5)]
+                d[key][rng.integers(len(d[key]))] = \
+                    edits[rng.integers(len(edits))]
+            try:
+                for i, d in enumerate(docs):
+                    gbtree._load_tree(d, 3, f"tree {i}")
+            except DataError:
+                assert gbtree._node_arrays(docs, 3) is None
+                refused += 1
+            else:
+                nodes = gbtree._node_arrays(docs, 3)
+                assert nodes is not None
+                for key, dtype, array in zip(gbtree.TREE_KEYS,
+                                             gbtree._NODE_DTYPES, nodes):
+                    expected = np.array(
+                        [float(v) if dtype is np.float64 else v
+                         for d in docs for v in d[key]], dtype)
+                    assert np.array_equal(array, expected)
+        assert 100 < refused < 400
+
+
 class TestFeatureImportance:
     def test_single_split_concentrates(self):
         x0 = np.array([0.0] * 4 + [1.0] * 4)
