@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -117,7 +118,10 @@ def _add_features_flags(p):
                    help="hyperparameter JSON overrides")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing
+    arguments leaves it as it was."""
     parser = _Parser(prog="cyclecast",
                      description="Time-series forecasting benchmark toolkit")
     parser.add_argument("--version", action="version", version=__version__)

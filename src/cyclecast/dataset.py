@@ -8,6 +8,14 @@ datetime64[us] array, so sub-second parts are kept; a CSV row whose
 timestamp carries a UTC offset is rejected. A CSV is UTF-8 text: a chunk
 of plain ASCII lines is parsed from its bytes one column at a time, and
 any other chunk row by row as `csv.reader` splits its decoded text.
+
+CSV output goes through byte kernels: each chunk of rows is laid out in
+numpy as a uint8 array, one NUL-padded column of bytes per line, and
+written at once without the pad bytes. Timestamps print as isoformat;
+a float prints as repr, whose shortest round-trip digits (Steele &
+White 1990, Gay 1990) are computed exactly with integer arithmetic for
+|v| in [1e-4, 1e16); 0, NaN, infinities and other magnitudes go through
+repr one value at a time.
 """
 
 from __future__ import annotations
@@ -36,9 +44,14 @@ DEFAULT_START = datetime(2023, 1, 1, 0, 0, 0)
 _EPOCH = datetime(1970, 1, 1)
 _ONE_HOUR = np.timedelta64(1, "h")
 
-# Rows per chunk when reading or writing a CSV: enough to amortise each
-# chunk's numpy calls, few enough to keep peak memory flat.
+# Rows per chunk when reading a CSV: enough to amortise each chunk's
+# numpy calls, few enough to keep peak memory flat.
 CHUNK_ROWS = 1024
+# Rows per chunk when writing one: enough to amortise the byte kernels'
+# numpy calls, few enough that each of their arrays stays under 128 kB
+# (the largest takes 55 bytes a row), which malloc reuses instead of
+# mapping fresh pages: chunks of 4096 rows wrote a year more slowly.
+WRITE_ROWS = 2048
 
 # Base level added to the synthetic target so loads stay positive.
 SYNTHETIC_BASE_LEVEL = 2.0
@@ -260,6 +273,18 @@ def _parse_columns(chunk, data, n_cols, time_idx, target_idx):
     return micros.view(np.int64), values
 
 
+def _csv_rows(lines, path, line):
+    """csv.reader's rows of text `lines`, the file's from `line` on; a
+    line csv.reader refuses, such as one with a field longer than
+    csv.field_size_limit(), is a DataError naming its line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {line - 1 + reader.line_num}: "
+                        f"{exc}") from None
+
+
 def _row_blocks(reader):
     """csv rows from `reader`, CHUNK_ROWS at a time."""
     while rows := list(itertools.islice(reader, CHUNK_ROWS)):
@@ -278,12 +303,12 @@ def _body_blocks(chunks, path, columns):
         if parsed is not None:
             yield parsed
         elif b'"' in data:
-            yield from _row_blocks(csv.reader(_text_lines(
-                itertools.chain([chunk], chunks), path, line)))
+            yield from _row_blocks(_csv_rows(_text_lines(
+                itertools.chain([chunk], chunks), path, line), path, line))
             return
         else:
-            yield list(csv.reader(io.StringIO(_decode(data, path, line),
-                                              newline="")))
+            yield list(_csv_rows(io.StringIO(_decode(data, path, line),
+                                             newline=""), path, line))
         line += len(chunk)
 
 
@@ -297,7 +322,8 @@ def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
     or duplicate timestamps are hard errors, reported with the path and
     the same 0-based data-row index. With ``allow_missing_target`` a file
     without the target column loads with a NaN target (prediction-only
-    input). A byte that is not UTF-8 is a DataError naming its line.
+    input). A byte that is not UTF-8, or a line csv.reader refuses, is a
+    DataError naming its line.
 
     The file is read as bytes, CHUNK_ROWS lines at a time.
     `_parse_columns` parses a chunk of plain lines, which `csv.reader`
@@ -319,10 +345,10 @@ def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
         chunks = iter(lambda: list(itertools.islice(fh, CHUNK_ROWS)), [])
         plain = len(lines) <= 1 and b'"' not in head
         if plain:
-            reader = csv.reader(lines)
+            reader = _csv_rows(lines, path, 1)
         else:
-            reader = csv.reader(itertools.chain(
-                lines, _text_lines(chunks, path, 2)))
+            reader = _csv_rows(itertools.chain(
+                lines, _text_lines(chunks, path, 2)), path, 1)
         try:
             header = next(reader)
         except StopIteration:
@@ -379,37 +405,270 @@ def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
                            rejected_rows=tuple(rejected))
 
 
+# The byte kernels of write_series_csv. The byte after each pair of
+# digits of "YYYY-MM-DD HH:MM:SS.ffffff", and a line's end.
+_ISO_SEPARATORS = np.frombuffer(b"\0-- ::.\0\0\0", np.uint8)
+_CRLF = np.frombuffer(b"\r\n", np.uint8)
+_DAY_US = 86_400_000_000
+# datetime's years 1-9999 in microseconds from the epoch.
+_ISO_FIRST = -62_135_596_800_000_000
+_ISO_LAST = 253_402_300_799_999_999
+# Decade thresholds 1e-4 .. 1e15 as doubles: each is the double nearest
+# its power of ten and not below it, so |v| >= 1e{e} holds exactly when
+# |v| >= 10**e.
+_DECADES = np.array([float(f"1e{e}") for e in range(-4, 16)])
+# 10**k for k <= 22, exact doubles, and Dekker's split of each into two
+# halves of at most 26 significant bits.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HIGH = _POW10 * 134_217_729.0 - (_POW10 * 134_217_729.0 - _POW10)
+_POW10_LOW = _POW10 - _POW10_HIGH
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+_MANTISSA = np.uint64((1 << 52) - 1)
+_EXPONENT = np.uint64(0x7FF << 52)
+# The three ASCII digits of each of 0-999 and a NUL, as one uint32.
+_TRIPLES = np.zeros((1000, 4), np.uint8)
+_TRIPLES[:, :3] = np.arange(1000)[:, None] // [100, 10, 1] % 10 + 48
+_TRIPLES = _TRIPLES.view(np.uint32).ravel()
+
+
 def write_series_csv(path, header, timestamps, columns) -> None:
-    """Write CSV rows of a timestamp and float values, CHUNK_ROWS at a time.
+    """Write CSV rows of a timestamp and float values, WRITE_ROWS at a time.
 
     The bytes equal what csv.writer writes for the rows
-    ``[ts.isoformat(sep=" "), repr(float(v)), ...]`` under `header`.
+    ``[ts.isoformat(sep=" "), repr(float(v)), ...]`` under `header`. Each
+    chunk is laid out by numpy, one NUL-padded column of bytes per line,
+    and written at once without its pad bytes: timestamps by
+    `_stamp_cells`, values by `_float_cells`, which finds repr's shortest
+    round-trip digits (Steele & White 1990, Gay 1990) in exact integer
+    arithmetic for every |v| in [1e-4, 1e16) and calls repr for the rest.
     """
     timestamps = np.asarray(timestamps).astype("datetime64[us]", copy=False)
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(timestamps), CHUNK_ROWS):
-            chunk = slice(start, start + CHUNK_ROWS)
+    head = io.StringIO(newline="")
+    csv.writer(head).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode("utf-8"))
+        for start in range(0, len(timestamps), WRITE_ROWS):
+            chunk = slice(start, start + WRITE_ROWS)
             fh.write(_format_rows(timestamps[chunk],
                                   [c[chunk] for c in columns]))
 
 
 def _format_rows(timestamps, columns):
-    """One chunk's CSV lines, each ended by "\\r\\n" like csv.writer's."""
-    stamps = np.datetime_as_string(timestamps, unit="s")
-    fraction = timestamps.view(np.int64) % 1_000_000 != 0
-    if fraction.any():
-        # isoformat prints microseconds only where they are non-zero.
-        stamps = np.where(fraction,
-                          np.datetime_as_string(timestamps, unit="us"),
-                          stamps)
-    cells = [stamps.tolist()]
-    cells += [list(map(repr, c.tolist())) for c in columns]
-    text = "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
-    # The ISO separator is the only "T" in the text: a float's repr is
-    # digits, ".", "e", a sign, "inf" or "nan".
-    return text.replace("T", " ")
+    """One chunk's CSV lines as bytes, each ended by "\\r\\n" like
+    csv.writer's. The kernels give one column of bytes per line, so
+    each of their numpy steps runs along the chunk's rows."""
+    n = len(timestamps)
+    cells = [_stamp_cells(timestamps)]
+    for values in columns:
+        cells += [np.full((1, n), 44, np.uint8), _float_cells(values)]
+    cells.append(np.broadcast_to(_CRLF[:, None], (2, n)))
+    return np.concatenate(cells).T.tobytes().translate(None, b"\0")
+
+
+def _put_texts(cells, rows, texts):
+    """`cells` with the column of each of `rows` replaced by one of the
+    bytes `texts`, NUL-padded, lengthened if a text is longer."""
+    texts = texts.view(np.uint8).reshape(len(texts), -1).T
+    extra = len(texts) - len(cells)
+    if extra > 0:
+        cells = np.concatenate(
+            [cells, np.zeros((extra, cells.shape[1]), np.uint8)])
+    cells[:, rows] = 0
+    cells[:len(texts), rows] = texts
+    return cells
+
+
+def _stamp_cells(timestamps):
+    """Each timestamp's isoformat(sep=" ") as one column of a uint8
+    array, NUL-padded: "YYYY-MM-DD HH:MM:SS", then ".ffffff" where the
+    microseconds are not zero. A timestamp outside years 1-9999, which
+    datetime cannot hold, is written as numpy prints it."""
+    micros = timestamps.view(np.int64)
+    days = micros // _DAY_US
+    clock = micros - days * _DAY_US
+    secs = clock // 1_000_000
+    fraction = clock - secs * 1_000_000
+    whole = fraction == 0
+    some = not whole.all()
+    # Two-digit parts: century, year, month, day, hours, minutes,
+    # seconds, then the microseconds where any.
+    pairs = np.empty((10 if some else 7, len(micros)), np.uint8)
+    year, pairs[2], pairs[3] = _civil_from_days(days)
+    pairs[0] = year // 100
+    pairs[1] = year % 100
+    minutes = secs // 60
+    pairs[4] = minutes // 60
+    pairs[5] = minutes % 60
+    pairs[6] = secs - 60 * minutes
+    if some:
+        pairs[7] = fraction // 10_000
+        pairs[8] = fraction // 100 % 100
+        pairs[9] = fraction % 100
+    tens = pairs // 10
+    # Per pair of digits: its tens, its ones and the byte after it.
+    cells = np.empty((len(pairs), 3, len(micros)), np.uint8)
+    cells[:, 0] = tens + 48
+    cells[:, 1] = pairs - 10 * tens + 48
+    cells[:, 2] = _ISO_SEPARATORS[:len(pairs), None]
+    cells = cells.reshape(-1, len(micros))
+    if some:
+        cells[20:] *= (~whole).view(np.uint8)
+    else:
+        cells = cells[:20]
+    odd = (micros < _ISO_FIRST) | (micros > _ISO_LAST)
+    if odd.any():
+        stamps = timestamps[odd]
+        texts = np.where(whole[odd], np.datetime_as_string(stamps, unit="s"),
+                         np.datetime_as_string(stamps, unit="us"))
+        cells = _put_texts(cells, odd,
+                           np.char.replace(texts.astype("S"), b"T", b" "))
+    return cells
+
+
+def _civil_from_days(days):
+    """(year, month, day) of each count of days from 1970-01-01, by
+    Hinnant's civil_from_days: eras of 400 years from 0000-03-01."""
+    z = days + 719_468
+    era = z // 146_097
+    doe = z - era * 146_097  # day of the era
+    yoe = (doe - doe // 1460 + doe // 36_524 - doe // 146_096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # from March 1
+    mp = (5 * doy + 2) // 153  # month from March
+    month = mp + np.where(mp < 10, 3, -9)
+    return (yoe + era * 400 + (month <= 2), month,
+            doy - (153 * mp + 2) // 5 + 1)
+
+
+def _repr_floats(values):
+    """repr of each value, as a bytes array."""
+    return np.array([repr(v) for v in values.tolist()], dtype="S")
+
+
+def _float_cells(values):
+    """Each value's repr as one column of a uint8 array, with NUL pad
+    bytes around and inside it.
+
+    Where |v| is in [1e-4, 1e16), repr prints the fewest digits that
+    read back as v, the nearest such to v, ties to an even last digit,
+    without an exponent. `_shortest_digits` finds them, and each digit
+    lands in the row of its decimal place: integer places, ".", fraction
+    places. Every other value goes through `_repr_floats`.
+    """
+    n = len(values)
+    m, count, point, exact = _shortest_digits(values)
+    tape = _digit_tape(m)
+    # Place q goes to row 15 - q of a canvas without the point. The
+    # printed places run from max(point - 1, 0) down to
+    # min(point - count, -1): a leading "0" below 1, trailing zeros and
+    # ".0" on whole numbers.
+    high = 15 - np.maximum(point - 1, 0)
+    low = 15 - np.minimum(point - count, -1)
+    first, last = int(high.min()), int(low.max())
+    canvas = np.zeros((last - first + 1, n), np.uint8)
+    for p in np.flatnonzero(np.bincount(point + 3)) - 3:
+        top = 15 - max(p - 1, 0) - first
+        start = first + p + 3  # digit i lands in row 16 - p + i
+        canvas[top:] += ((point == p).view(np.uint8)
+                         * tape[start + top:start + len(canvas)])
+    rows = np.arange(first, last + 1, dtype=np.int8)[:, None]
+    canvas *= (rows <= low).view(np.uint8)
+    cut = 16 - first
+    cells = np.concatenate([(np.signbit(values).view(np.uint8) * 45)[None],
+                            canvas[:cut], np.full((1, n), 46, np.uint8),
+                            canvas[cut:]])
+    if not exact.all():
+        cells = _put_texts(cells, ~exact, _repr_floats(values[~exact]))
+    return cells
+
+
+def _digit_tape(m):
+    """The ASCII digits of each int64 m below 10**17 as a column of 55
+    bytes: digit i, i = 0 .. 16 from the left, in row 19 + i, "0"s above
+    and NULs below. The 17 digits and a leading "0" are found as six
+    groups of three."""
+    billions = m // 10**9
+    parts = np.stack([billions, m - 10**9 * billions], dtype=np.int32,
+                     casting="same_kind")  # each below 10**9
+    thousands = parts // 1000
+    millions = parts // 10**6
+    groups = np.stack([millions, thousands - 1000 * millions,
+                       parts - 1000 * thousands], axis=1)
+    tape = np.zeros((55, len(m)), np.uint8)
+    tape[:18] = 48
+    tape[18:36].reshape(2, 3, 3, -1)[:] = _TRIPLES.take(groups).view(
+        np.uint8).reshape(2, 3, -1, 4)[..., :3].transpose(0, 1, 3, 2)
+    return tape
+
+
+def _shortest_digits(values):
+    """(m, count, point, exact): for each value v with exact true,
+    repr's shortest digits of |v| are the first `count` of the 17 digits
+    of the int64 m, with `point` of them before the decimal point.
+    `exact` is |v| in [1e-4, 1e16); the other rows hold the digits of 1.
+
+    The values that read back as v, scaled by 10**k, k = 16 -
+    floor(log10 |v|), lie in an interval around y = |v| * 10**k in
+    [1e16, 1e17) (`_scaled_interval`). m is the point of the coarsest
+    grid 10**j in that interval nearest y, ties to even.
+    """
+    mag = np.abs(values)
+    exact = (mag >= 1e-4) & (mag < 1e16)
+    mag = np.where(exact, mag, 1.0)
+    e10 = _DECADES.searchsorted(mag, side="right") - 5
+    whole, frac, first, last = _scaled_interval(mag, 16 - e10)
+    j = np.zeros(len(mag), np.int64)
+    for t in range(1, 18):
+        fits = last // 10**t * 10**t >= first
+        if not fits.any():
+            break
+        j += fits
+    grid = _POW10_INT[j]
+    q = whole // grid
+    floor = q * grid
+    # The sign of 2 * (y - floor) - grid: where floor or floor + grid is
+    # nearer y. Its integer part decides unless it is 0 or -1.
+    over = (2 * (whole - floor) - grid) + 2 * frac
+    up = (floor + grid <= last) & ((floor < first) | (over > 0)
+                                   | ((over == 0) & ((q & 1) == 1)))
+    m = (q + up) * grid
+    exact &= m < 10**17  # not rounded up to the next decade
+    return m, (17 - j).astype(np.int8), (e10 + 1).astype(np.int8), exact
+
+
+def _scaled_interval(mag, k):
+    """(whole, frac, first, last) for positive normal doubles `mag` and
+    10**k, k <= 22: y = mag * 10**k exactly as whole + frac, frac in
+    [0, 1), and the first and last integers that, divided by 10**k, read
+    back as mag.
+
+    10**k is a double, and Dekker's two-product gives the rounding error
+    of the product. Those values lie within half an ulp of mag (a
+    quarter on the lower side of a power of two), ends included when
+    the mantissa is even.
+    """
+    scale = _POW10[k]
+    top = mag * scale
+    split = mag * 134_217_729.0  # Dekker's split: 2**27 + 1
+    high = split - (split - mag)
+    low = mag - high
+    err = ((high * _POW10_HIGH[k] - top) + high * _POW10_LOW[k]
+           + low * _POW10_HIGH[k]) + low * _POW10_LOW[k]
+    below = np.floor(err)
+    whole = top.astype(np.int64) + below.astype(np.int64)
+    frac = err - below
+    # Half an ulp, 2**(e - 53) for mag in [2**e, 2**(e + 1)), scaled: a
+    # power of two times 10**k, so exact.
+    bits = mag.view(np.uint64)
+    half = ((bits & _EXPONENT) - (53 << 52)).view(np.float64) * scale
+    lower = frac - np.where(bits & _MANTISSA, half, 0.5 * half)
+    upper = frac + half
+    even = (bits & 1) == 0
+    first = whole + np.where(even, np.ceil(lower),
+                             np.floor(lower) + 1).astype(np.int64)
+    last = whole + np.where(even, np.floor(upper),
+                            np.ceil(upper) - 1).astype(np.int64)
+    return whole, frac, first, last
 
 
 def write_csv(frame: TimeSeriesFrame, path) -> None:

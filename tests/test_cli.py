@@ -213,6 +213,33 @@ class TestBench:
         assert err == f"data error: {path}: line 501 is not UTF-8 text\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ("bench", "--configs", "xgb-style", "--encodings", "sinusoidal"),
+        ("tune", "--budget", "3", "--init", "2"),
+        ("predict", "--model"),
+    ], ids=["bench", "tune", "predict"])
+    @pytest.mark.parametrize("line", [1, 101], ids=["header", "ignored"])
+    def test_overlong_csv_field_is_data_error(self, tmp_path, capsys,
+                                              small_model, command, line):
+        # One quoted field of 200 000 characters, above csv's default
+        # field_size_limit() of 131 072.
+        if command[0] == "predict":
+            command += (str(small_model[0]),)
+        lines = ["datetime,Global_active_power,note"] + [
+            f"2023-01-{1 + h // 24:02d} {h % 24:02d}:00:00,1.5,x"
+            for h in range(200)]
+        cells = lines[line - 1].split(",")
+        cells[2] = '"' + "y" * 200_000 + '"'
+        lines[line - 1] = ",".join(cells)
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(lines + [""]))
+        out = tmp_path / "out"
+        assert run_cli(*command, "--out", str(out), "--data", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == (f"data error: {path}: line {line}: field larger "
+                       "than field limit (131072)\n")
+        assert not out.exists()
+
     def test_utc_offset_timestamps_are_data_error(self, tmp_path):
         # Every row carries an offset, so every row is rejected.
         path = tmp_path / "offsets.csv"

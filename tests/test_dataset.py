@@ -9,7 +9,7 @@ import pytest
 
 from cyclecast import dataset
 from cyclecast.dataset import (
-    CHUNK_ROWS, SyntheticConfig, TimeSeriesFrame, _parse_rows,
+    CHUNK_ROWS, WRITE_ROWS, SyntheticConfig, TimeSeriesFrame, _parse_rows,
     generate_synthetic, load_csv, write_csv, write_series_csv,
 )
 from cyclecast.errors import ConfigError, DataError
@@ -595,6 +595,121 @@ class TestWriteCsv:
         assert path.read_bytes() == reference_csv(
             tmp_path, ["datetime", "Global_active_power"], frame.timestamps,
             [frame.target])
+
+
+def kernel_texts(values):
+    """What write_series_csv writes for each value, chunk by chunk."""
+    texts = []
+    for start in range(0, len(values), WRITE_ROWS):
+        cells = dataset._float_cells(values[start:start + WRITE_ROWS])
+        texts += [bytes(c).replace(b"\0", b"").decode() for c in cells.T]
+    return texts
+
+
+def assert_texts_are_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    want = [repr(v) for v in values.tolist()]
+    got = kernel_texts(values)
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad, f"{len(bad)} differ, first (repr, kernel): {bad[0]}"
+
+
+def neighbours(values):
+    """Each value and the doubles on either side of it."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, 0),
+                           np.nextafter(values, np.inf)])
+
+
+class TestFloatKernel:
+    """`_float_cells`, which writes every value of write_series_csv:
+    repr's shortest digits by exact integer steps in [1e-4, 1e16), repr
+    itself elsewhere."""
+
+    def test_random_in_domain_bits_match_repr(self):
+        rng = np.random.default_rng(34)
+        low, high = np.array([1e-4, 1e16]).view(np.int64)
+        values = rng.integers(low, high, 200_000).view(np.float64)
+        values[rng.random(values.size) < 0.3] *= -1
+        assert_texts_are_repr(values)
+
+    @pytest.mark.parametrize("values", [
+        # Halfway between two 16-digit candidates: the even one wins.
+        [8.0000152587890625, 0.30000000000000004, 2.0000000000000004],
+        # The interval is narrower below a power of two.
+        neighbours(2.0 ** np.arange(-13, 54)),
+        [1e-4, 9.999999999999999e-05, 9999999999999998.0, 1e16,
+         1.0000000000000002e16, 5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308],
+        # Powers of ten and their neighbours, and runs of nines whose
+        # shortest form may round up to the next decade.
+        neighbours([float(f"1e{e}") for e in range(-5, 18)]),
+        [float("9" * d + f"e{e}") for d in range(14, 19)
+         for e in range(-22, 3)],
+        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf],
+        # Short decimals: one digit, whole numbers with trailing zeros.
+        [0.1, 0.5, 1.0, 2.5, 100.0, 1230000.0, 123456789012345.0,
+         1e15 + 0.5, 0.0001234, 0.00999],
+    ], ids=["ties", "powers-of-two", "domain-edges", "decades", "nines",
+            "zeros-nan-inf", "short"])
+    def test_hard_cases_match_repr(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        assert_texts_are_repr(np.concatenate([values, -values]))
+
+    def test_all_in_domain_chunk_skips_repr(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 2 * WRITE_ROWS + 3
+        stamps = np.datetime64("2023-01-01", "us") + \
+            np.arange(n) * np.timedelta64(1, "h")
+        values = 10.0 ** rng.uniform(-4, 15.9, (2, n))  # in [1e-4, 1e16)
+        values[0, ::5] *= -1
+
+        def refuse(values):
+            raise AssertionError("an in-domain chunk went through repr")
+
+        monkeypatch.setattr(dataset, "_repr_floats", refuse)
+        path = tmp_path / "out.csv"
+        write_series_csv(path, ["datetime", "a", "b"], stamps, values)
+        assert path.read_bytes() == reference_csv(
+            tmp_path, ["datetime", "a", "b"], stamps, values)
+
+    def test_stamps_match_isoformat(self, tmp_path):
+        days = ["0001-01-01", "0001-03-01", "0004-02-29", "0100-03-01",
+                "1600-02-29", "1900-02-28", "1900-03-01", "1969-12-31",
+                "1970-01-01", "2000-02-29", "2023-12-31", "2024-02-29",
+                "2100-03-01", "9999-12-31"]
+        clocks = ["T00:00:00", "T23:59:59", "T12:34:56.000001",
+                  "T23:59:59.999999", "T00:00:00.5"]
+        stamps = np.array([d + c for d in days for c in clocks],
+                          dtype="datetime64[us]")
+        values = np.arange(len(stamps), dtype=np.float64)[None] + 0.25
+        path = tmp_path / "out.csv"
+        write_series_csv(path, ["datetime", "v"], stamps, values)
+        assert path.read_bytes() == reference_csv(
+            tmp_path, ["datetime", "v"], stamps, values)
+
+    def test_whole_second_chunk_beside_fractional_ones(self, tmp_path):
+        # Microseconds in the first and last chunk only.
+        n = 3 * WRITE_ROWS
+        stamps = np.datetime64("1999-12-31T20", "us") + \
+            np.arange(n) * np.timedelta64(1, "h")
+        stamps[[5, -1]] += np.timedelta64(7, "us")
+        values = np.linspace(-3, 3, n)[None]
+        path = tmp_path / "out.csv"
+        write_series_csv(path, ["datetime", "v"], stamps, values)
+        assert path.read_bytes() == reference_csv(
+            tmp_path, ["datetime", "v"], stamps, values)
+
+    def test_stamps_beyond_datetime_print_as_numpy(self, tmp_path):
+        # datetime holds years 1-9999 only; later ones keep numpy's form.
+        stamps = np.array(["9999-12-31T23:59:59", "10000-01-01T00:00:00",
+                           "12345-06-07T08:09:10.5"], dtype="datetime64[us]")
+        path = tmp_path / "out.csv"
+        write_series_csv(path, ["datetime", "v"], stamps, [[1.0, 2.0, 3.0]])
+        assert path.read_bytes() == (
+            b"datetime,v\r\n9999-12-31 23:59:59,1.0\r\n"
+            b"10000-01-01 00:00:00,2.0\r\n"
+            b"12345-06-07 08:09:10.500000,3.0\r\n")
 
 
 class TestGenerateSynthetic:
