@@ -5,9 +5,11 @@ the target value at each. A CSV needs a `datetime` column and a
 `Global_active_power` column; any other column is ignored. Timestamps
 are naive local times, read from ISO 8601 text and held as one
 datetime64[us] array, so sub-second parts are kept; a CSV row whose
-timestamp carries a UTC offset is rejected. A CSV is UTF-8 text: a chunk
-of plain ASCII lines is parsed from its bytes one column at a time, and
-any other chunk row by row as `csv.reader` splits its decoded text.
+timestamp carries a UTC offset, or names a date or an hour that does not
+exist, is rejected. A CSV is UTF-8 text: a chunk of plain ASCII lines of
+real dates is parsed from its bytes one column at a time, and any other
+chunk row by row as `csv.reader` splits its decoded text. Errors number
+lines as a file opened with newline="" does.
 
 CSV output goes through byte kernels: each chunk of rows is laid out in
 numpy as a uint8 array, one NUL-padded column of bytes per line, and
@@ -173,7 +175,16 @@ _NUMERIC_BYTES = b"\0" + b"0123456789.eE+-"
 # Per byte of a "YYYY-MM-DD HH:MM:SS" timestamp, the lowest value it may
 # take and how far above it it may go; the separator is checked alone.
 _STAMP_LOW = np.frombuffer(b"0000-00-00 00:00:00", np.uint8)
-_STAMP_SPAN = np.frombuffer(b"9999-99-99T99:99:99", np.uint8) - _STAMP_LOW
+_STAMP_SPAN = np.frombuffer(b"9999-19-39T29:59:59", np.uint8) - _STAMP_LOW
+# The days of months 0-19 in a common year; a month that is not has none.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+                       + [0] * 7, np.uint8)
+
+
+def _line_ends(data, stop=None):
+    """The text lines data[:stop] ends, as open(newline="") ends them."""
+    return (data.count(b"\n", 0, stop) + data.count(b"\r", 0, stop)
+            - data.count(b"\r\n", 0, stop))
 
 
 def _decode(data, path, line, encoding="utf-8"):
@@ -182,18 +193,17 @@ def _decode(data, path, line, encoding="utf-8"):
     try:
         return data.decode(encoding)
     except UnicodeDecodeError as exc:
-        line += data.count(b"\n", 0, exc.start)
+        line += _line_ends(data, exc.start)
         raise DataError(f"{path}: line {line} is not UTF-8 text") from None
 
 
 def _text_lines(chunks, path, line):
     """The text lines of chunks of the file's byte lines, from `line` on,
-    split at "\\n", "\\r" and "\\r\\n" as a file opened with
-    newline="" splits them."""
+    split as a file opened with newline="" splits them."""
     for chunk in chunks:
-        yield from io.StringIO(_decode(b"".join(chunk), path, line),
-                               newline="")
-        line += len(chunk)
+        data = b"".join(chunk)
+        yield from io.StringIO(_decode(data, path, line), newline="")
+        line += _line_ends(data)
 
 
 def _fields(buf, start, width):
@@ -212,10 +222,10 @@ def _parse_columns(chunk, data, n_cols, time_idx, target_idx):
     """`_parse_rows`'s result for the byte lines `chunk`, joined as `data`,
     parsed one column at a time; None unless every line is ASCII without
     a quote or a NUL, ends in "\\n" or "\\r\\n", has `n_cols` fields, a time
-    field "YYYY-MM-DD HH:MM:SS" (or with "T") of a year from 1 and a
-    target field of `_NUMERIC_BYTES` that numpy's cast reads as a finite
-    number. On such a field numpy's casts to datetime64 and float64 agree
-    with `datetime.fromisoformat` and `float`, rejections included."""
+    field "YYYY-MM-DD HH:MM:SS" (or with "T") of a real date and hour from
+    year 1 and a target field of `_NUMERIC_BYTES` that numpy's cast reads
+    as a finite number. On such fields numpy's casts to datetime64 and
+    float64 agree with `datetime.fromisoformat` and `float`."""
     if (not data.isascii() or b'"' in data or b"\0" in data
             or not data.endswith(b"\n")):
         return None
@@ -248,14 +258,23 @@ def _parse_columns(chunk, data, n_cols, time_idx, target_idx):
         return None
     stamps = sliding_window_view(buf, 19)[start]
     sep = stamps[:, 10]
-    if not (((stamps - _STAMP_LOW) <= _STAMP_SPAN).all()
+    digits = stamps - _STAMP_LOW
+    if not ((digits <= _STAMP_SPAN).all()
             and ((sep == 32) | (sep == 84)).all()  # " " or "T"
-            and (stamps[:, :4] != 48).any(axis=1).all()):  # year 0000
+            and digits[:, :4].view(np.uint32).all()):  # year 0000
         return None
-    try:
-        micros = stamps.view("S19").ravel().astype("datetime64[us]")
-    except ValueError:
-        return None
+    # A date or an hour that datetime does not hold must not reach numpy's
+    # cast: on some numpy versions it crashes there rather than raising.
+    # Day 0 less 1 wraps to 255, past every month's days.
+    month, day, hour = (digits[:, k] * 10 + digits[:, k + 1]
+                        for k in (5, 8, 11))
+    bad = np.flatnonzero((day - 1 >= _MONTH_DAYS.take(month)) | (hour > 23))
+    if bad.size:  # only February 29 of a leap year may be real
+        year = digits[bad, :4] @ np.array([1000, 100, 10, 1], np.int16)
+        if not ((month[bad] == 2) & (day[bad] == 29) & (hour[bad] < 24)
+                & (year % np.where(year % 100, 4, 400) == 0)).all():
+            return None
+    micros = stamps.view("S19").ravel().astype("datetime64[us]")
     if target_idx is None:
         return micros.view(np.int64), np.empty(0)
     start, width = field(target_idx)
@@ -309,7 +328,8 @@ def _body_blocks(chunks, path, columns):
         else:
             yield list(_csv_rows(io.StringIO(_decode(data, path, line),
                                              newline=""), path, line))
-        line += len(chunk)
+        # A parsed chunk holds no lone "\r", so its lines are its text lines.
+        line += len(chunk) if parsed is not None else _line_ends(data)
 
 
 def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
@@ -348,7 +368,7 @@ def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
             reader = _csv_rows(lines, path, 1)
         else:
             reader = _csv_rows(itertools.chain(
-                lines, _text_lines(chunks, path, 2)), path, 1)
+                lines, _text_lines(chunks, path, len(lines) + 1)), path, 1)
         try:
             header = next(reader)
         except StopIteration:

@@ -44,7 +44,9 @@ GOSS ranks rows by descending |g| with one default sort of -|g|; only
 when two keys tie (0.0 == -0.0 among them) does it sort again, stably, so
 tied rows keep their row order.
 `save_model` writes a model one tree at a time, each piece by the C JSON
-encoder, to the bytes `json.dump` gives for the whole document.
+encoder, to the bytes `json.dump` gives for the whole document, and
+`load_model` checks every saved tree in one pass over all of them,
+naming the first faulty tree and its first fault.
 Hot paths gather with `take` and `compress` rather than fancy and boolean
 indexing, which cost more per call for the same result.
 """
@@ -261,15 +263,6 @@ TREE_KEYS = tuple(_NODE_TYPES)
 _NODE_DTYPES = (np.intp, np.float64, np.intp, np.intp, np.float64)
 
 
-def _entries_ok(values, types) -> bool:
-    """Every entry's type is one of `types`; reals must also be finite."""
-    try:
-        return set(map(type, values)) <= types and (
-            float not in types or all(map(math.isfinite, values)))
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 # Rows that `predict` walks through every tree before it moves on to the
 # next rows. A walk round holds a few arrays of 8 bytes per row, and at
 # most this many rows keeps each under glibc's default 128 KiB mmap
@@ -382,17 +375,6 @@ class RegressionTree:
     def to_dict(self) -> dict:
         return {k: list(getattr(self, k)) for k in TREE_KEYS}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        tree = cls()
-        for k in TREE_KEYS:
-            setattr(tree, k, list(d[k]))
-        # Held as floats, as add_internal holds them: the row walk compares
-        # Python floats, which would compare a large int exactly where the
-        # node walk's float64 comparison rounds it.
-        tree.threshold = list(map(float, tree.threshold))
-        return tree
-
 
 def _compile(sizes, feature, threshold, left, right, value):
     """Per tree, (feature, threshold, child, value, depth) for
@@ -403,7 +385,7 @@ def _compile(sizes, feature, threshold, left, right, value):
     Each node's entries sit twice, at positions 2i and 2i + 1 of its
     tree's arrays, so every array is indexed by a row's position; a leaf
     reads feature 0 and its children are itself. Children are numbered
-    after their parent (`_load_tree` checks it), so a node's depth is the
+    after their parent (`load_model` checks it), so a node's depth is the
     length of its chain of parents, found by doubling each node's jump
     to an ancestor; a node of two parents counts from the later one.
     """
@@ -1087,10 +1069,9 @@ def save_model(model: GbtModel, path, extra: dict | None = None) -> None:
 def load_model(path):
     """Load a model saved by save_model; returns (GbtModel, extra dict).
 
-    `_node_arrays` checks every tree's nodes at once, and the trees that
-    `predict` walks, the first best_iteration, are compiled in one pass
-    over their nodes. Only a file that fails those checks is checked
-    tree by tree, by `_load_tree`, which names its first fault.
+    `_load_trees` checks every tree's nodes at once, naming the first
+    fault, and the trees that `predict` walks, the first best_iteration,
+    are compiled in one pass over their nodes.
     """
     path = Path(path)
     if not path.exists():
@@ -1121,13 +1102,8 @@ def load_model(path):
     except ConfigError as exc:
         raise DataError(f"model file {path}: {exc}") from None
     feature_names = tuple(doc["feature_names"])
-    nodes = _node_arrays(doc["trees"], len(feature_names))
-    if nodes is None:  # some tree is at fault; _load_tree names the first
-        for i, t in enumerate(doc["trees"]):
-            _load_tree(t, len(feature_names), f"model file {path}: tree {i}")
-        raise InvariantError(f"model file {path}: the node checks refuse "
-                             "trees that _load_tree accepts")
-    trees = list(map(RegressionTree.from_dict, doc["trees"]))
+    trees, nodes = _load_trees(doc["trees"], len(feature_names),
+                               f"model file {path}")
     best_iteration = doc["best_iteration"]
     if not (is_integer(best_iteration) and 1 <= best_iteration <= len(trees)):
         raise DataError(f"model file {path}: best_iteration "
@@ -1149,78 +1125,81 @@ def load_model(path):
     return model, doc.get("extra", {})
 
 
-def _load_tree(d, n_features, where):
-    """The tree saved as `d`, after checking that `predict` can walk it.
-
-    Raises DataError, prefixed by `where`, when `d` lacks a node array,
-    its arrays differ in length or hold an entry of a type `_NODE_TYPES`
-    does not allow or a non-finite number, a feature index is outside
-    [-1, n_features), an internal node's child is not numbered after it
-    and below the node count, or a leaf's child is not -1. Both growth
-    policies number children after their parent and leave a leaf's at
-    -1, so every walk ends at a leaf.
-    """
-    if not isinstance(d, dict):
-        raise DataError(f"{where} is not a JSON object")
-    missing = [k for k in TREE_KEYS if k not in d]
-    if missing:
-        raise DataError(f"{where} lacks {', '.join(missing)}")
-    if not all(isinstance(d[k], list) for k in TREE_KEYS):
-        raise DataError(f"{where}: {', '.join(TREE_KEYS)} must be lists")
-    n = len(d["feature"])
-    if n == 0 or any(len(d[k]) != n for k in TREE_KEYS):
-        raise DataError(f"{where} has no nodes or arrays of unequal length")
-    for key, types in _NODE_TYPES.items():
-        if not _entries_ok(d[key], types):
-            what = "finite numbers" if float in types else "integers"
-            raise DataError(f"{where} holds a non-numeric node entry: "
-                            f"{key} entries must be {what}")
-    tree = RegressionTree.from_dict(d)
-    for j, (f, left, right) in enumerate(zip(tree.feature, tree.left,
-                                             tree.right)):
-        if not -1 <= f < n_features:
-            raise DataError(f"{where}: node {j} splits on feature {f}, "
-                            f"outside [-1, {n_features})")
-        if f >= 0 and not (j < left < n and j < right < n):
-            raise DataError(f"{where}: node {j} has children {left} and "
-                            f"{right}, not both in ({j}, {n})")
-        if f < 0 and not left == right == -1:
-            raise DataError(f"{where}: leaf {j} has children {left} and "
-                            f"{right}, not -1")
-    return tree
-
-
-def _node_arrays(docs, n_features):
-    """The node arrays of the trees saved as `docs`, each key's entries
-    laid end to end in `_NODE_DTYPES`, after `_load_tree`'s checks, run
-    over all trees at once; None when some tree fails one."""
-    sizes = []
-    for d in docs:
-        if not (isinstance(d, dict)
-                and all(isinstance(d.get(k), list) for k in TREE_KEYS)):
-            return None
-        n = len(d["feature"])
-        if n == 0 or any(len(d[k]) != n for k in TREE_KEYS):
-            return None
-        sizes.append(n)
+def _load_trees(docs, n_features, where):
+    """The trees saved as `docs` and their node arrays, each key's entries
+    laid end to end in `_NODE_DTYPES`, once checked as `predict` needs:
+    children numbered after their node, as both growth policies number
+    them, and a leaf's -1, so every walk ends at a leaf. Each check runs
+    over all trees at once, but only over those before the first fault
+    found so far, so the DataError, prefixed by `where`, names the first
+    faulty tree and its first fault."""
+    fault = None  # (tree, message) of the first fault found so far
+    sizes = []  # node counts of the trees before it
+    for i, d in enumerate(docs):
+        if not isinstance(d, dict):
+            fault = i, " is not a JSON object"
+        elif missing := [k for k in TREE_KEYS if k not in d]:
+            fault = i, f" lacks {', '.join(missing)}"
+        elif not all(isinstance(d[k], list) for k in TREE_KEYS):
+            fault = i, f": {', '.join(TREE_KEYS)} must be lists"
+        elif not (n := len(d["feature"])) or any(len(d[k]) != n
+                                                  for k in TREE_KEYS):
+            fault = i, " has no nodes or arrays of unequal length"
+        else:
+            sizes.append(n)
+            continue
+        break
+    ends = list(itertools.accumulate(sizes))
     nodes = []
     for (key, types), dtype in zip(_NODE_TYPES.items(), _NODE_DTYPES):
-        entries = list(itertools.chain.from_iterable(d[key] for d in docs))
+        entries = list(itertools.chain.from_iterable(
+            d[key] for d in docs[:len(sizes)]))
+        bad = None
         if not set(map(type, entries)) <= types:
-            return None
+            bad = next(k for k, v in enumerate(entries)
+                       if type(v) not in types)
+            del entries[bad:]
         try:
-            nodes.append(np.fromiter(entries, dtype, len(entries)))
-        except OverflowError:  # an int too large for the dtype
-            return None
-    feature, threshold, left, right, value = nodes
-    sizes = np.array(sizes, dtype=np.intp)
-    node = np.arange(sizes.sum()) - (np.cumsum(sizes) - sizes).repeat(sizes)
-    count = sizes.repeat(sizes)
+            array = np.fromiter(entries, dtype, len(entries))
+        except OverflowError:  # an int beyond the dtype, which the checks
+            # below refuse as a float too, inf if it is beyond a double
+            array = np.array([float(str(v)) for v in entries])
+        if float in types and not (finite := np.isfinite(array)).all():
+            bad = int(finite.argmin())
+        nodes.append(array)
+        if bad is not None:
+            i = int(np.searchsorted(ends, bad, "right"))
+            what = "finite numbers" if float in types else "integers"
+            fault = i, (" holds a non-numeric node entry: "
+                        f"{key} entries must be {what}")
+            del sizes[i:], ends[i:]
+    feature, _, left, right, _ = (a[:sum(sizes)] for a in nodes)
+    count = np.repeat(sizes, sizes)  # each node's tree's node count
+    node = np.arange(feature.size) - np.repeat(ends, sizes) + count
     split = feature >= 0
-    if not (np.isfinite(threshold).all() and np.isfinite(value).all()
-            and (feature >= -1).all() and (feature < n_features).all()
-            and np.where(split, (node < left) & (left < count)
-                         & (node < right) & (right < count),
-                         (left == -1) & (right == -1)).all()):
-        return None
-    return nodes
+    outside = (feature < -1) | (feature >= n_features)
+    wrong = outside | np.where(split, (left <= node) | (left >= count)
+                               | (right <= node) | (right >= count),
+                               (left != -1) | (right != -1))
+    if wrong.any():
+        k = int(wrong.argmax())
+        i = int(np.searchsorted(ends, k, "right"))
+        j = int(node[k])
+        # As saved: the arrays hold an int beyond intp as a float.
+        f, lo, hi = (docs[i][key][j] for key in ("feature", "left", "right"))
+        fault = i, (f": node {j} splits on feature {f}, outside "
+                    f"[-1, {n_features})" if outside[k] else
+                    f": node {j} has children {lo} and {hi}, not both in "
+                    f"({j}, {sizes[i]})" if split[k] else
+                    f": leaf {j} has children {lo} and {hi}, not -1")
+    if fault is not None:
+        raise DataError(f"{where}: tree {fault[0]}{fault[1]}")
+    # Thresholds are held as floats, as add_internal holds them, so that
+    # the row walk rounds a large int as the node walk's float64 does.
+    thresholds = nodes[1].tolist()
+    trees = []
+    for d, end, n in zip(docs, ends, sizes):
+        trees.append(tree := RegressionTree())
+        vars(tree).update({k: d[k] for k in TREE_KEYS},
+                          threshold=thresholds[end - n:end])
+    return trees, nodes

@@ -1,12 +1,17 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclecast
 from cyclecast import dataset
 from cyclecast.dataset import (
     CHUNK_ROWS, WRITE_ROWS, SyntheticConfig, TimeSeriesFrame, _parse_rows,
@@ -352,6 +357,17 @@ def assert_loads_as_reference(path, allow_missing_target=False):
     return frame
 
 
+# Runs `assert_loads_as_reference` on each CSV named after the tests
+# directory, printing each file's rejected rows.
+CHECK_AS_REFERENCE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_dataset import assert_loads_as_reference
+for path in sys.argv[2:]:
+    print(assert_loads_as_reference(path).rejected_rows)
+"""
+
+
 # Layouts of the differential tests: the header, and where the time and
 # target fields sit among the cells.
 LAYOUTS = {
@@ -522,7 +538,11 @@ class TestColumnarReader:
         # A quoted header sends the whole file there.
         (4, b'"datetime",Global_active_power\n' + b"x\n" * 2
          + b"\x80\n"),
-    ], ids=["header", "ignored-column", "after-quote", "quoted-header"])
+        # Lines are numbered as text lines, which a lone "\r" also ends.
+        (7, b"datetime,Global_active_power\r" + b"x\r" * 4 + b"y\n"
+         + b"\xe9\n"),
+    ], ids=["header", "ignored-column", "after-quote", "quoted-header",
+            "lone-cr-header"])
     def test_non_utf8_byte_is_data_error_naming_its_line(self, tmp_path,
                                                          line, data):
         path = tmp_path / "latin1.csv"
@@ -530,6 +550,79 @@ class TestColumnarReader:
         with pytest.raises(DataError) as info:
             load_csv(path)
         assert str(info.value) == f"{path}: line {line} is not UTF-8 text"
+
+    @pytest.mark.parametrize("fault", [b"\xe9", b"y" * 200_000],
+                             ids=["non-utf8", "overlong-field"])
+    @pytest.mark.parametrize("ends", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_lines_after_lone_crs_are_numbered_as_text_lines(
+            self, tmp_path, fault, ends):
+        # Every other line of the first chunk ends in a lone "\r" (or in
+        # "\r\n"), so it goes through csv.reader; either check names
+        # the line of the next chunk that it refuses as a file opened with
+        # newline="" numbers it.
+        lines = [f"{ts},1.5".encode() + (ends if i % 2 else b"\n")
+                 for i, ts in enumerate(hourly(3 * CHUNK_ROWS))]
+        at = 2 * CHUNK_ROWS + 40
+        lines[at] = lines[at][:-1] + b"," + fault + b"\n"
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"datetime,Global_active_power\n" + b"".join(lines))
+        with open(path, newline="", encoding="latin-1") as fh:
+            line = next(i for i, text in enumerate(fh, 1)
+                        if text.endswith(fault.decode("latin-1") + "\n"))
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value).startswith(f"{path}: line {line}")
+
+    # Timestamps of the form a plain chunk reads that `datetime` cannot
+    # hold. Handed to numpy's cast in a chunk of more than 500 rows, such
+    # a field crashed the process (numpy 2.4) instead of raising.
+    IMPOSSIBLE_STAMPS = [
+        "2023-02-29 03:00:00", "1900-02-29 03:00:00", "2023-04-31 03:00:00",
+        "2023-03-00 03:00:00", "2023-00-10 03:00:00", "2023-13-01 03:00:00",
+        "2023-19-01 03:00:00", "2023-03-10 24:00:00", "2023-03-10 29:00:00",
+        "2023-03-10 03:60:00", "2023-03-10 03:00:60",
+    ]
+
+    def test_impossible_dates_are_rejected_rows(self, tmp_path):
+        paths = []
+        for k, stamp in enumerate(self.IMPOSSIBLE_STAMPS):
+            lines = [[ts, f"{i}.5"] for i, ts in enumerate(hourly(1000))]
+            lines[600][0] = stamp
+            paths.append(str(write_lines(tmp_path / f"{k}.csv",
+                                         "datetime,Global_active_power",
+                                         lines)))
+        # In a child process, so that a crash fails this test alone.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cyclecast.__file__).parent.parent),
+             os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", CHECK_AS_REFERENCE,
+             str(Path(__file__).parent), *paths],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == \
+            ["((600, 'unparseable timestamp'),)"] * len(paths)
+
+    @pytest.mark.parametrize("start", [
+        "2024-02-20T00", "2000-02-20T00", "0001-01-01T00", "9999-12-01T00",
+        "2023-12-25T00"])
+    def test_real_dates_skip_parse_rows(self, tmp_path, monkeypatch, start):
+        # Leap days, century years, the first and last years datetime
+        # holds, up to its last hour, and a year's end all stay on the
+        # columnar path.
+        n = 31 * 24 if start.startswith("9999") else 2 * CHUNK_ROWS
+        lines = [[ts, f"{i}.5"] for i, ts in enumerate(hourly(n, start))]
+        path = write_lines(tmp_path / "dates.csv",
+                           "datetime,Global_active_power", lines)
+        stamps, values, _ = csv_reference(path)
+
+        def refuse(*args):
+            raise AssertionError("a plain chunk went row by row")
+
+        monkeypatch.setattr(dataset, "_parse_rows", refuse)
+        frame = load_csv(path)
+        assert np.array_equal(frame.timestamps, stamps)
+        assert np.array_equal(frame.target, values)
 
     @pytest.mark.parametrize("header", [
         b'"datetime","Global_active_power"\r\n',

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import warnings
@@ -950,6 +951,18 @@ def walk_rows(tree, X):
     return out
 
 
+def load_trees(tmp_path, trees, n_features):
+    """The trees `load_model` reads from a model file holding the saved
+    trees `trees`, all of which `predict` walks."""
+    path = tmp_path / "trees.json"
+    path.write_text(json.dumps({
+        "format_version": gbtree.MODEL_FORMAT_VERSION, "params": {},
+        "trees": trees, "base_score": 0.0, "best_iteration": len(trees),
+        "feature_names": [f"f{j}" for j in range(n_features)],
+        "gain_by_feature": {}}))
+    return load_model(path)[0].trees
+
+
 def tree_depth(tree, node=0):
     if tree.feature[node] < 0:
         return 0
@@ -1011,7 +1024,7 @@ class TestTreeWalk:
                           if gbtree._walks_by_row(r, n_nodes, compiled))
                 assert not gbtree._walks_by_row(cut + 1, n_nodes, compiled)
                 for n in (0, 1, cut, cut + 1, X.shape[0]):
-                    fresh = gbtree.RegressionTree.from_dict(tree.to_dict())
+                    fresh = copy.deepcopy(tree)
                     if compiled:  # a level walk compiles the tree
                         fresh._walk_levels(np.zeros((4, 1)), None)
                     sides.add(gbtree._walks_by_row(n, n_nodes, compiled))
@@ -1020,7 +1033,7 @@ class TestTreeWalk:
                                           walk_rows(tree, X[:n]))
         assert sides == {True, False}
 
-    def test_value_at_threshold_goes_right(self):
+    def test_value_at_threshold_goes_right(self, tmp_path):
         tree = gbtree.RegressionTree()
         root = tree.add_internal(1, 0.5)
         tree.left[root] = tree.add_leaf(-1.0)
@@ -1030,8 +1043,8 @@ class TestTreeWalk:
             assert getattr(tree, walk)(XT, None).tolist() == [1.0, -1.0, 1.0]
         # A saved threshold is compared as a float64: 2**53 + 1 rounds to
         # 2**53, so a row at 2**53 goes right in both walks.
-        saved = gbtree.RegressionTree.from_dict(
-            {**tree.to_dict(), "threshold": [2 ** 53 + 1, 0.0, 0.0]})
+        saved, = load_trees(tmp_path, [
+            {**tree.to_dict(), "threshold": [2 ** 53 + 1, 0.0, 0.0]}], 2)
         XT = np.array([[0.0], [2.0 ** 53]])
         for walk in WALKS:
             assert getattr(saved, walk)(XT, None).tolist() == [1.0]
@@ -1164,53 +1177,121 @@ class TestCompile:
         assert len(depths) > 2
         assert np.array_equal(predict(loaded, X), predict(model, X))
 
-    def test_node_of_two_parents_counts_from_the_later(self):
-        # Not a tree save_model writes, but one _load_tree accepts.
+    def test_node_of_two_parents_counts_from_the_later(self, tmp_path):
+        # Not a tree save_model writes, but one load_model accepts.
         d = {"feature": [0, 1, -1, -1, -1], "threshold": [0.5, 2, 0, 0, 0],
              "left": [1, 3, -1, -1, -1], "right": [3, 4, -1, -1, -1],
              "value": [0, 0, 1.5, 2.5, 3.5]}
-        tree = gbtree._load_tree(d, 2, "tree")
-        tree._walk_levels(np.zeros((2, 1)), None)
+        tree, = load_trees(tmp_path, [d], 2)
         assert_same_levels(tree._levels, reference_compile(tree))
 
 
-class TestNodeChecks:
-    """`load_model` checks all trees' nodes at once and falls back to
-    `_load_tree` tree by tree only to name a fault: the two must agree
-    on which files they refuse."""
+def reference_tree_fault(d, n_features):
+    """The first fault of the tree saved as `d`, worded as `load_model`
+    words it after "tree i", or None: the node rules checked in Python,
+    one tree and one node at a time."""
+    if not isinstance(d, dict):
+        return " is not a JSON object"
+    missing = [k for k in gbtree.TREE_KEYS if k not in d]
+    if missing:
+        return f" lacks {', '.join(missing)}"
+    if not all(isinstance(d[k], list) for k in gbtree.TREE_KEYS):
+        return ": feature, threshold, left, right, value must be lists"
+    n = len(d["feature"])
+    if n == 0 or any(len(d[k]) != n for k in gbtree.TREE_KEYS):
+        return " has no nodes or arrays of unequal length"
+    for key in gbtree.TREE_KEYS:
+        real = key in ("threshold", "value")
+        for v in d[key]:
+            if type(v) is int and not real:
+                continue
+            if real and type(v) in (int, float):
+                try:
+                    if math.isfinite(v):
+                        continue
+                except OverflowError:  # an int beyond the largest double
+                    pass
+            return (" holds a non-numeric node entry: "
+                    f"{key} entries must be "
+                    f"{'finite numbers' if real else 'integers'}")
+    for j, (f, left, right) in enumerate(zip(d["feature"], d["left"],
+                                             d["right"])):
+        if not -1 <= f < n_features:
+            return (f": node {j} splits on feature {f}, outside "
+                    f"[-1, {n_features})")
+        if f >= 0 and not (j < left < n and j < right < n):
+            return (f": node {j} has children {left} and {right}, not both "
+                    f"in ({j}, {n})")
+        if f < 0 and not left == right == -1:
+            return f": leaf {j} has children {left} and {right}, not -1"
+    return None
 
-    def test_agrees_with_load_tree(self):
+
+class TestNodeChecks:
+    """`load_model` checks all trees' nodes at once: it must refuse what
+    the rules checked tree by tree refuse, name the same first fault, and
+    read what they accept into the same node lists and arrays."""
+
+    # Entries an edit writes: ints beyond intp and beyond a double, and
+    # values of every JSON type.
+    EDITS = [0, -1, 1, 2, 3, 5, -2, 2 ** 63, -2 ** 63 - 1, 10 ** 30,
+             10 ** 400, -10 ** 400, 0.5, 1.0, True, None, "1",
+             float("inf"), float("nan"), 1e308, [1], {}]
+
+    def edit(self, docs, rng):
+        """One random edit of the saved trees `docs`: mostly a node entry,
+        sometimes a tree's shape."""
+        i = rng.integers(len(docs))
+        d = docs[i]
+        if not isinstance(d, dict):
+            return
+        key = gbtree.TREE_KEYS[rng.integers(5)]
+        shape = rng.integers(12)
+        if shape == 0:
+            docs[i] = [[], "tree", 3][rng.integers(3)]
+        elif shape == 1:
+            d.pop(key, None)
+        elif shape == 2 and key in d:
+            d[key] = 7
+        elif shape == 3 and isinstance(d.get(key), list):
+            d[key] = d[key][:-1]
+        elif isinstance(d.get(key), list) and d[key]:
+            d[key][rng.integers(len(d[key]))] = \
+                self.EDITS[rng.integers(len(self.EDITS))]
+
+    def test_agrees_with_reference_checks(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(300, 3))
         model, _ = fit(X, X[:, 0] + rng.normal(size=300),
                        HyperParams(n_estimators=4, max_depth=4))
         trees = [t.to_dict() for t in model.trees]
-        edits = [0, -1, 1, 2, 3, 5, -2, 2 ** 63, 10 ** 400, 0.5, 1.0,
-                 True, None, "1", float("inf"), float("nan"), 1e308]
-        refused = 0
-        for _ in range(400):
+        messages = set()
+        for _ in range(800):
             docs = json.loads(json.dumps(trees))
-            for _ in range(rng.integers(1, 3)):
-                d = docs[rng.integers(len(docs))]
-                key = gbtree.TREE_KEYS[rng.integers(5)]
-                d[key][rng.integers(len(d[key]))] = \
-                    edits[rng.integers(len(edits))]
+            for _ in range(rng.integers(1, 4)):
+                self.edit(docs, rng)
+            faults = (f"m: tree {i}{fault}" for i, d in enumerate(docs)
+                      if (fault := reference_tree_fault(d, 3)) is not None)
+            expected = next(faults, None)
             try:
-                for i, d in enumerate(docs):
-                    gbtree._load_tree(d, 3, f"tree {i}")
-            except DataError:
-                assert gbtree._node_arrays(docs, 3) is None
-                refused += 1
-            else:
-                nodes = gbtree._node_arrays(docs, 3)
-                assert nodes is not None
-                for key, dtype, array in zip(gbtree.TREE_KEYS,
-                                             gbtree._NODE_DTYPES, nodes):
-                    expected = np.array(
-                        [float(v) if dtype is np.float64 else v
-                         for d in docs for v in d[key]], dtype)
-                    assert np.array_equal(array, expected)
-        assert 100 < refused < 400
+                loaded, nodes = gbtree._load_trees(docs, 3, "m")
+            except DataError as exc:
+                assert str(exc) == expected
+                messages.add(str(exc).split()[3].rstrip(":"))
+                continue
+            assert expected is None
+            for key, dtype, array in zip(gbtree.TREE_KEYS,
+                                         gbtree._NODE_DTYPES, nodes):
+                entries = [v for d in docs for v in d[key]]
+                assert np.array_equal(array, np.array(entries, dtype))
+                held = [v for t in loaded for v in getattr(t, key)]
+                if key == "threshold":
+                    entries = list(map(float, entries))
+                assert held == entries
+                assert list(map(type, held)) == list(map(type, entries))
+        # Every kind of fault was refused, and some files were accepted.
+        assert messages == {"is", "lacks", "feature,", "has", "holds",
+                            "node", "leaf"}
 
 
 class TestFeatureImportance:
