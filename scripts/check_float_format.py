@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check that the CSV writer's float kernel prints every value as repr does.
+"""Check the CSV float kernels: the writer's prints every value as repr
+does, and the reader's reads every field it settles as float() does.
 
     python3 scripts/check_float_format.py --cases N --seed S
 
@@ -10,8 +11,13 @@ patterns, 40% across the kernel's exact domain [1e-4, 1e16) and just
 beyond its ends and 20% over every double (subnormals, large exponents,
 infinities and NaNs included), and 40% as decimals of 1 to 17 random
 digits, which land on short representations, ties and their
-neighbours. Exits 1 naming the first value whose bytes differ from its
-repr, 0 when none do.
+neighbours. Then `dataset._read_decimals`, the kernel that `load_csv`
+reads target fields with, reads each value's repr and spellings of it
+that are not the shortest: with 17 and with 18 significant digits, and
+with a zero added after its last digit or before its first. Exits 1
+naming the first value whose bytes differ from its repr, or the first
+field the reader settles to another double than float() reads; 0 when
+none do.
 """
 
 import argparse
@@ -63,19 +69,67 @@ def first_mismatch(values):
     return None
 
 
+def spellings(value):
+    """repr of `value` and other texts that read as it: 17 and 18
+    significant digits, and a zero after the last digit of a repr with a
+    point, or before the first digit of one without an exponent."""
+    text = repr(value)
+    texts = [text, f"{value:.17g}", f"{value:.18g}"]
+    if "e" not in text and text[-1].isdigit():
+        sign = "-" if text[0] == "-" else ""
+        texts.append(text + "0" if "." in text
+                     else f"{sign}0{text.lstrip('-')}")
+    return texts
+
+
+def read_fields(texts):
+    """`_read_decimals` over byte fields, each the target of a CSV line;
+    (values, settled)."""
+    prefix = b"2023-01-01 00:00:00,"
+    widths = np.array([len(t) for t in texts])
+    lines = len(prefix) + widths + 2
+    start = np.cumsum(lines) - lines + len(prefix)
+    data = b"".join(prefix + t + b"\r\n" for t in texts)
+    return dataset._read_decimals(np.frombuffer(data, np.uint8), start,
+                                  widths)
+
+
+def first_misread(values):
+    """(text, double read) of the first spelling the reader settles to
+    another double than float() reads, or None."""
+    for start in range(0, len(values), dataset.WRITE_ROWS):
+        texts = [t.encode() for v in
+                 values[start:start + dataset.WRITE_ROWS].tolist()
+                 for t in spellings(v)]
+        read, settled = read_fields(texts)
+        want = np.array([float(t) for t in texts])
+        wrong = np.flatnonzero(settled & (read.view(np.int64)
+                                          != want.view(np.int64)))
+        if wrong.size:
+            return texts[wrong[0]].decode(), float(read[wrong[0]])
+    return None
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=200_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     rng = np.random.default_rng(args.seed)
-    mismatch = first_mismatch(draw(rng, args.cases))
+    values = draw(rng, args.cases)
+    mismatch = first_mismatch(values)
     if mismatch is not None:
         value, text = mismatch
         print(f"mismatch: repr {value!r}, kernel {text!r} "
               f"(bits {np.float64(value).view(np.uint64):#018x})")
         return 1
-    print(f"{args.cases} values match repr")
+    misread = first_misread(values)
+    if misread is not None:
+        text, value = misread
+        print(f"misread: {text!r} is {float(text)!r}, reader {value!r}")
+        return 1
+    print(f"{args.cases} values match repr, and their spellings read as "
+          "float()")
     return 0
 
 

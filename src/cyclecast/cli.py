@@ -26,7 +26,7 @@ from .dataset import (
     write_csv, write_series_csv,
 )
 from .encoding import STRATEGIES
-from .errors import ConfigError, CyclecastError, DataError
+from .errors import ConfigError, CyclecastError, DataError, InvariantError
 from .features import (
     FeatureSpec, ablate, build_matrix, needs_target_history,
 )
@@ -240,12 +240,17 @@ def strip_timing(obj):
 
 
 def write_report(report: dict, path: Path, no_timing: bool) -> dict:
+    """Write `report` as strict JSON: a NaN or an infinity in it, which
+    JSON cannot hold, is an internal error before the file is made."""
     if no_timing:
         report = strip_timing(report)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantError(f"{path}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return report
 
 
@@ -614,9 +619,21 @@ def cmd_predict(args) -> int:
         )
     matrix = build_matrix(frame, spec)
 
-    t0 = time.perf_counter()
-    pred = gbtree.predict(model, matrix)
-    elapsed = time.perf_counter() - t0
+    # A model's finite leaves can still sum or square past the largest
+    # double: such a result is refused here, before --out is made.
+    with np.errstate(all="ignore"):
+        t0 = time.perf_counter()
+        pred = gbtree.predict(model, matrix)
+        elapsed = time.perf_counter() - t0
+        metrics = (evaluation.compute_metrics(matrix.target, pred).to_dict()
+                   if have_target else {})
+    if not np.isfinite(pred).all():
+        raise DataError(f"model file {args.model}: a prediction on "
+                        f"{args.data} is not finite")
+    for name in ("rmse", "mae", "r2", "mape_pct"):
+        if metrics.get(name) is not None and not np.isfinite(metrics[name]):
+            raise DataError(f"model file {args.model}: its predictions on "
+                            f"{args.data} give a non-finite {name}")
     latency_us = 1e6 * elapsed / max(matrix.n_rows, 1)
 
     pred_path = out_dir / "predictions.csv"
@@ -635,8 +652,7 @@ def cmd_predict(args) -> int:
         "mean_latency_us": latency_us,
     }
     if have_target:
-        report["metrics"] = evaluation.compute_metrics(
-            matrix.target, pred).to_dict()
+        report["metrics"] = metrics
     report = write_report(report, out_dir / "predict_report.json",
                           args.no_timing)
     if have_target:

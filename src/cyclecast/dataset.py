@@ -9,7 +9,12 @@ timestamp carries a UTC offset, or names a date or an hour that does not
 exist, is rejected. A CSV is UTF-8 text: a chunk of plain ASCII lines of
 real dates is parsed from its bytes one column at a time, and any other
 chunk row by row as `csv.reader` splits its decoded text. Errors number
-lines as a file opened with newline="" does.
+lines as a file opened with newline="" does. In a plain chunk, a target
+written "-?D+(.D*)?" with at most 18 significant digits is read from its
+digit bytes, N / 10**k rounded to the nearest double as float() rounds
+it (Clinger 1990): an integer SWAR parse, one division, and a step by
+the exact residual of Dekker's two-product where N needs more than 53
+bits. Other targets go through numpy's cast.
 
 CSV output goes through byte kernels: each chunk of rows is laid out in
 numpy as a uint8 array, one NUL-padded column of bytes per line, and
@@ -181,6 +186,66 @@ _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
                        + [0] * 7, np.uint8)
 
 
+# Shared by the reader's and the writer's float kernels: 10**k for
+# k <= 22, exact doubles, and Dekker's split of each into two halves of
+# at most 26 significant bits; the fields of a double's bits.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HIGH = _POW10 * 134_217_729.0 - (_POW10 * 134_217_729.0 - _POW10)
+_POW10_LOW = _POW10 - _POW10_HIGH
+_MANTISSA = np.uint64((1 << 52) - 1)
+_EXPONENT = np.uint64(0x7FF << 52)
+
+
+def _lanes(byte):
+    """A uint64 with `byte` in each of its eight byte lanes."""
+    return np.uint64(int.from_bytes(bytes([byte]) * 8, "little"))
+
+
+# The decimal reader sees a field as the 24 bytes that end where it ends,
+# three little-endian uint64 words of eight byte lanes (SWAR), and works
+# on the bytes XOR "0": a digit is its value, "." is 0x1E and any other
+# ASCII byte is above 9 and below 0x80.
+_LANE_TOP = _lanes(0x80)
+_LANE_LOW7 = _lanes(0x7F)
+_LANE_ZEROS = _lanes(0x30)
+_LANE_ABOVE_9 = _lanes(0x76)  # sets a lane's top bit iff it holds > 9
+_LANE_POINTS = _lanes(0x1E)
+_DECIMAL_BYTES = 24
+# Per width b of a field without its sign, 0-25, the mask of its bytes,
+# the last b of the 24 (none beyond 24): column b, a row per word.
+_BODY_LANES = np.zeros((_DECIMAL_BYTES + 2, _DECIMAL_BYTES), np.uint8)
+for _b in range(_DECIMAL_BYTES + 1):
+    _BODY_LANES[_b, _DECIMAL_BYTES - _b:] = 0xFF
+_BODY_LANES = _BODY_LANES.view(np.uint64).T.copy()
+# Per word, lane i holding the point: the top byte of (1 << 8i) times its
+# constant is the point's place, k + 1 for k digits after it, 24 - 8j - i.
+_POINT_PLACE = np.array([[sum((t + 17 - 8 * j) << 8 * t for t in range(8))]
+                         for j in range(3)], np.uint64)
+# Per place 0-23, the top bit of the point's lane (none at place 0):
+# column p, a row per word.
+_POINT_LANES = np.zeros((_DECIMAL_BYTES, _DECIMAL_BYTES), np.uint8)
+_POINT_LANES[np.arange(1, _DECIMAL_BYTES),
+             _DECIMAL_BYTES - np.arange(1, _DECIMAL_BYTES)] = 0x80
+_POINT_LANES = _POINT_LANES.view(np.uint64).T.copy()
+# Lemire's parse of eight digits in one word's lanes, and each word's
+# weight among the 24 digit places.
+_EIGHT_DIGITS = (np.uint64(0x000000FF000000FF),
+                 np.uint64(100 + (1_000_000 << 32)),
+                 np.uint64(1 + (10_000 << 32)))
+_WORD_WEIGHT = np.array([[10**16], [10**8], [1]], np.uint64)
+# By place (0 with no point): 10**place, capped at 10**19, which no
+# 24-place number with its first five places zero reaches; 9 * 10**k;
+# 10**k and its Dekker halves.
+_PLACE_DIVISOR = np.array([10**19] + [10**min(p, 19) for p in range(1, 24)],
+                          np.uint64)
+_PLACE_NINES = np.array([0] + [9 * 10**k if k < 19 else 0
+                               for k in range(23)], np.uint64)
+_PLACE_SCALE = np.concatenate(([1.0], _POW10))
+_PLACE_HIGH = np.concatenate(([1.0], _POW10_HIGH))
+_PLACE_LOW = np.concatenate(([0.0], _POW10_LOW))
+_U7, _U8, _U16, _U32, _U56 = map(np.uint64, (7, 8, 16, 32, 56))
+
+
 def _line_ends(data, stop=None):
     """The text lines data[:stop] ends, as open(newline="") ends them."""
     return (data.count(b"\n", 0, stop) + data.count(b"\r", 0, stop)
@@ -218,14 +283,95 @@ def _fields(buf, start, width):
     return cells
 
 
+def _read_decimals(buf, start, width):
+    """(values, settled): each field buf[start:start + width] read as
+    float() reads it, where `settled` is true.
+
+    A field settles when it is "-?D+(.D*)?" with at most 24 bytes after
+    its sign and at most 18 significant digits. Its digits, the point read
+    as 0, give an integer V by Lemire's eight-digit SWAR parse; V without
+    that 0 is N, and with k digits after the point the value is
+    N / 10**k. N < 2**53 reads exactly as c = float(N) / 10**k, one rounding
+    (Clinger 1990). Above that the exact residual N - c * 10**k, through
+    Dekker's two-product, moves c to the double nearest N / 10**k: by
+    whole gaps between neighbours while the residual exceeds half a gap,
+    and to the even one on a tie. A step out of c's binade, or to its
+    first double with the value below it, where the gap below halves,
+    does not settle; nor does any other field.
+    """
+    n = len(start)
+    negative = buf.take(start) == 45  # "-"
+    body = np.minimum(width - negative, _DECIMAL_BYTES + 1)
+    padded = np.concatenate((np.zeros(_DECIMAL_BYTES, np.uint8), buf))
+    ends = np.ndarray((padded.size - _DECIMAL_BYTES + 1,),
+                      f"V{_DECIMAL_BYTES}", padded, strides=(1,))
+    lanes = np.bitwise_xor(ends[start + width].view(np.uint64)
+                           .reshape(n, 3).T, _LANE_ZEROS, order="C")
+    lanes &= _BODY_LANES.take(body, axis=1)  # bytes before the body: 0
+    above_9 = (lanes + _LANE_ABOVE_9) & _LANE_TOP
+    points = ~((lanes ^ _LANE_POINTS) + _LANE_LOW7) & _LANE_TOP
+    marks = points >> _U7
+    place = np.minimum(((marks * _POINT_PLACE) >> _U56).sum(axis=0),
+                       len(_PLACE_SCALE) - 1).astype(np.intp)
+    # Every byte above 9 must be the one point, at its place.
+    strays = np.bitwise_or.reduce(
+        above_9 ^ _POINT_LANES.take(place, axis=1), axis=0)
+    settled = (strays == 0) & (place < body) & (body <= _DECIMAL_BYTES)
+    lanes ^= marks * np.uint64(0x1E)
+    lanes = lanes * np.uint64(10) + (lanes >> _U8)
+    mask, ones, tens = _EIGHT_DIGITS
+    lanes = ((lanes & mask) * ones
+             + ((lanes >> _U16) & mask) * tens) >> _U32
+    settled &= lanes[0] < 1000  # V below 10**19
+    number = (lanes * _WORD_WEIGHT).sum(axis=0)  # V, then N
+    number -= (number // _PLACE_DIVISOR.take(place)
+               * _PLACE_NINES.take(place))
+    settled &= number < np.uint64(10**18)
+    # A field that does not settle may give any number below, an
+    # overflow or a NaN among them; it is dropped.
+    with np.errstate(all="ignore"):
+        digits = number.view(np.int64)
+        scale = _PLACE_SCALE.take(place)
+        value = digits / scale
+        product = value * scale
+        split = value * 134_217_729.0
+        high = split - (split - value)
+        low = value - high
+        scale_high = _PLACE_HIGH.take(place)
+        scale_low = _PLACE_LOW.take(place)
+        error = ((high * scale_high - product) + high * scale_low
+                 + low * scale_high) + low * scale_low
+        big = digits > 1 << 53
+        residual = ((digits - product.astype(np.int64)) - error) * big
+        bits = value.view(np.int64)
+        gap = ((bits.view(np.uint64) & _EXPONENT)
+               - np.uint64(52 << 52)).view(np.float64) * scale
+        steps = np.rint(residual / gap)
+        residual -= steps * gap
+        near = bits + steps.astype(np.int64)
+        half = 0.5 * gap
+        # near must lie in bits' binade, and above its first double if the
+        # value lies below near: the gap below that one is half as wide.
+        offset = near - (bits & ~np.int64(_MANTISSA))
+        inside = ((offset.view(np.uint64) <= _MANTISSA)
+                  & ((offset > 0) | (residual >= 0)))
+        settled &= ~big | ((abs(residual) <= half) & inside)
+        tie = (abs(residual) == half) & ((near & 1) == 1)
+        near += np.sign(residual).astype(np.int64) * tie
+        value = near.view(np.float64)
+    return np.where(negative, -value, value), settled
+
+
 def _parse_columns(chunk, data, n_cols, time_idx, target_idx):
     """`_parse_rows`'s result for the byte lines `chunk`, joined as `data`,
     parsed one column at a time; None unless every line is ASCII without
     a quote or a NUL, ends in "\\n" or "\\r\\n", has `n_cols` fields, a time
     field "YYYY-MM-DD HH:MM:SS" (or with "T") of a real date and hour from
-    year 1 and a target field of `_NUMERIC_BYTES` that numpy's cast reads
-    as a finite number. On such fields numpy's casts to datetime64 and
-    float64 agree with `datetime.fromisoformat` and `float`."""
+    year 1 and a target field of `_NUMERIC_BYTES` that reads as a finite
+    number: through `_read_decimals`, or numpy's cast where that does not
+    settle it. On such fields numpy's casts to datetime64 and float64
+    agree with `datetime.fromisoformat` and `float`, as `_read_decimals`
+    does with `float`."""
     if (not data.isascii() or b'"' in data or b"\0" in data
             or not data.endswith(b"\n")):
         return None
@@ -280,15 +426,19 @@ def _parse_columns(chunk, data, n_cols, time_idx, target_idx):
     start, width = field(target_idx)
     if not width.all():  # float() rejects an empty field
         return None
-    cells = _fields(buf, start, width)
-    if cells.tobytes().translate(None, _NUMERIC_BYTES):
-        return None
-    try:
-        values = cells.view(f"S{cells.shape[1]}").ravel().astype(np.float64)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
+    values, settled = _read_decimals(buf, start, width)
+    if not settled.all():
+        rest = np.flatnonzero(~settled)
+        cells = _fields(buf, start[rest], width[rest])
+        if cells.tobytes().translate(None, _NUMERIC_BYTES):
+            return None
+        try:
+            values[rest] = cells.view(f"S{cells.shape[1]}").ravel().astype(
+                np.float64)
+        except ValueError:
+            return None
+        if not np.isfinite(values[rest]).all():
+            return None
     return micros.view(np.int64), values
 
 
@@ -347,7 +497,7 @@ def load_csv(path, allow_missing_target: bool = False) -> TimeSeriesFrame:
 
     The file is read as bytes, CHUNK_ROWS lines at a time.
     `_parse_columns` parses a chunk of plain lines, which `csv.reader`
-    would split at each comma, with one numpy cast per column. Any other
+    would split at each comma, one column at a time. Any other
     chunk is decoded and goes through `csv.reader` and `_parse_rows`,
     which alone decides rejections, as does the rest of the file after a
     chunk holding a quote, and the whole file when the header holds one
@@ -437,14 +587,7 @@ _ISO_LAST = 253_402_300_799_999_999
 # its power of ten and not below it, so |v| >= 1e{e} holds exactly when
 # |v| >= 10**e.
 _DECADES = np.array([float(f"1e{e}") for e in range(-4, 16)])
-# 10**k for k <= 22, exact doubles, and Dekker's split of each into two
-# halves of at most 26 significant bits.
-_POW10 = np.array([float(10**k) for k in range(23)])
-_POW10_HIGH = _POW10 * 134_217_729.0 - (_POW10 * 134_217_729.0 - _POW10)
-_POW10_LOW = _POW10 - _POW10_HIGH
 _POW10_INT = 10 ** np.arange(18, dtype=np.int64)
-_MANTISSA = np.uint64((1 << 52) - 1)
-_EXPONENT = np.uint64(0x7FF << 52)
 # The three ASCII digits of each of 0-999 and a NUL, as one uint32.
 _TRIPLES = np.zeros((1000, 4), np.uint8)
 _TRIPLES[:, :3] = np.arange(1000)[:, None] // [100, 10, 1] % 10 + 48

@@ -2,7 +2,9 @@
 
 The sinusoidal pair places an integer phase t with period P on the unit
 circle, (sin 2*pi*t/P, cos 2*pi*t/P), so the last phase of a period sits
-next to the first instead of a full range away.
+next to the first instead of a full range away. `expand_temporal` takes
+sin and cos once per phase 0..P-1 and looks each row's up by its phase:
+the same doubles as sin and cos of each row's angle.
 """
 
 from __future__ import annotations
@@ -101,9 +103,9 @@ def expand_temporal(frame, terms):
             if name in out:
                 raise ConfigError(f"duplicate encoded column {name!r}")
         if strategy == SINUSOIDAL:
-            angle = 2.0 * np.pi * phases / feature.period
-            out[names[0]] = np.sin(angle)
-            out[names[1]] = np.cos(angle)
+            angle = 2.0 * np.pi * np.arange(feature.period) / feature.period
+            out[names[0]] = np.sin(angle).take(phases)
+            out[names[1]] = np.cos(angle).take(phases)
         elif strategy == ORDINAL:
             out[names[0]] = phases.astype(np.float64)
         else:

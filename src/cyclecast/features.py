@@ -10,6 +10,12 @@ column, ablated ones included, so every ablation arm scores the same
 rows. Each emitted column is written once into one C-contiguous
 features x rows block; the matrix's `values` is the rows x features view
 `block.T` of it.
+
+Rolling means and standard deviations are made BLOCK_ROWS windows at a
+time as long vector passes over the w shifted slices of the series,
+added in the order numpy's pairwise sum adds each window (Higham 1993),
+so they equal `sliding_window_view`'s one-shot mean and std bit for bit;
+a window with both stats makes its mean once.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import encoding
 from .errors import (
@@ -30,9 +35,89 @@ GROUP_LAG = "LagFeatures"
 GROUP_OTHERS = "Others"
 GROUPS = (GROUP_SINUSOIDAL, GROUP_ROLLING, GROUP_LAG, GROUP_OTHERS)
 
-# Rows per block of `rolling_std` and `ewm_mean`, which bounds their
-# temporaries; every row's arithmetic is the same at any block size.
-BLOCK_ROWS = 1024
+# Rows per block of the rolling and EWM transforms, which bounds their
+# temporaries: a rolling window's eight running sums of one block take
+# 48 KiB each. Every row's arithmetic is the same at any block size.
+BLOCK_ROWS = 6144
+# numpy's pairwise_sum adds up to this many values with eight interleaved
+# accumulators; a longer run is cut in two at a multiple of 8.
+_PAIRWISE_RUN = 128
+
+
+def _pairwise_sum(term, lo, n):
+    """term(lo) + ... + term(lo + n - 1), each an array over one block of
+    rows, added in the order numpy's pairwise_sum adds n values along a
+    reduced axis: left to right below 8 terms; up to _PAIRWISE_RUN terms,
+    eight accumulators r0..r7 over every eighth term, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the terms left over; beyond
+    that, the sums of the two halves, cut at a multiple of 8 below the
+    middle. `term(k, True)` must return a new array, which becomes an
+    accumulator; `term(k, False)` may return a view or scratch space that
+    the next call reuses."""
+    if n > _PAIRWISE_RUN:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(term, lo, half)
+        total += _pairwise_sum(term, lo + half, n - half)
+        return total
+    if n < 8:
+        total = term(lo, True)
+        for k in range(lo + 1, lo + n):
+            total += term(k, False)
+        return total
+    stop = lo + n - n % 8
+    acc = [term(k, True) for k in range(lo, lo + 8)]
+    for base in range(lo + 8, stop, 8):
+        for r, k in zip(acc, range(base, base + 8)):
+            r += term(k, False)
+    r0, r1, r2, r3, r4, r5, r6, r7 = acc
+    r0 += r1
+    r2 += r3
+    r4 += r5
+    r6 += r7
+    r0 += r2
+    r4 += r6
+    r0 += r4
+    for k in range(stop, lo + n):
+        r0 += term(k, False)
+    return r0
+
+
+def _rolling(series, w, stats):
+    """The columns `stats`, each "mean" or "std", of the trailing windows
+    of w values; NaN before index w-1.
+
+    Bit for bit what `sliding_window_view(series, w).mean(axis=1)` and
+    `.std(axis=1, ddof=1)` give: for each block of BLOCK_ROWS windows the
+    w shifted slices series[k:k+rows] are added in numpy's pairwise order
+    (`_pairwise_sum`), the sum divided by w, and the squared deviations
+    from that mean added in the same order, divided by w-1 and rooted.
+    numpy's sum starts from 0.0, which turns a sum of -0.0 into 0.0; so
+    does adding 0.0 to each slice an accumulator starts from. The std
+    reuses the mean of its own windows."""
+    n = series.size - w + 1
+    out = {stat: np.full(series.size, np.nan) for stat in stats}
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        rows = slice(lo + w - 1, hi + w - 1)
+
+        def value(k, fresh):
+            s = series[lo + k:hi + k]
+            return s + 0.0 if fresh else s
+
+        mean = np.divide(_pairwise_sum(value, 0, w), w,
+                         out=out["mean"][rows] if "mean" in out else None)
+        if "std" in out:
+            scratch = np.empty(hi - lo)
+
+            def square(k, fresh):
+                d = np.subtract(series[lo + k:hi + k], mean,
+                                out=None if fresh else scratch)
+                return np.square(d, out=d)
+
+            total = _pairwise_sum(square, 0, w)
+            total /= w - 1
+            np.sqrt(total, out=out["std"][rows])
+    return [out[stat] for stat in stats]
 
 
 def rolling_mean(series, w):
@@ -42,27 +127,17 @@ def rolling_mean(series, w):
         raise ConfigError(f"window must be >= 1, got {w}")
     if w > series.size:
         raise DataError(f"window {w} exceeds series length {series.size}")
-    out = np.full(series.size, np.nan)
-    out[w - 1:] = sliding_window_view(series, w).mean(axis=1)
-    return out
+    return _rolling(series, w, ("mean",))[0]
 
 
 def rolling_std(series, w):
-    """Trailing sample std (w-1 denominator); NaN before index w-1.
-
-    `std` runs over a fixed block of BLOCK_ROWS windows at a time, so its
-    temporary holds BLOCK_ROWS x w values, not w per row of the series."""
+    """Trailing sample std (w-1 denominator); NaN before index w-1."""
     series = np.asarray(series, dtype=np.float64)
     if w < 2:
         raise ConfigError(f"rolling_std window must be >= 2, got {w}")
     if w > series.size:
         raise DataError(f"window {w} exceeds series length {series.size}")
-    out = np.full(series.size, np.nan)
-    windows, tail = sliding_window_view(series, w), out[w - 1:]
-    for lo in range(0, len(windows), BLOCK_ROWS):
-        hi = lo + BLOCK_ROWS
-        tail[lo:hi] = windows[lo:hi].std(axis=1, ddof=1)
-    return out
+    return _rolling(series, w, ("std",))[0]
 
 
 def lag(series, k):
@@ -103,9 +178,9 @@ def ewm_mean(series, halflife):
     return out
 
 
-def _causal_block(transform, arg):
-    """The transform moved down one row, so its row t reads y[:t]."""
-    return lambda frame: [lag(transform(frame.target, arg), 1)]
+def _causal(columns):
+    """Each column moved down one row, so its row t reads y[:t]."""
+    return [lag(column, 1) for column in columns]
 
 
 def _columns(spec):
@@ -123,17 +198,20 @@ def _columns(spec):
         blocks.append((encoding.encoded_column_names(*term), group, 0,
                        lambda frame, term=term: encoding.expand_temporal(
                            frame, [term]).values()))
-    rolling = {"mean": rolling_mean, "std": rolling_std}
-    blocks += [([f"rolling_{stat}_{w}h"], GROUP_ROLLING, w,
-                _causal_block(rolling[stat], w))
-               for w in spec.rolling_windows for stat in spec.rolling_stats]
+    stats = spec.rolling_stats
+    if stats:
+        blocks += [([f"rolling_{stat}_{w}h" for stat in stats],
+                    GROUP_ROLLING, w, lambda frame, w=w: _causal(
+                        _rolling(frame.target, w, stats)))
+                   for w in spec.rolling_windows]
     blocks += [([f"lag_{k}h"], GROUP_LAG, k,
                 lambda frame, k=k: [lag(frame.target, k)])
                for k in spec.lags]
     for h in spec.ewm_halflives:
         label = int(h) if float(h).is_integer() else h
         blocks.append(([f"ewm_{label}h"], GROUP_OTHERS, 1,
-                       _causal_block(ewm_mean, h)))
+                       lambda frame, h=h: _causal(
+                           [ewm_mean(frame.target, h)])))
     return blocks
 
 

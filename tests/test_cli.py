@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import cyclecast
 from cyclecast import cli, evaluation
 from cyclecast.cli import main, render_table, strip_timing
 from cyclecast.dataset import SyntheticConfig, generate_synthetic
-from cyclecast.errors import DataError
+from cyclecast.errors import DataError, InvariantError
 from cyclecast.features import FeatureSpec
 from cyclecast.gbtree import HyperParams, load_model, predict
 
@@ -989,6 +990,35 @@ class TestModelChecks:
                               "node 0 has children")
         assert not out.exists()
 
+    @pytest.mark.parametrize("leaves, trees, message", [
+        (1e308, 1, "give a non-finite rmse"),
+        (-1e308, 1, "give a non-finite rmse"),
+        (1e308, 2, "is not finite"),
+    ], ids=["huge-leaf", "huge-negative-leaf", "leaves-sum-past-max"])
+    def test_leaves_that_overflow_are_data_error(self, tmp_path, capsys,
+                                                 small_model, leaves, trees,
+                                                 message):
+        # Each leaf is finite, but the errors square past the largest
+        # double or the leaves sum past it: refused before --out is made,
+        # with no numpy warning.
+        model, data = small_model
+        doc = json.loads(model.read_text())
+        doc["params"]["learning_rate"] = 1.0  # each leaf counts in full
+        for tree in doc["trees"][:trees]:
+            tree["value"] = [leaves if f < 0 else v
+                             for f, v in zip(tree["feature"], tree["value"])]
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "pred"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("predict", "--model", str(broken), "--data",
+                           str(data), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: model file {broken}: ")
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unedited_model_predicts(self, tmp_path, small_model):
         model, data = small_model
         assert run_cli("predict", "--model", str(model), "--data",
@@ -1118,6 +1148,19 @@ class TestPlumbing:
         obj = {"train_time_s": 1.0, "rows": [{"wall_time": 2.0, "keep": 3}],
                "mean_latency_us": 9.0}
         assert strip_timing(obj) == {"rows": [{"keep": 3}]}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_report_is_strict_json(self, tmp_path, value):
+        # JSON has no NaN or Infinity: such a report is an internal error
+        # before its file is made.
+        path = tmp_path / "out" / "report.json"
+        with pytest.raises(InvariantError, match="Out of range float"):
+            cli.write_report({"metrics": {"rmse": value}}, path, False)
+        assert not path.parent.exists()
+        cli.write_report({"metrics": {"rmse": 1.5}}, path, False)
+        assert json.loads(path.read_text(), parse_constant=float) == \
+            {"metrics": {"rmse": 1.5}}
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1

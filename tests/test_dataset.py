@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from datetime import datetime
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -804,6 +805,143 @@ class TestFloatKernel:
             b"10000-01-01 00:00:00,2.0\r\n"
             b"12345-06-07 08:09:10.500000,3.0\r\n")
 
+
+
+def read_fields(texts, prefix=b"2023-01-01 00:00:00,"):
+    """`_read_decimals` over byte fields, one per line after `prefix`,
+    so that the bytes before each are those of a real line."""
+    widths = np.array([len(t) for t in texts])
+    lines = len(prefix) + widths + 2
+    start = np.cumsum(lines) - lines + len(prefix)
+    data = b"".join(prefix + t + b"\r\n" for t in texts)
+    return dataset._read_decimals(np.frombuffer(data, np.uint8), start,
+                                  widths)
+
+
+def decimal_ties(rng, n):
+    """n decimals that lie halfway between two doubles: odd integers
+    times half the gap of their binade, from 2**53 to 2**59, and odd
+    integers in [2**53, 2**54) over 2 and 4 (17 and 18 digits)."""
+    texts = []
+    for _ in range(n // 2):
+        j = int(rng.integers(0, 6))
+        m = int(rng.integers(2**52, 2**53)) << j
+        texts.append(str(2 * m + (1 << j)))
+    for _ in range(n - n // 2):
+        m = int(rng.integers(2**52, 2**53)) * 2 + 1
+        i = int(rng.integers(1, 3))
+        texts.append(str(Decimal(m) / Decimal(2**i)))
+    return texts
+
+
+def near_halfway(rng, n):
+    """n decimals of 17 or 18 significant digits next to the midpoint
+    of two neighbouring doubles."""
+    values = 10.0 ** rng.uniform(-3, 15, n)
+    texts = []
+    for v in values.tolist():
+        mid = (Decimal(v) + Decimal(math.nextafter(v, math.inf))) / 2
+        digits = int(rng.integers(17, 19))
+        exponent = mid.adjusted() - digits + 1
+        q = mid.scaleb(-exponent).to_integral_value()
+        q += int(rng.integers(-1, 2))
+        texts.append(f"{Decimal(q).scaleb(exponent):f}")
+    return texts
+
+
+def decimal_fields(rng, n):
+    """n seeded target fields: repr of doubles drawn as bits across
+    [1e-4, 1e16), where repr has no exponent; decimals of 1 to 18 digits,
+    a point anywhere or nowhere, some with leading zeros; ties; decimals
+    next to a midpoint; and hourly-load-like values. A third are
+    negative, and zeros of every sign and form are among them."""
+    k = n // 5
+    low, high = np.array([1e-4, 1e16]).view(np.int64)
+    texts = [repr(v) for v in
+             rng.integers(low, high, k).view(np.float64).tolist()]
+    for _ in range(k):
+        digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 19))))
+        point = int(rng.integers(0, len(digits) + 1))
+        texts.append(digits if point == 0 else
+                     digits[:point] + "." + digits[point:])
+    texts += decimal_ties(rng, k // 2) + near_halfway(rng, k // 2)
+    texts += [repr(v) for v in rng.normal(2.0, 1.0, n - len(texts) - 8)
+              .tolist()]
+    texts = ["-" + t if r < 1 / 3 and t[0] != "-" else t
+             for t, r in zip(texts, rng.random(len(texts)))]
+    texts += ["0", "-0", "0.0", "-0.0", "-0.000", "000", "0.", "-0."]
+    return [t.encode() for t in rng.permutation(texts)]
+
+
+class TestDecimalReader:
+    """`_read_decimals`, which reads the target fields of plain chunks:
+    every field it settles reads as float() reads it, and any other goes
+    through numpy's cast as before."""
+
+    def test_seeded_fields_read_as_float(self):
+        rng = np.random.default_rng(37)
+        texts = decimal_fields(rng, 200_000)
+        want = np.array([float(t) for t in texts])
+        values, settled = read_fields(texts)
+        wrong = np.flatnonzero(settled & (values.view(np.int64)
+                                          != want.view(np.int64)))
+        assert not wrong.size, [texts[i] for i in wrong[:5]]
+        # None of these needs the cast.
+        assert settled.all()
+        ties = read_fields([b"9007199254740993", b"9007199254740995",
+                            b"18014398509481985", b"4503599627370496.5",
+                            b"-4503599627370497.5"])
+        assert ties[1].all()
+        assert ties[0].tolist() == [9007199254740992.0, 9007199254740996.0,
+                                    18014398509481984.0, 4503599627370496.0,
+                                    -4503599627370498.0]
+
+    def test_first_field_of_the_buffer(self):
+        values, settled = read_fields([b"1.5", b"-0.25", b"7"], prefix=b"")
+        assert settled.all()
+        assert values.tolist() == [1.5, -0.25, 7.0]
+
+    def test_zeros_keep_their_sign(self):
+        values, settled = read_fields([b"0", b"-0", b"0.000", b"-0.0"])
+        assert settled.all()
+        assert np.signbit(values).tolist() == [False, True, False, True]
+
+    @pytest.mark.parametrize("text", [
+        b"1e5", b"+1.5", b".5", b"-.5", b"1E5", b"1" * 25, b"0" * 25,
+        b"1.5e-3", b"00000000000000000000001.5", b"1234567890123456789",
+        b"0.0000000000000000000000001"])
+    def test_other_forms_go_to_the_cast(self, text):
+        values, settled = read_fields([text, b"2.5"])
+        assert settled.tolist() == [False, True]
+
+    @pytest.mark.parametrize("text", [
+        b"1.2.3", b"1..2", b"-", b"--1", b"1-2", b"1.2.3.4.5.6.7.8.9.0.1",
+        b"." * 24, b"1" + b"." * 23, b"9.9.9.9.9.9.9.9.9.9.9.9",
+        b"e", b"+", b"1e", b" 1", b"1 ", b"1_0", b"inf", b"nan"])
+    def test_malformed_fields_never_settle(self, text):
+        values, settled = read_fields([text, b"2.5"])
+        assert settled.tolist() == [False, True]
+
+    def test_every_form_loads_as_float(self, tmp_path, monkeypatch):
+        # Fields the reader settles and fields it leaves to the cast, in
+        # chunks that stay columnar, load as float() reads them.
+        rng = np.random.default_rng(38)
+        texts = decimal_fields(rng, 3 * CHUNK_ROWS)
+        forms = [b"1e5", b"+1.5", b".5", b"5.", b"1" * 25, b"1.5E-3"]
+        texts[::97] = (forms * 6)[:len(texts[::97])]
+        stamps = hourly(len(texts))
+        path = tmp_path / "forms.csv"
+        path.write_bytes(b"datetime,Global_active_power\r\n" + b"".join(
+            f"{ts},".encode() + t + b"\r\n" for ts, t in zip(stamps, texts)))
+
+        def refuse(*args):
+            raise AssertionError("a plain chunk went row by row")
+
+        monkeypatch.setattr(dataset, "_parse_rows", refuse)
+        frame = load_csv(path)
+        want = np.array([float(t) for t in texts])
+        assert np.array_equal(frame.target.view(np.int64),
+                              want.view(np.int64))
 
 class TestGenerateSynthetic:
     def test_all_components_zero_gives_constant(self):

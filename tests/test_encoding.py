@@ -190,3 +190,24 @@ class TestExpandTemporal:
         frame = self.frame(10)
         with pytest.raises(ConfigError):
             expand_temporal(frame, [(HOUR, "ordinal"), (HOUR, "ordinal")])
+
+
+# Hour-based phases for periods that no calendar feature has.
+HOURLY = {p: CyclicFeature(f"every_{p}h", p, lambda ts, p=p: (
+    ts.astype("datetime64[h]").astype(np.int64) % p)) for p in (60, 365)}
+
+
+@pytest.mark.parametrize("feature", list(FEATURES.values())
+                         + list(HOURLY.values()),
+                         ids=lambda f: f"{f.name}-{f.period}")
+def test_sinusoidal_table_matches_each_row(feature):
+    # One sin and cos per phase, looked up per row, are bit for bit what
+    # sin and cos of each row's angle give.
+    frame = generate_synthetic(SyntheticConfig(n_hours=9000, seed=1))
+    phases = feature.phases(frame.timestamps)
+    assert np.array_equal(np.unique(phases), np.arange(feature.period))
+    angle = 2.0 * np.pi * phases / feature.period
+    sin, cos = expand_temporal(
+        frame, [(feature, "sinusoidal")]).values()
+    assert np.array_equal(sin.view(np.int64), np.sin(angle).view(np.int64))
+    assert np.array_equal(cos.view(np.int64), np.cos(angle).view(np.int64))

@@ -14,7 +14,7 @@ from cyclecast.dataset import (
 )
 from cyclecast.errors import ConfigError, DataError
 from cyclecast.features import (
-    BLOCK_ROWS, FeatureSpec, ablate, build_matrix, ewm_mean, lag,
+    BLOCK_ROWS, FeatureSpec, _rolling, ablate, build_matrix, ewm_mean, lag,
     rolling_mean, rolling_std, GROUPS,
 )
 
@@ -208,6 +208,53 @@ class TestBlockEdges:
         assert np.array_equal(ewm_mean(series, halflife),
                               one_shot_ewm_mean(series, halflife))
 
+
+
+def one_shot_rolling_mean(series, w):
+    """`rolling_mean` as one `mean` over every window at once."""
+    out = np.full(series.size, np.nan)
+    out[w - 1:] = sliding_window_view(series, w).mean(axis=1)
+    return out
+
+
+def mixed_series(n, seed):
+    """Values of both signs from 1e-150 to 1e150, some exact zeros, and
+    a run of -0.0 longer than any window tested."""
+    rng = np.random.default_rng(seed)
+    out = rng.normal(size=n) * 10.0 ** rng.integers(-150, 151, n)
+    out[rng.random(n) < 0.05] = 0.0
+    out[n // 3:n // 3 + 300] = -0.0
+    return out
+
+
+class TestRollingKernel:
+    """`_rolling` adds the shifted slices of each block of windows in the
+    order numpy's pairwise sum adds a window, so it equals the one-shot
+    mean and std bit for bit: below 8 terms, up to 128 and beyond."""
+
+    @pytest.mark.parametrize("w", [2, 3, 7, 8, 9, 24, 127, 128, 129, 136,
+                                   168, 257])
+    def test_matches_one_shot_mean_and_std(self, w):
+        # Window counts below, at and above one block, and over two.
+        for n in (w + 4, BLOCK_ROWS + w - 2, BLOCK_ROWS + w - 1,
+                  BLOCK_ROWS + w, 2 * BLOCK_ROWS + w + 5):
+            series = mixed_series(n, w)
+            mean, std = _rolling(series, w, ("mean", "std"))
+            want_mean = one_shot_rolling_mean(series, w)
+            want_std = one_shot_rolling_std(series, w)
+            for got, want in ((mean, want_mean), (std, want_std),
+                              (rolling_mean(series, w), want_mean),
+                              (rolling_std(series, w), want_std)):
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), n
+
+    def test_stats_in_the_order_asked(self):
+        series = mixed_series(500, 0)
+        std, mean = _rolling(series, 24, ("std", "mean"))
+        assert np.array_equal(std, one_shot_rolling_std(series, 24),
+                              equal_nan=True)
+        assert np.array_equal(mean, one_shot_rolling_mean(series, 24),
+                              equal_nan=True)
 
 class TestMemoryBound:
     """`build_matrix` writes each column once into the block `values` views,

@@ -43,7 +43,8 @@ def test_mutated_inputs_fail_cleanly(kind, cases):
 
 # A stand-in for cyclecast whose predict crashes on its first call,
 # prints a traceback on its second, leaves --out after failing on its
-# third and writes its files after.
+# third, writes a report with an Infinity on its fourth and writes its
+# files after.
 STUB_CLI = """
 import os, signal, traceback
 from pathlib import Path
@@ -75,7 +76,8 @@ def main(argv):
         return 2
     out.mkdir()
     (out / "predictions.csv").write_text("")
-    (out / "predict_report.json").write_text("{}")
+    (out / "predict_report.json").write_text(
+        '{"rmse": Infinity}' if n == 3 else "{}")
     return 0
 """
 
@@ -98,5 +100,7 @@ def test_faults_fail_and_name_their_case(tmp_path):
         f"case 0 (data, seed 0): exit {-signal.SIGSEGV}",
         "case 1 (data, seed 0): exit 3",
         "case 2 (data, seed 0): a failed predict left --out",
-        "2 of 5 data cases passed",
+        "case 3 (data, seed 0): a zero exit wrote predict_report.json, "
+        "not strict JSON",
+        "1 of 5 data cases passed",
     ]
