@@ -394,12 +394,14 @@ class TestBuildMatrix:
                        for strategy in ("sinusoidal", "ordinal", "onehot")),
     )
 
-    @pytest.mark.parametrize("t", [8, 300, BLOCK_ROWS - 1, BLOCK_ROWS,
+    @pytest.mark.parametrize("t", [8, 300, 1023, 1024, 1025, 1033,
+                                   BLOCK_ROWS - 1, BLOCK_ROWS,
                                    BLOCK_ROWS + 1, BLOCK_ROWS + 9])
     def test_no_row_reads_the_target_at_or_after_it(self, t):
         # Raising y[t:] leaves every matrix row built from frame rows <= t
         # as it was; t runs across the edge of the blocks that
-        # rolling_std and ewm_mean work in.
+        # rolling_std and ewm_mean work in, and across row 1024 inside
+        # the first block.
         frame = self.frame(BLOCK_ROWS + 200)
         raised = TimeSeriesFrame(
             timestamps=frame.timestamps,
